@@ -121,41 +121,6 @@ def verify_construction_agreement(quiver: McKayQuiver, theta) -> None:
     assert a.v == b.v, "V-descriptions differ between constructions"
 
 
-def flow_images_up_to(quiver: McKayQuiver, theta, bound: int):
-    """Brute-force oracle: type vectors of all small nonnegative flows routing theta.
-
-    Enumerates every u in N^(arrows) with |u|_1 <= bound and b * u = theta and
-    collects d * u.  Exponential; intended for tiny quivers in tests.
-    """
-    na = quiver.num_arrows
-    arrows = quiver.arrows
-    out = set()
-    balance = [int(x) for x in theta]
-    acc = [0] * quiver.n
-
-    def rec(k, budget):
-        # Each remaining arrow use fixes at most 2 units of imbalance.
-        if sum(abs(x) for x in balance) > 2 * budget:
-            return
-        if k == na:
-            if not any(balance):
-                out.add(tuple(acc))
-            return
-        a = arrows[k]
-        for mult in range(budget + 1):
-            if mult:
-                balance[a.head] -= 1
-                balance[a.tail] += 1
-                acc[a.label - 1] += 1
-            rec(k + 1, budget - mult)
-        balance[a.head] += budget
-        balance[a.tail] -= budget
-        acc[a.label - 1] -= budget
-
-    rec(0, bound)
-    return out
-
-
 def run_all(quiver: McKayQuiver, bound: int = 4, seed: int = 0, trials: int = 10):
     """Run every check suited to the quiver's size; returns (name, passed, detail) rows."""
     checks = [

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     method.add_argument(
         "--oracle",
         action="store_true",
-        help="certify facets with exact LPs (default)",
+        help="certify facets with exact min-cost flows (default)",
     )
     method.add_argument(
         "--lifted",
@@ -403,13 +402,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    threads = os.environ.get("MCKAY_THREADS")
-    if threads is not None:
-        if not threads.isdigit() or int(threads) < 1:
-            print(f"error: MCKAY_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 2
-
     try:
         return _dispatch(args)
     except (
@@ -457,6 +449,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "check":
+        for flag, value in (("--bound", args.bound), ("--trials", args.trials)):
+            if value < 1:
+                print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+                return 2
         results = run_all(quiver, bound=args.bound, seed=args.seed, trials=args.trials)
         ok = True
         for name, passed, detail in results:

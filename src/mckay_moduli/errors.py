@@ -52,3 +52,7 @@ class GroupSpecError(ModuliError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class CertificateError(ModuliError):
+    """An optimality or consistency certificate failed its exact check."""

@@ -13,15 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadTheta, NegativeW, NotOptimal, TrivialGroup
+from .errors import BadTheta, CertificateError, NegativeW, NotOptimal, TrivialGroup
+from .flow import min_cost_flow
 from .groups import McKayQuiver, incidence_matrices, theta_decompose
-from .lp import (
-    LinearProgram,
-    LpOptimal,
-    optimal_face_tight_set,
-    simplex_standard,
-    solve,
-)
+from .lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
 from .polyhedra import (
     Cone,
     Fan,
@@ -112,15 +107,17 @@ def _theta_polyhedron_lifted(quiver, param):
 def _theta_polyhedron_oracle(quiver, param):
     """Grow an inner approximation by points until every tentative facet is certified.
 
-    Each candidate facet normal is sent to an exact LP over the flow
-    polyhedron; either the facet is supporting (minimum equals the offset) or
-    the optimal flow projects to a point beyond it, which is added.
+    Each candidate facet normal is nonnegative, because the recession cone
+    is the orthant, so it is the cost of an exact min-cost flow routing
+    theta; either the facet is supporting (minimum equals the offset) or the
+    optimal flow projects to a point beyond it, which is added.  A certified
+    facet is valid on the polyhedron, so it is never solved again.
     """
-    inc = incidence_matrices(quiver)
     n = quiver.n
     u0 = theta_decompose(quiver, param.integral)
     pts = {_image_point(quiver, u0)}
     units = tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
+    certified = set()
     while True:
         inner = VPolyhedron(
             dim=n, vertices=tuple(sorted(pts)), rays=units, lineality=()
@@ -128,14 +125,19 @@ def _theta_polyhedron_oracle(quiver, param):
         h = v_to_h(inner)
         assert not h.equations, "inner approximation should be full-dimensional"
         grew = False
-        for coeffs, rhs in h.inequalities:
+        for row in h.inequalities:
+            if row in certified:
+                continue
+            coeffs, rhs = row
             cost = [coeffs[a.label - 1] for a in quiver.arrows]
-            res = simplex_standard(inc.b, param.integral, cost)
-            assert isinstance(res, LpOptimal), "flow program must be solvable"
-            assert res.value <= rhs
-            if res.value < rhs:
-                pts.add(_image_point(quiver, res.point))
+            u, _, value = min_cost_flow(quiver, param.integral, cost)
+            if value > rhs:
+                raise CertificateError("flow minimum lies above an inner facet")
+            if value < rhs:
+                pts.add(_image_point(quiver, u))
                 grew = True
+            else:
+                certified.add(row)
         if not grew:
             return h, h_to_v(h)
 
@@ -143,11 +145,11 @@ def _theta_polyhedron_oracle(quiver, param):
 def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> ThetaPolyhedron:
     """Compute the type polyhedron of a stability parameter.
 
-    method "oracle" (default) certifies facets with exact LPs over the flow
-    polyhedron and never enumerates its vertices; method "lifted" enumerates
-    the flow polyhedron first and projects, which is exponentially larger but
-    follows the defining construction directly.  Both give identical
-    canonical descriptions.
+    method "oracle" (default) certifies facets with exact min-cost flows
+    over the flow polyhedron and never enumerates its vertices; method
+    "lifted" enumerates the flow polyhedron first and projects, which is
+    exponentially larger but follows the defining construction directly.
+    Both give identical canonical descriptions.
     """
     param = stability_parameter(quiver, theta)
     if method == "lifted":
@@ -274,12 +276,8 @@ def min_total_flow(quiver: McKayQuiver, theta) -> int:
         raise BadTheta("parameter must be integral")
     if sum(th) != 0:
         raise BadTheta("parameter entries must sum to zero")
-    inc = incidence_matrices(quiver)
-    res = simplex_standard(inc.b, [int(x) for x in th], [1] * quiver.num_arrows)
-    if not isinstance(res, LpOptimal):
-        raise NotOptimal("flow program has no optimum")
-    assert res.value.denominator == 1
-    return int(res.value)
+    _, _, value = min_cost_flow(quiver, [int(x) for x in th], [1] * quiver.num_arrows)
+    return value
 
 
 def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:

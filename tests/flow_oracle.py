@@ -8,7 +8,8 @@ vectors of elementary directed cycles.  Vertices therefore biject with
 forests whose components each route theta with strictly positive flow, and
 they can be counted with a rooted-tree dynamic program over vertex subsets,
 with no polyhedral computation at all.  These oracles certify the double
-description output on lifted flow polyhedra.
+description output on lifted flow polyhedra; flow_images_up_to enumerates
+the types of all small flows by brute force.
 """
 
 from fractions import Fraction
@@ -182,3 +183,38 @@ def count_flow_vertices(quiver, theta) -> int:
             a = (a - 1) & s
         F[s] = acc
     return F[(1 << r) - 1]
+
+
+def flow_images_up_to(quiver, theta, bound: int):
+    """Brute-force oracle: type vectors of all small nonnegative flows routing theta.
+
+    Enumerates every u in N^(arrows) with |u|_1 <= bound and b * u = theta and
+    collects d * u.  Exponential; intended for tiny quivers in tests.
+    """
+    na = quiver.num_arrows
+    arrows = quiver.arrows
+    out = set()
+    balance = [int(x) for x in theta]
+    acc = [0] * quiver.n
+
+    def rec(k, budget):
+        # Each remaining arrow use fixes at most 2 units of imbalance.
+        if sum(abs(x) for x in balance) > 2 * budget:
+            return
+        if k == na:
+            if not any(balance):
+                out.add(tuple(acc))
+            return
+        a = arrows[k]
+        for mult in range(budget + 1):
+            if mult:
+                balance[a.head] -= 1
+                balance[a.tail] += 1
+                acc[a.label - 1] += 1
+            rec(k + 1, budget - mult)
+        balance[a.head] += budget
+        balance[a.tail] -= budget
+        acc[a.label - 1] -= budget
+
+    rec(0, bound)
+    return out

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import SUITE_GROUPS
+from flow_oracle import flow_images_up_to
 from mckay_moduli import build_group, build_quiver
 from mckay_moduli.checks import (
-    flow_images_up_to,
     random_parameter,
     run_all,
     verify_closed_walks,

@@ -254,14 +254,15 @@ def test_text_format(capsys):
     assert "tight set" in out
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("MCKAY_THREADS", "zero")
-    rc, _, err = run_cli(capsys, "quiver", "--group", "1/2(1,1)")
+@pytest.mark.parametrize(
+    "flag,value", [("--bound", "-3"), ("--bound", "0"), ("--trials", "0")]
+)
+def test_check_rejects_vacuous_inputs(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "check", "--group", "1/2(1)", flag, value)
     assert rc == 2
-    assert "MCKAY_THREADS" in err
-    monkeypatch.setenv("MCKAY_THREADS", "2")
-    rc, out, _ = run_cli(capsys, "quiver", "--group", "1/2(1,1)")
-    assert rc == 0
+    assert "all checks passed" not in out
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
 
 
 def test_missing_subcommand_is_input_error(capsys):

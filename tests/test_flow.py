@@ -1,0 +1,144 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import golden
+from conftest import suite_quivers
+from mckay_moduli import (
+    BadTheta,
+    CertificateError,
+    LpOptimal,
+    NotOptimal,
+    build_group,
+    build_quiver,
+    incidence_matrices,
+    simplex_standard,
+)
+from mckay_moduli.flow import check_certificate, min_cost_flow
+from mckay_moduli.intlinalg import mat_vec
+
+QUIVERS = [q for _, q in suite_quivers()]
+
+
+@st.composite
+def flow_programs(draw):
+    q = draw(st.sampled_from(QUIVERS))
+    head = draw(st.lists(st.integers(-6, 6), min_size=q.r - 1, max_size=q.r - 1))
+    theta = tuple(head) + (-sum(head),)
+    cost = draw(st.lists(st.integers(0, 5), min_size=q.num_arrows, max_size=q.num_arrows))
+    return q, theta, cost
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flow_programs())
+def test_kernel_matches_simplex(program):
+    q, theta, cost = program
+    u, y, value = min_cost_flow(q, theta, cost)
+    b = incidence_matrices(q).b
+    assert tuple(mat_vec(b, u)) == theta
+    assert all(isinstance(x, int) and x >= 0 for x in u)
+    res = simplex_standard(b, theta, cost)
+    assert isinstance(res, LpOptimal)
+    assert value == res.value
+
+
+@pytest.fixture(scope="module")
+def golden_certificate():
+    q = build_quiver(build_group(golden.EXAMPLE_ORDERS, golden.EXAMPLE_WEIGHTS))
+    theta = tuple(int(t) for t in golden.EXAMPLE_THETA)
+    cost = [(3 * k) % 7 for k in range(q.num_arrows)]
+    u, y, value = min_cost_flow(q, theta, cost)
+    return q, theta, cost, list(u), list(y), value
+
+
+def test_certificate_accepts_kernel_output(golden_certificate):
+    check_certificate(*golden_certificate)
+
+
+def _bump(vec, i, delta):
+    out = list(vec)
+    out[i] += delta
+    return out
+
+
+def test_tampered_flow_raises(golden_certificate):
+    q, theta, cost, u, y, value = golden_certificate
+    with pytest.raises(CertificateError):
+        check_certificate(q, theta, cost, _bump(u, 0, 1), y, value)
+    k = next(k for k, f in enumerate(u) if f)
+    with pytest.raises(CertificateError):
+        check_certificate(q, theta, cost, _bump(u, k, -u[k] - 1), y, value)
+
+
+def test_tampered_potential_raises(golden_certificate):
+    q, theta, cost, u, y, value = golden_certificate
+    v = next(v for v, t in enumerate(theta) if t)
+    with pytest.raises(CertificateError):
+        check_certificate(q, theta, cost, u, _bump(y, v, 1), value)
+
+
+def test_tampered_value_raises(golden_certificate):
+    q, theta, cost, u, y, value = golden_certificate
+    with pytest.raises(CertificateError):
+        check_certificate(q, theta, cost, u, y, value + 1)
+
+
+def test_kernel_rejects_bad_input():
+    q = QUIVERS[1]
+    theta = (-1,) + (0,) * (q.r - 2) + (1,)
+    with pytest.raises(CertificateError):
+        min_cost_flow(q, theta, [-1] + [1] * (q.num_arrows - 1))
+    with pytest.raises(CertificateError):
+        min_cost_flow(q, theta, [0.5] + [1] * (q.num_arrows - 1))
+    with pytest.raises(NotOptimal):
+        min_cost_flow(q, (1,) + (0,) * (q.r - 1), [1] * q.num_arrows)
+    half = (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (q.r - 2)
+    with pytest.raises(BadTheta):
+        min_cost_flow(q, half, [1] * q.num_arrows)
+
+
+def _optimized_env():
+    import mckay_moduli
+
+    src = str(Path(mckay_moduli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+_TAMPER_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver
+from mckay_moduli.flow import check_certificate, min_cost_flow
+
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+theta = (-6, 1, 1, 1, 1, 1, 1)
+u, y, value = min_cost_flow(q, theta, [1] * q.num_arrows)
+try:
+    check_certificate(q, theta, [1] * q.num_arrows, u, y, value + 1)
+except CertificateError:
+    print("raised", __debug__)
+"""
+
+
+def test_certificate_checks_survive_optimize_flag():
+    env = _optimized_env()
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "raised False"
+    argv = ["-m", "mckay_moduli.cli", "fan", "--group", "1/7(1,2,4)", "--ghilb"]
+    plain = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    optimized = subprocess.run(
+        [sys.executable, "-O", *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert plain.stdout
+    assert optimized.stdout == plain.stdout
