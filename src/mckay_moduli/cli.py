@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--single-optimizer",
         action="store_true",
-        help="inspect one optimizer instead of the whole optimal face",
+        help="inspect the greatest optimizer instead of the whole optimal face",
     )
 
     sp = sub.add_parser("check", help="run consistency checks on a group")

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadTheta, CertificateError, NegativeW, NotOptimal, TrivialGroup
+from .errors import BadTheta, CertificateError, NegativeW, TrivialGroup
 from .flow import min_cost_flow
 from .groups import McKayQuiver, incidence_matrices, theta_decompose
-from .lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
 from .polyhedra import (
     Cone,
     Fan,
@@ -34,13 +33,12 @@ from .polyhedra import (
 class GitParameter:
     """A rational stability parameter summing to zero over the vertices.
 
-    integral is the primitive integer rescaling multiplier * theta, which all
+    integral is the primitive integer vector on the ray of theta, which all
     polyhedral computations use; the fan does not depend on positive scaling.
     """
 
     theta: tuple
     integral: tuple
-    multiplier: Fraction
 
 
 def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
@@ -52,19 +50,10 @@ def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
         raise BadTheta(f"parameter has length {len(th)}, expected {quiver.r}")
     if sum(th) != 0:
         raise BadTheta("parameter entries must sum to zero")
-    mult = 1
-    for f in th:
-        mult = lcm(mult, f.denominator)
+    mult = lcm(*(f.denominator for f in th))
     nums = [int(f * mult) for f in th]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    if g > 1:
-        nums = [x // g for x in nums]
-        multiplier = Fraction(mult, g)
-    else:
-        multiplier = Fraction(mult)
-    return GitParameter(theta=th, integral=tuple(nums), multiplier=multiplier)
+    g = gcd(*nums) or 1
+    return GitParameter(theta=th, integral=tuple(x // g for x in nums))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +112,8 @@ def _theta_polyhedron_oracle(quiver, param):
             dim=n, vertices=tuple(sorted(pts)), rays=units, lineality=()
         )
         h = v_to_h(inner)
-        assert not h.equations, "inner approximation should be full-dimensional"
+        if h.equations:
+            raise CertificateError("inner approximation is not full-dimensional")
         grew = False
         for row in h.inequalities:
             if row in certified:
@@ -159,7 +149,8 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     else:
         raise ValueError(f"unknown method {method!r}")
     units = [tuple(1 if t == i else 0 for t in range(quiver.n)) for i in range(quiver.n)]
-    assert list(v.rays) == sorted(units), "recession cone must be the nonnegative orthant"
+    if list(v.rays) != sorted(units):
+        raise CertificateError("recession cone is not the nonnegative orthant")
     return ThetaPolyhedron(quiver=quiver, parameter=param, h=h, v=v)
 
 
@@ -206,7 +197,8 @@ def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int) -> Chart
     quiver = tp.quiver
     g = quiver.group
     vert = tp.v.vertices[vidx]
-    assert all(x.denominator == 1 for x in map(Fraction, vert))
+    if any(Fraction(x).denominator != 1 for x in vert):
+        raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
     tight = sorted(fan.maximal[vidx])
     cone_rows = [tuple(tp.h.inequalities[i][0]) for i in tight]
@@ -288,45 +280,11 @@ def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:
 
 
 @dataclass(frozen=True, eq=False)
-class DualSlice:
-    """Arrow-slack polyhedron of vertex potentials at a fixed weight vector w.
-
-    The polyhedron lives in vertex space; inequality k says that arrow k has
-    nonnegative slack w_label + v_head - v_tail.  pinned adds the equation
-    v_0 = 0, cutting the lineality line spanned by the all-ones vector.
-    """
-
-    quiver: McKayQuiver
-    w: tuple
-    polyhedron: HPolyhedron
-    pinned: HPolyhedron
-
-
-def dual_slice(quiver: McKayQuiver, w) -> DualSlice:
-    """Build the arrow-slack polyhedron for a nonnegative weight vector."""
-    wq = tuple(Fraction(x) for x in w)
-    if len(wq) != quiver.n:
-        raise NegativeW(f"weight vector has length {len(wq)}, expected {quiver.n}")
-    if any(x < 0 for x in wq):
-        raise NegativeW("weight vector entries must be nonnegative")
-    rows = []
-    for a in quiver.arrows:
-        coeffs = [0] * quiver.r
-        coeffs[a.head] += 1
-        coeffs[a.tail] -= 1
-        rows.append((tuple(coeffs), -wq[a.label - 1]))
-    pin = (tuple(1 if t == 0 else 0 for t in range(quiver.r)), 0)
-    poly = HPolyhedron(dim=quiver.r, inequalities=tuple(rows))
-    pinned = HPolyhedron(dim=quiver.r, inequalities=tuple(rows), equations=(pin,))
-    return DualSlice(quiver=quiver, w=wq, polyhedron=poly, pinned=pinned)
-
-
-@dataclass(frozen=True, eq=False)
 class DistinguishedRep:
     """The representation attached to (theta, w): arrows with vanishing slack.
 
     b has one 0/1 entry per arrow; tight lists the arrow indices with b = 1.
-    point is the optimizing potential vector with v_0 = 0 and value the
+    point is the greatest optimal potential vector with v_0 = 0 and value the
     optimal objective theta . v.  cone, when located, is the fan cone whose
     relative interior contains w.
     """
@@ -349,44 +307,99 @@ def _check_relations(quiver: McKayQuiver, b) -> None:
                 hj = quiver.vertex_index[g.mul(rho, g.generator(j))]
                 left = b[quiver.arrow_index(hi, j)] * b[quiver.arrow_index(h, i)]
                 right = b[quiver.arrow_index(hj, i)] * b[quiver.arrow_index(h, j)]
-                assert left == right, "arrow relation violated"
+                if left != right:
+                    raise CertificateError(f"arrow relation fails at vertex {h}")
+
+
+def _reachable(adj, start) -> set:
+    seen, stack = {start}, [start]
+    while stack:
+        for z in adj[stack.pop()]:
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
+def _face_tight_arrows(quiver: McKayQuiver, cost, u, y) -> frozenset:
+    """Arrows carrying flow in some min-cost flow, given one optimal (u, y).
+
+    Optimal flows are the feasible flows on arrows of zero reduced cost, so
+    arrow k carries flow in one exactly when its reduced cost is 0 and
+    head(k) reaches tail(k) in the residual graph: zero-reduced-cost arrows
+    forward, arrows carrying flow backward.
+    """
+    arrows = quiver.arrows
+    zero = [cost[k] == y[a.head] - y[a.tail] for k, a in enumerate(arrows)]
+    residual = [[] for _ in range(quiver.r)]
+    for k, a in enumerate(arrows):
+        if zero[k]:
+            residual[a.tail].append(a.head)
+        if u[k]:
+            residual[a.head].append(a.tail)
+    reach = [_reachable(residual, v) for v in range(quiver.r)]
+    return frozenset(k for k, a in enumerate(arrows) if zero[k] and a.tail in reach[a.head])
+
+
+def _greatest_potential(quiver: McKayQuiver, cost, tight) -> list:
+    """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 on tight.
+
+    These are difference constraints, so V is the shortest-path distance
+    from vertex 0 over arcs head -> tail of length cost_k for every arrow
+    and tail -> head of length -cost_k for every tight arrow (Bellman-Ford).
+    """
+    arcs = [(a.head, a.tail, cost[k]) for k, a in enumerate(quiver.arrows)]
+    arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if k in tight]
+    dist = [0] + [None] * (quiver.r - 1)
+    for _ in range(quiver.r):
+        relaxed = False
+        for x, z, c in arcs:
+            if dist[x] is not None and (dist[z] is None or dist[x] + c < dist[z]):
+                dist[z] = dist[x] + c
+                relaxed = True
+        if not relaxed:
+            break
+    if None in dist or any(dist[x] + c < dist[z] for x, z, c in arcs):
+        raise CertificateError("the optimal face has no greatest potential")
+    return dist
 
 
 def distinguished_rep(
-    quiver: McKayQuiver,
-    theta,
-    w,
-    single_optimizer: bool = False,
-    fan=None,
+    quiver: McKayQuiver, theta, w, single_optimizer: bool = False, fan=None
 ) -> DistinguishedRep:
     """Compute which arrow maps are nonzero in the representation for (theta, w).
 
-    Minimizes theta . v over the pinned arrow-slack polyhedron.  By default
-    an arrow is marked nonzero when its slack vanishes on the whole optimal
-    face; with single_optimizer=True only the slacks of the one returned
-    optimizer are inspected, which can mark extra arrows on degenerate fibers.
+    Minimizes theta . v over the potentials with v_0 = 0 and nonnegative
+    arrow slacks w_label + v_head - v_tail.  Its LP dual is the flow routing
+    theta at arrow cost w_label, so one exact min-cost flow solves both.  By
+    default an arrow is marked nonzero when its slack vanishes on the whole
+    optimal face, which by strict complementarity (Goldman and Tucker, 1956)
+    means some optimal flow uses it.  point is the greatest optimal
+    potential; with single_optimizer=True the arrows of zero slack at point
+    are marked, which can add arrows on degenerate fibers.
     """
     param = stability_parameter(quiver, theta)
-    ds = dual_slice(quiver, w)
-    lp = LinearProgram(objective=param.theta, feasible=ds.pinned)
+    wq = tuple(Fraction(x) for x in w)
+    if len(wq) != quiver.n:
+        raise NegativeW(f"weight vector has length {len(wq)}, expected {quiver.n}")
+    if any(x < 0 for x in wq):
+        raise NegativeW("weight vector entries must be nonnegative")
+    scale = lcm(*(x.denominator for x in wq))
+    cost = [int(wq[a.label - 1] * scale) for a in quiver.arrows]
+    u, y, flow_value = min_cost_flow(quiver, param.integral, cost)
+    tight = _face_tight_arrows(quiver, cost, u, y)
+    dist = _greatest_potential(quiver, cost, tight)
+    if sum(t * d for t, d in zip(param.integral, dist)) != -flow_value:
+        raise CertificateError("the greatest potential is not optimal")
     if single_optimizer:
-        sol = solve(lp)
-        if not isinstance(sol, LpOptimal):
-            raise NotOptimal("potential program has no optimum")
-        tight = frozenset(
-            k
-            for k, (coeffs, rhs) in enumerate(ds.pinned.inequalities)
-            if sum(Fraction(c) * x for c, x in zip(coeffs, sol.point)) == rhs
-        )
-        mode = "single"
-    else:
-        sol, tight = optimal_face_tight_set(lp)
-        mode = "face"
+        slack = [cost[k] + dist[a.head] - dist[a.tail] for k, a in enumerate(quiver.arrows)]
+        tight = frozenset(k for k, s in enumerate(slack) if s == 0)
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))
     _check_relations(quiver, b)
+    point = tuple(Fraction(d, scale) for d in dist)
+    value = sum(t * v for t, v in zip(param.theta, point))
     if isinstance(fan, ThetaFan):
         fan = fan.fan
-    cone = locate_cone(fan, ds.w) if fan is not None else None
-    return DistinguishedRep(
-        w=ds.w, b=b, tight=tight, point=sol.point, value=sol.value, mode=mode, cone=cone
-    )
+    cone = locate_cone(fan, wq) if fan is not None else None
+    mode = "single" if single_optimizer else "face"
+    return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode, cone=cone)

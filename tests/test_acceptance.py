@@ -23,8 +23,6 @@ import golden
 from conftest import SUITE_GROUPS
 from mckay_moduli import (
     HPolyhedron,
-    LinearProgram,
-    LpOptimal,
     binomial_pairs,
     build_group,
     build_quiver,
@@ -35,7 +33,6 @@ from mckay_moduli import (
     kernel_generators_cij,
     moduli_fan,
     project,
-    solve,
     theta_polyhedron,
     vertex_facet_incidence,
 )
@@ -46,6 +43,7 @@ from mckay_moduli.checks import (
     verify_theta_routing,
 )
 from mckay_moduli.cli import main
+from mckay_moduli.lp import LinearProgram, LpOptimal, solve
 from mckay_moduli.moduli import lifted_flow_polyhedron, stability_parameter
 
 STRESS = bool(os.environ.get("MCKAY_STRESS"))

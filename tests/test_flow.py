@@ -13,15 +13,14 @@ from conftest import suite_quivers
 from mckay_moduli import (
     BadTheta,
     CertificateError,
-    LpOptimal,
     NotOptimal,
     build_group,
     build_quiver,
     incidence_matrices,
-    simplex_standard,
 )
 from mckay_moduli.flow import check_certificate, min_cost_flow
 from mckay_moduli.intlinalg import mat_vec
+from mckay_moduli.lp import LpOptimal, simplex_standard
 
 QUIVERS = [q for _, q in suite_quivers()]
 
@@ -103,7 +102,7 @@ def test_kernel_rejects_bad_input():
         min_cost_flow(q, half, [1] * q.num_arrows)
 
 
-def _optimized_env():
+def _src_env():
     import mckay_moduli
 
     src = str(Path(mckay_moduli.__file__).resolve().parent.parent)
@@ -127,18 +126,32 @@ except CertificateError:
 
 
 def test_certificate_checks_survive_optimize_flag():
-    env = _optimized_env()
+    env = _src_env()
     out = subprocess.run(
         [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "raised False"
-    argv = ["-m", "mckay_moduli.cli", "fan", "--group", "1/7(1,2,4)", "--ghilb"]
-    plain = subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+    theta = ",".join(str(t) for t in golden.EXAMPLE_THETA)
+    w = ",".join(str(x) for x in golden.W_A)
+    for args in (
+        ["fan", "--group", "1/7(1,2,4)", "--ghilb"],
+        ["rep", "--group", "1/11(1,2,8)", "--theta", theta, "--w", w],
+    ):
+        argv = ["-m", "mckay_moduli.cli", *args]
+        plain = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, check=True
+        )
+        optimized = subprocess.run(
+            [sys.executable, "-O", *argv], env=env, capture_output=True, text=True, check=True
+        )
+        assert plain.stdout
+        assert optimized.stdout == plain.stdout
+
+
+def test_cli_does_not_load_the_lp_reference():
+    script = "import sys, mckay_moduli.cli; print('mckay_moduli.lp' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True
     )
-    optimized = subprocess.run(
-        [sys.executable, "-O", *argv], env=env, capture_output=True, text=True, check=True
-    )
-    assert plain.stdout
-    assert optimized.stdout == plain.stdout
+    assert out.stdout.strip() == "False"

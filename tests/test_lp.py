@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mckay_moduli import (
-    HPolyhedron,
+from mckay_moduli import HPolyhedron, NotOptimal, h_to_v
+from mckay_moduli.lp import (
     LinearProgram,
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
-    NotOptimal,
-    h_to_v,
     optimal_face_tight_set,
     simplex_standard,
     solve,

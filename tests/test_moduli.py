@@ -2,18 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS
+from conftest import SUITE_GROUPS, suite_quivers
 from mckay_moduli import (
     BadTheta,
+    CertificateError,
+    HPolyhedron,
     NegativeW,
     TrivialGroup,
     build_group,
     build_quiver,
     distinguished_rep,
-    dual_slice,
     ghilb_parameter,
     h_to_v,
     incidence_matrices,
@@ -25,6 +28,8 @@ from mckay_moduli import (
     theta_polyhedron,
 )
 from mckay_moduli.intlinalg import mat_vec
+from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
+from mckay_moduli.moduli import _check_relations
 
 
 def quiver(orders, weights):
@@ -181,58 +186,48 @@ def test_ghilb_parameter():
         ghilb_parameter(quiver([1], [[0]]))
 
 
-def test_dual_slice_structure():
-    q = quiver([3], [[1, 2]])
-    w = (Fraction(5, 2), 1)
-    ds = dual_slice(q, w)
-    assert len(ds.polyhedron.inequalities) == q.num_arrows
-    for k, (coeffs, rhs) in enumerate(ds.polyhedron.inequalities):
-        a = q.arrows[k]
-        expect = [0] * q.r
-        if a.head != a.tail:
-            expect[a.head] += 1
-            expect[a.tail] -= 1
-        assert list(coeffs) == expect
-        assert rhs == -Fraction(w[a.label - 1])
-    # the unpinned slice is invariant under the all-ones translation
-    v = h_to_v(ds.polyhedron)
-    assert any(all(x == 1 for x in l) or all(x == -1 for x in l) for l in v.lineality)
-    # pinning adds the base-vertex equation
-    assert ds.pinned.equations[-1][0][0] == 1
-    assert sum(abs(x) for x in ds.pinned.equations[-1][0]) == 1
-    assert ds.pinned.equations[-1][1] == 0
-
-
-def test_dual_slice_validates():
+def test_distinguished_rep_validates_w():
     q = quiver([3], [[1, 2]])
     with pytest.raises(NegativeW):
-        dual_slice(q, (-1, 0))
+        distinguished_rep(q, (-1, 0, 1), (-1, 0))
     with pytest.raises(NegativeW):
-        dual_slice(q, (1,))
+        distinguished_rep(q, (-1, 0, 1), (1,))
 
 
-def test_dual_slice_trivial_group():
+def test_distinguished_rep_trivial_group():
     q = quiver([1], [[0, 0]])
-    ds = dual_slice(q, (2, 3))
-    assert len(ds.polyhedron.inequalities) == 2
-    for coeffs, rhs in ds.polyhedron.inequalities:
-        assert all(c == 0 for c in coeffs)
-        assert rhs <= 0
+    assert q.num_arrows == 2
+    assert all(a.head == a.tail for a in q.arrows)
     rep = distinguished_rep(q, (0,), (2, 3))
     assert rep.b == (0, 0)
+    assert rep.point == (0,)
+    assert rep.value == 0
     rep0 = distinguished_rep(q, (0,), (0, 0))
     assert rep0.b == (1, 1)
 
 
-def test_dual_slice_printed_point_is_feasible(example_quiver):
-    ds = dual_slice(example_quiver, golden.W_A)
-    slacks = tuple(
-        sum(Fraction(c) * v for c, v in zip(coeffs, golden.V_A)) - rhs
-        for coeffs, rhs in ds.polyhedron.inequalities
-    )
+def test_rep_point_matches_golden_potentials(example_quiver):
+    points = {}
+    for w, potentials in ((golden.W_A, golden.V_A), (golden.W_B, golden.V_B)):
+        points[w] = distinguished_rep(example_quiver, golden.EXAMPLE_THETA, w).point
+        assert points[w][0] == 0
+        assert len({p - g for p, g in zip(points[w], potentials)}) == 1
+    v = points[golden.W_A]
+    slacks = tuple(golden.W_A[a.label - 1] + v[a.head] - v[a.tail] for a in example_quiver.arrows)
     assert slacks == golden.SLACK_A
-    theta_dot = sum(t * v for t, v in zip(golden.EXAMPLE_THETA, golden.V_A))
-    assert theta_dot == golden.VALUE_A
+
+
+def test_broken_arrow_relation_raises():
+    q = quiver([7], [[1, 2]])
+    g = q.group
+    h, rho = 0, q.vertices[0]
+    via_1 = q.vertex_index[g.mul(rho, g.generator(1))]
+    b = [0] * q.num_arrows
+    b[q.arrow_index(h, 1)] = 1
+    b[q.arrow_index(via_1, 2)] = 1
+    with pytest.raises(CertificateError):
+        _check_relations(q, b)
+    _check_relations(q, [1] * q.num_arrows)
 
 
 def test_distinguished_rep_w_zero_single_point():
@@ -278,6 +273,53 @@ def test_distinguished_rep_face_subset_of_single():
         single = distinguished_rep(q, golden.W1_THETA, w, single_optimizer=True)
         assert face.tight <= single.tight
         assert face.value == single.value
+
+
+REP_QUIVERS = [q for _, q in suite_quivers()] + [quiver([7], [[1, 2, 4]])]
+
+
+@st.composite
+def rep_programs(draw):
+    q = draw(st.sampled_from(REP_QUIVERS))
+    head = draw(st.lists(st.integers(-6, 6), min_size=q.r - 1, max_size=q.r - 1))
+    theta = tuple(head) + (-sum(head),)
+    weight = st.one_of(st.just(0), st.fractions(min_value=0, max_value=6, max_denominator=3))
+    w = tuple(draw(st.lists(weight, min_size=q.n, max_size=q.n)))
+    return q, theta, w
+
+
+def _potential_program(q, w, objective, extra=()):
+    """Minimize objective . v over {v : w_label + v_head - v_tail >= 0, v_0 = 0}."""
+    rows = []
+    for a in q.arrows:
+        coeffs = [0] * q.r
+        coeffs[a.head] += 1
+        coeffs[a.tail] -= 1
+        rows.append((tuple(coeffs), -Fraction(w[a.label - 1])))
+    pin = (tuple(1 if t == 0 else 0 for t in range(q.r)), 0)
+    feasible = HPolyhedron(dim=q.r, inequalities=tuple(rows), equations=(pin,) + extra)
+    return LinearProgram(objective=objective, feasible=feasible)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rep_programs())
+def test_distinguished_rep_matches_lp_reference(program):
+    q, theta, w = program
+    sol, tight = optimal_face_tight_set(_potential_program(q, w, theta))
+    face = distinguished_rep(q, theta, w)
+    assert face.tight == tight
+    assert face.b == tuple(1 if k in tight else 0 for k in range(q.num_arrows))
+    assert face.value == sol.value
+    single = distinguished_rep(q, theta, w, single_optimizer=True)
+    assert single.tight >= face.tight
+    assert single.point == face.point
+    assert sum(t * v for t, v in zip(theta, face.point)) == face.value
+    # The optimal face has a greatest element, and it is the one optimum of
+    # sum(v) over the face, so one solve checks every coordinate of point.
+    on_face = ((tuple(theta), sol.value),)
+    res = solve(_potential_program(q, w, (-1,) * q.r, on_face))
+    assert isinstance(res, LpOptimal)
+    assert res.point == face.point
 
 
 def test_locate_cone_succeeds_on_random_w():
