@@ -1,11 +1,11 @@
 """Executable consistency checks tying the combinatorics to the polyhedra.
 
-Each check returns None on success and raises AssertionError with a witness
-on failure; run_all packages them for the command line.  These are the
-package's own cross-validation suite: kernel lattices against commutation
-vectors, routing of stability parameters, closed-walk decompositions, cycle
-types, flow vertex integrality, and agreement of the two type-polyhedron
-constructions.
+Each check returns None on success and raises CertificateError with a
+witness on failure; the checks are explicit raises, so python -O keeps them.
+run_all packages them for the command line.  These are the package's own
+cross-validation suite: kernel lattices against commutation vectors, routing
+of stability parameters, closed-walk decompositions, cycle types, flow vertex
+integrality, and agreement of the two type-polyhedron constructions.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import CertificateError
 from .groups import (
     McKayQuiver,
     closed_walk_from_kernel,
@@ -31,7 +32,8 @@ def verify_kernel_lattice(quiver: McKayQuiver) -> None:
     inc = incidence_matrices(quiver)
     gens = kernel_generators_cij(quiver)
     basis = kernel_basis(inc.c)
-    assert row_hnf(gens) == row_hnf(basis), "kernel lattices differ"
+    if row_hnf(gens) != row_hnf(basis):
+        raise CertificateError("kernel lattices differ")
 
 
 def random_parameter(quiver: McKayQuiver, rng: random.Random, spread: int = 5):
@@ -47,8 +49,10 @@ def verify_theta_routing(quiver: McKayQuiver, trials: int = 20, seed: int = 0) -
     for _ in range(trials):
         theta = random_parameter(quiver, rng)
         u = theta_decompose(quiver, theta)
-        assert all(isinstance(x, int) and x >= 0 for x in u)
-        assert tuple(mat_vec(inc.b, u)) == theta, (theta, u)
+        if not all(isinstance(x, int) and x >= 0 for x in u):
+            raise CertificateError(f"flow {u} for theta {theta} is not a nonnegative integer vector")
+        if tuple(mat_vec(inc.b, u)) != theta:
+            raise CertificateError(f"flow {u} does not route theta {theta}")
 
 
 def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) -> None:
@@ -66,7 +70,8 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) ->
         net = [0] * quiver.num_arrows
         for k, sign in walk:
             net[k] += sign
-        assert net == list(u), "walk does not reproduce the vector"
+        if net != list(u):
+            raise CertificateError("walk does not reproduce the vector")
         if not walk:
             continue
         first = walk[0]
@@ -75,13 +80,11 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) ->
         start = cur
         for k, sign in walk:
             a = arrows[k]
-            if sign > 0:
-                assert cur == a.tail, "walk breaks contiguity"
-                cur = a.head
-            else:
-                assert cur == a.head, "walk breaks contiguity"
-                cur = a.tail
-        assert cur == start, "walk does not close up"
+            if cur != (a.tail if sign > 0 else a.head):
+                raise CertificateError("walk breaks contiguity")
+            cur = a.head if sign > 0 else a.tail
+        if cur != start:
+            raise CertificateError("walk does not close up")
 
 
 def verify_cycle_types(quiver: McKayQuiver, bound: int = 6) -> None:
@@ -93,9 +96,12 @@ def verify_cycle_types(quiver: McKayQuiver, bound: int = 6) -> None:
             continue
         for base in quiver.vertices:
             pv = cycle_from_type(quiver, base, m)
-            assert pv.type == tuple(m)
-            assert not any(mat_vec(inc.b, pv.v)), "cycle vector leaves the kernel"
-            assert tuple(mat_vec(inc.d, pv.v)) == tuple(m), "cycle type mismatch"
+            if pv.type != tuple(m):
+                raise CertificateError(f"cycle records type {pv.type}, not {tuple(m)}")
+            if any(mat_vec(inc.b, pv.v)):
+                raise CertificateError("cycle vector leaves the kernel")
+            if tuple(mat_vec(inc.d, pv.v)) != tuple(m):
+                raise CertificateError("cycle type mismatch")
 
 
 def verify_flow_vertex_integrality(
@@ -108,17 +114,21 @@ def verify_flow_vertex_integrality(
     for _ in range(trials):
         theta = random_parameter(quiver, rng, spread=2)
         v = h_to_v(lifted_flow_polyhedron(quiver, theta))
-        assert not v.is_empty
+        if v.is_empty:
+            raise CertificateError(f"flow polyhedron of theta {theta} is empty")
         for vert in v.vertices:
-            assert all(Fraction(x).denominator == 1 for x in vert), vert
+            if any(Fraction(x).denominator != 1 for x in vert):
+                raise CertificateError(f"flow vertex {vert} is not integral")
 
 
 def verify_construction_agreement(quiver: McKayQuiver, theta) -> None:
     """The oracle and lifted constructions give identical canonical output."""
     a = theta_polyhedron(quiver, theta, method="oracle")
     b = theta_polyhedron(quiver, theta, method="lifted")
-    assert a.h == b.h, "H-descriptions differ between constructions"
-    assert a.v == b.v, "V-descriptions differ between constructions"
+    if a.h != b.h:
+        raise CertificateError("H-descriptions differ between constructions")
+    if a.v != b.v:
+        raise CertificateError("V-descriptions differ between constructions")
 
 
 def run_all(quiver: McKayQuiver, bound: int = 4, seed: int = 0, trials: int = 10):
@@ -149,6 +159,6 @@ def run_all(quiver: McKayQuiver, bound: int = 4, seed: int = 0, trials: int = 10
         try:
             fn()
             results.append((name, True, ""))
-        except AssertionError as exc:
+        except CertificateError as exc:
             results.append((name, False, str(exc)))
     return results

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import BadShape, BadTheta, NonGenerating, NotInM
+from .errors import BadShape, BadTheta, CertificateError, NonGenerating, NotInM
 from .intlinalg import lattice_contains, row_hnf
 
 
@@ -82,10 +82,12 @@ class AbelianGroupData:
         """Character of the monomial with exponent vector m (length n)."""
         if len(m) != self.n:
             raise BadShape(f"exponent vector has length {len(m)}, expected {self.n}")
-        res = self.trivial
-        for i, e in enumerate(m, start=1):
-            res = self.mul(res, self.power(self.generator(i), e))
-        return res
+        return Character(
+            tuple(
+                sum(w * e for w, e in zip(row, m)) % order
+                for row, order in zip(self.weights, self.orders)
+            )
+        )
 
 
 def build_group(orders, weights) -> AbelianGroupData:
@@ -303,7 +305,8 @@ def directed_path(quiver: McKayQuiver, frm: Character, to: Character) -> PathVec
             nxt = g.mul(cur, inv_i)
             v[quiver.arrow_index(quiver.vertex_index[nxt], i)] += 1
             cur = nxt
-    assert cur == to
+    if cur != to:
+        raise CertificateError(f"path of type {m} ends at {cur}, not at {to}")
     return PathVector(v=tuple(v), type=m)
 
 
@@ -329,7 +332,8 @@ def cycle_from_type(quiver: McKayQuiver, base: Character, mtype) -> PathVector:
         for _ in range(-mtype[i - 1]):
             v[quiver.arrow_index(quiver.vertex_index[cur], i)] -= 1
             cur = g.mul(cur, rho_i)
-    assert cur == base
+    if cur != base:
+        raise CertificateError(f"walk of type {mtype} ends at {cur}, not at {base}")
     return PathVector(v=tuple(v), type=mtype)
 
 

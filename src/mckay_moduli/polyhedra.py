@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import MismatchedDescriptions, OutsideSupport
+from .errors import CertificateError, MismatchedDescriptions, OutsideSupport
 from .intlinalg import int_rank, kernel_basis, row_hnf
 
 Vec = tuple[int, ...]
@@ -106,7 +106,8 @@ def _pointed_dd(rows, d):
 
     The rows must have full rank d.  Returns primitive integer rays in the
     order produced; callers sort.  Uses the incremental double description
-    method with bitmask tight sets and the combinatorial adjacency test.
+    method with bitmask tight sets and the combinatorial adjacency test,
+    evaluated on per-row bitsets of tight rays.
     """
     work = [tuple(r) for r in rows if any(r)]
     sel: list[int] = []
@@ -160,9 +161,19 @@ def _pointed_dd(rows, d):
             for i in zer:
                 masks[i] |= 1 << b
             continue
+        # rays_at[row]: bitset of the current rays tight at that processed row.
+        # A pair is adjacent exactly when no third ray is tight on every row
+        # the pair shares, i.e. when the AND of rays_at over those rows is the pair.
+        rays_at = [0] * len(work)
+        for i, mask in enumerate(masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                rays_at[low.bit_length() - 1] |= bit
+                mask ^= low
+        all_rays = (1 << len(vecs)) - 1
         new_vecs = []
         new_masks = []
-        nray = len(vecs)
         for ip in pos:
             mp, sp = masks[ip], svals[ip]
             vp = vecs[ip]
@@ -170,12 +181,15 @@ def _pointed_dd(rows, d):
                 common = mp & masks[iq]
                 if common.bit_count() < d - 2:
                     continue
-                adjacent = True
-                for t in range(nray):
-                    if t != ip and t != iq and masks[t] & common == common:
-                        adjacent = False
+                both = all_rays
+                rest = common
+                while rest:
+                    low = rest & -rest
+                    both &= rays_at[low.bit_length() - 1]
+                    if both.bit_count() == 2:
                         break
-                if not adjacent:
+                    rest ^= low
+                if both.bit_count() != 2:
                     continue
                 sq = svals[iq]
                 vq = vecs[iq]
@@ -279,14 +293,16 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     vrays = []
     for z in rays:
         t = z[-1]
-        assert t >= 0
+        if t < 0:
+            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
         if t > 0:
             verts.append(tuple(Fraction(x, t) for x in z[:-1]))
         else:
             vrays.append(_primitive(z[:-1]))
     lin = []
     for z in lineality:
-        assert z[-1] == 0
+        if z[-1] != 0:
+            raise CertificateError(f"lineality generator {z} leaves the hyperplane t = 0")
         lin.append(z[:-1])
     if not verts:
         return VPolyhedron(dim=d, vertices=(), rays=(), lineality=())
@@ -329,7 +345,8 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
         red = _primitive(_reduce_mod(z, eq_hnf))
         coeffs, c = red[:-1], red[-1]
         if not any(coeffs):
-            assert c >= 0, "inconsistent trivial inequality"
+            if c < 0:
+                raise CertificateError(f"inconsistent trivial inequality 0 >= {-c}")
             continue
         inequalities.append((coeffs, -c))
     inequalities.sort()
@@ -346,7 +363,15 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     m = len(rows)
     if v.is_empty:
         return VPolyhedron(dim=m, vertices=(), rays=(), lineality=())
-    pts = sorted({tuple(_dot(row, vert) for row in rows) for vert in v.vertices})
+    # Each vertex becomes integer numerators over the lcm of its denominators,
+    # so the images are integer dot products; (image, lcm) made primitive is
+    # canonical, and Fractions are built only for the distinct images.
+    images = set()
+    for vert in v.vertices:
+        den = lcm(*(x.denominator for x in vert))
+        nums = [x.numerator * (den // x.denominator) for x in vert]
+        images.add(_primitive(tuple(_dot(row, nums) for row in rows) + (den,)))
+    pts = sorted(tuple(Fraction(x, img[-1]) for x in img[:-1]) for img in images)
     rys = sorted(
         {
             pr

@@ -1,9 +1,15 @@
+import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import SUITE_GROUPS
 from flow_oracle import flow_images_up_to
+import mckay_moduli
 from mckay_moduli import build_group, build_quiver
 from mckay_moduli.checks import (
     random_parameter,
@@ -74,3 +80,36 @@ def test_run_all_n_equals_one():
     q = build_quiver(build_group([2], [[1]]))
     results = run_all(q, bound=4, seed=0, trials=5)
     assert all(ok for _, ok, _ in results)
+
+
+_SRC = Path(mckay_moduli.__file__).resolve().parent
+
+_ZERO_FLOW_SCRIPT = """
+from mckay_moduli import build_group, build_quiver, checks
+
+checks.theta_decompose = lambda quiver, theta: (0,) * quiver.num_arrows
+q = build_quiver(build_group([5], [[1, 3]]))
+verdicts = {name: ok for name, ok, _ in checks.run_all(q)}
+print(verdicts["theta-routing"], __debug__)
+"""
+
+
+def test_check_verdicts_survive_optimize_flag():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _ZERO_FLOW_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False False"
+
+
+def test_no_assert_statements_outside_the_lp_reference():
+    offenders = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "lp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -84,6 +84,23 @@ def test_group_operations():
     assert g.deg((1, 2)) == Character((1, 2))
 
 
+@pytest.mark.parametrize(
+    "orders,weights",
+    [([7], [[1, 2, 4]]), ([11], [[1, 2, 8]]), ([5], [[1, 3]]), ([2, 2], [[1, 0], [0, 1]])],
+)
+def test_deg_matches_product_of_generator_powers(orders, weights):
+    g = build_group(orders, weights)
+    rng = random.Random(3)
+    for _ in range(200):
+        m = tuple(rng.randint(-30, 30) for _ in range(g.n))
+        expected = g.trivial
+        for i, e in enumerate(m, start=1):
+            expected = g.mul(expected, g.power(g.generator(i), e))
+        assert g.deg(m) == expected
+    with pytest.raises(BadShape):
+        g.deg((1,) * (g.n + 1))
+
+
 def test_quiver_structure_7_12():
     q = quiver_7_12()
     assert q.r == 7

@@ -1,7 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dd_oracle import pointed_dd_scan
 
 from mckay_moduli import (
     HPolyhedron,
@@ -15,7 +20,8 @@ from mckay_moduli import (
     v_to_h,
     vertex_facet_incidence,
 )
-from mckay_moduli.polyhedra import cone_double_description
+from mckay_moduli.intlinalg import int_rank
+from mckay_moduli.polyhedra import _pointed_dd, cone_double_description
 
 ORTHANT_2 = HPolyhedron(dim=2, inequalities=(((1, 0), 0), ((0, 1), 0)))
 SQUARE = HPolyhedron(
@@ -164,6 +170,96 @@ def test_project_orthant_sum():
     img = project(orth, [(1, 1)])
     assert set(img.vertices) == {(0,)}
     assert set(img.rays) == {(1,)}
+
+
+def _fraction_image(v, rows):
+    """Reference image of a V-description computed in Fraction arithmetic."""
+    pts = {
+        tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, vert)), Fraction(0))
+              for row in rows)
+        for vert in v.vertices
+    }
+    rays = set()
+    for ray in v.rays:
+        img = [sum(a * x for a, x in zip(row, ray)) for row in rows]
+        if any(img):
+            g = math.gcd(*img)
+            rays.add(tuple(x // g for x in img))
+    raw = VPolyhedron(dim=len(rows), vertices=tuple(sorted(pts)), rays=tuple(sorted(rays)))
+    return h_to_v(v_to_h(raw))
+
+
+def test_project_mixed_denominators_matches_fraction_image():
+    h, t = Fraction(1, 2), Fraction(2, 3)
+    v = VPolyhedron(
+        dim=3,
+        vertices=(
+            (h, t, 0),
+            (-h, 2, -t),
+            (1, -1, 3),
+            (-3, h, -t),
+            (Fraction(5, 2), Fraction(-4, 3), 1),
+            (0, 0, 0),
+            (2 * h, -2 * t, Fraction(-7, 6)),
+            (2, Fraction(-5, 6), 1),
+        ),
+        rays=((1, 0, 0),),
+    )
+    rows = [(1, 1, 0), (2, 0, -3), (1, 1, 0)]
+    img = project(v, rows)
+    assert img == _fraction_image(v, rows)
+    # (1/2, 2/3, 0) and (2, -5/6, 1) share the image (7/6, 1, 7/6).
+    images = [tuple(sum(a * x for a, x in zip(row, vert)) for row in rows) for vert in v.vertices]
+    assert len(set(images)) < len(images)
+    collapsed = project(v, [(1, 1, 0)])
+    assert collapsed == _fraction_image(v, [(1, 1, 0)])
+
+
+def test_project_random_rational_points_match_fraction_image():
+    rng = random.Random(5)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        verts = tuple(
+            tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 6))) for _ in range(dim))
+            for _ in range(rng.randint(1, 8))
+        )
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+        v = VPolyhedron(dim=dim, vertices=verts)
+        assert project(v, rows) == _fraction_image(v, rows)
+
+
+@st.composite
+def pointed_row_sets(draw):
+    """Full-rank integer rows with repeated, parallel and concurrent rows mixed in."""
+    d = draw(st.integers(2, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[entry] * d), min_size=d, max_size=8))
+    # rows through one common ray v: a . v == 0 after fixing one coordinate
+    v = draw(st.tuples(*[st.integers(-1, 1)] * d).filter(any))
+    pivot = next(i for i, x in enumerate(v) if x)
+    for a in draw(st.lists(st.tuples(*[entry] * d), max_size=4)):
+        a = list(a)
+        a[pivot] -= v[pivot] * sum(x * y for x, y in zip(a, v))
+        rows.append(tuple(a))
+    for src, mult in draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from((1, 1, 2, 3, -1))),
+                                   max_size=3)):
+        rows.append(tuple(mult * x for x in rows[src % len(rows)]))
+    rows = draw(st.permutations(rows))[:10]
+    assume(int_rank(rows) == d)
+    return rows, d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pointed_row_sets())
+def test_pointed_dd_matches_scan_reference(case):
+    rows, d = case
+    rays = _pointed_dd(rows, d)
+    assert rays == pointed_dd_scan(rows, d)
+    assert len(set(rays)) == len(rays)
+    for ray in rays:
+        dots = [sum(a * x for a, x in zip(row, ray)) for row in rows]
+        assert all(s >= 0 for s in dots)
+        assert int_rank([row for row, s in zip(rows, dots) if s == 0]) == d - 1
 
 
 def test_vertex_facet_incidence_square():
