@@ -11,7 +11,6 @@ integrality, and agreement of the two type-polyhedron constructions.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import CertificateError
 from .groups import (
@@ -23,7 +22,7 @@ from .groups import (
     theta_decompose,
 )
 from .intlinalg import kernel_basis, mat_vec, row_hnf
-from .moduli import _l1_ball, theta_polyhedron
+from .moduli import _invariant_ball, theta_polyhedron
 from .polyhedra import h_to_v
 
 
@@ -89,11 +88,8 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) ->
 
 def verify_cycle_types(quiver: McKayQuiver, bound: int = 6) -> None:
     """Every bounded trivial-degree type defines a closed walk at every base vertex."""
-    g = quiver.group
     inc = incidence_matrices(quiver)
-    for m in _l1_ball(quiver.n, bound):
-        if g.deg(m) != g.trivial:
-            continue
+    for m in _invariant_ball(quiver.group, bound):
         for base in quiver.vertices:
             pv = cycle_from_type(quiver, base, m)
             if pv.type != tuple(m):
@@ -117,7 +113,7 @@ def verify_flow_vertex_integrality(
         if v.is_empty:
             raise CertificateError(f"flow polyhedron of theta {theta} is empty")
         for vert in v.vertices:
-            if any(Fraction(x).denominator != 1 for x in vert):
+            if any(x.denominator != 1 for x in vert):
                 raise CertificateError(f"flow vertex {vert} is not integral")
 
 

@@ -125,8 +125,7 @@ def _rational_csv(text: str):
 
 
 def _q(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _qvec(v):

@@ -56,3 +56,11 @@ class GroupSpecError(ModuliError):
 
 class CertificateError(ModuliError):
     """An optimality or consistency certificate failed its exact check."""
+
+
+class PolyhedronError(ModuliError, ValueError):
+    """A polyhedral routine got input outside its precondition, e.g. a non-pointed cone."""
+
+
+class UnknownMethod(ModuliError, ValueError):
+    """A construction method name is not one of the supported ones."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import BadTheta, CertificateError, NegativeW, TrivialGroup
+from .errors import BadTheta, CertificateError, NegativeW, TrivialGroup, UnknownMethod
 from .flow import min_cost_flow
-from .groups import McKayQuiver, incidence_matrices, theta_decompose
+from .groups import AbelianGroupData, McKayQuiver, incidence_matrices, theta_decompose
 from .polyhedra import (
     Cone,
     Fan,
@@ -78,10 +78,10 @@ def lifted_flow_polyhedron(quiver: McKayQuiver, integral_theta) -> HPolyhedron:
 
 
 def _image_point(quiver: McKayQuiver, u):
-    out = [Fraction(0)] * quiver.n
+    out = [0] * quiver.n
     for k, a in enumerate(quiver.arrows):
         if u[k]:
-            out[a.label - 1] += Fraction(u[k])
+            out[a.label - 1] += u[k]
     return tuple(out)
 
 
@@ -147,7 +147,7 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     elif method == "oracle":
         h, v = _theta_polyhedron_oracle(quiver, param)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownMethod(f"unknown method {method!r}")
     units = [tuple(1 if t == i else 0 for t in range(quiver.n)) for i in range(quiver.n)]
     if list(v.rays) != sorted(units):
         raise CertificateError("recession cone is not the nonnegative orthant")
@@ -193,21 +193,24 @@ def _l1_ball(n, bound):
             yield (t,) + rest
 
 
-def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int) -> ChartReport:
+def _invariant_ball(group: AbelianGroupData, bound: int) -> list:
+    """Exponent vectors q with |q|_1 <= bound and trivial degree, zero included."""
+    trivial = group.trivial
+    return [q for q in _l1_ball(group.n, bound) if group.deg(q) == trivial]
+
+
+def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, ball: list) -> ChartReport:
     quiver = tp.quiver
-    g = quiver.group
     vert = tp.v.vertices[vidx]
-    if any(Fraction(x).denominator != 1 for x in vert):
+    if any(x.denominator != 1 for x in vert):
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
     tight = sorted(fan.maximal[vidx])
     cone_rows = [tuple(tp.h.inequalities[i][0]) for i in tight]
     gens = []
     extra = []
-    for q in _l1_ball(quiver.n, bound):
+    for q in ball:
         if not any(q):
-            continue
-        if g.deg(q) != g.trivial:
             continue
         if any(sum(a * x for a, x in zip(row, q)) < 0 for row in cone_rows):
             continue
@@ -249,8 +252,9 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
     fan = normal_fan(tp.h, tp.v)
     charts = None
     if charts_bound is not None:
+        ball = _invariant_ball(tp.quiver.group, charts_bound)
         charts = tuple(
-            _chart_report(tp, fan, i, charts_bound) for i in range(len(tp.v.vertices))
+            _chart_report(tp, fan, i, charts_bound, ball) for i in range(len(tp.v.vertices))
         )
     return ThetaFan(polyhedron=tp, fan=fan, charts=charts)
 

@@ -3,8 +3,10 @@
 Polyhedra carry either an H-description (inequalities a.x >= b plus equations)
 or a V-description (vertices, rays, lineality).  Conversions run a pure
 integer double description method on the homogenization, so no floating point
-ever enters.  Outputs are canonically sorted, making every conversion
-independent of input row order.
+ever enters.  Vertex coordinates are plain ints when the vertex is integral
+and Fractions otherwise; the two compare, hash and sort alike, so equality
+and the canonical order do not depend on which is stored.  Outputs are
+canonically sorted, making every conversion independent of input row order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CertificateError, MismatchedDescriptions, OutsideSupport
+from .errors import CertificateError, MismatchedDescriptions, OutsideSupport, PolyhedronError
 from .intlinalg import int_rank, kernel_basis, row_hnf
 
 Vec = tuple[int, ...]
@@ -33,17 +35,19 @@ def _primitive(vec) -> Vec:
     return tuple(x // g for x in vec)
 
 
+def _homogeneous(vec) -> Vec:
+    """Primitive integer (numerators..., den) with vec = numerators / den.
+
+    Entries are ints or Fractions; den is the lcm of their denominators,
+    which makes the tuple primitive.
+    """
+    den = lcm(*(x.denominator for x in vec))
+    return tuple(x.numerator * (den // x.denominator) for x in vec) + (den,)
+
+
 def _clear_denominators(vec) -> Vec:
     """Scale a rational vector by a positive rational into a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    return _primitive(tuple(int(f * mult) for f in fracs))
-
-
-def _qtuple(vec) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in vec)
+    return _primitive(_homogeneous(vec)[:-1])
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,9 @@ class VPolyhedron:
     """Convex hull of vertices plus the cone of rays plus a lineality space.
 
     The empty polyhedron is the instance with no vertices; any nonempty
-    polyhedron stores at least one point.  Rays and lineality generators are
-    primitive integer vectors.
+    polyhedron stores at least one point.  Vertex coordinates are ints when
+    the vertex is integral and Fractions otherwise.  Rays and lineality
+    generators are primitive integer vectors.
     """
 
     dim: int
@@ -122,7 +127,7 @@ def _pointed_dd(rows, d):
             chosen.append(row)
             rank = cand
     if rank < d:
-        raise ValueError("cone is not pointed")
+        raise PolyhedronError("cone is not pointed")
 
     # Initial rays solve A_sel * r_j = c_j * e_j with c_j > 0, via exact inversion.
     mat = [[Fraction(x) for x in work[i]] for i in sel]
@@ -253,14 +258,17 @@ def cone_double_description(ineq_rows, eq_rows, dim):
     else:
         rays3 = []
 
+    # A quotient ray y maps back to the sum of y[t] * sub[cols[t]] over its
+    # nonzero entries, adding only the nonzeros (i, s) of each sub row: both
+    # the quotient rays and sub are sparse on lifted cones.
+    row_terms = [[(i, s) for i, s in enumerate(sub[j]) if s] for j in cols]
+
     def back(y_quotient) -> Vec:
-        x2 = [0] * d2
-        for t, j in enumerate(cols):
-            x2[j] = y_quotient[t]
         amb = [0] * dim
-        for coef, srow in zip(x2, sub):
-            if coef:
-                amb = [a + coef * s for a, s in zip(amb, srow)]
+        for y, terms in zip(y_quotient, row_terms):
+            if y:
+                for i, s in terms:
+                    amb[i] += y * s
         return _primitive(tuple(amb))
 
     rays = sorted(back(y) for y in rays3)
@@ -283,11 +291,8 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     d = h.dim
     ineq_rows = [(0,) * d + (1,)]
     for coeffs, rhs in h.inequalities:
-        ineq_rows.append(_clear_denominators(tuple(coeffs) + (-Fraction(rhs),)))
-    eq_rows = [
-        _clear_denominators(tuple(coeffs) + (-Fraction(rhs),))
-        for coeffs, rhs in h.equations
-    ]
+        ineq_rows.append(_clear_denominators(tuple(coeffs) + (-rhs,)))
+    eq_rows = [_clear_denominators(tuple(coeffs) + (-rhs,)) for coeffs, rhs in h.equations]
     rays, lineality = cone_double_description(ineq_rows, eq_rows, d + 1)
     verts = []
     vrays = []
@@ -296,7 +301,8 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
         if t < 0:
             raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
         if t > 0:
-            verts.append(tuple(Fraction(x, t) for x in z[:-1]))
+            # z is primitive, so the vertex z[:-1] / t is integral exactly when t == 1.
+            verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
         else:
             vrays.append(_primitive(z[:-1]))
     lin = []
@@ -333,9 +339,9 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     reduced modulo the equation lattice, so the representation is canonical.
     """
     if v.is_empty:
-        raise ValueError("cannot convert an empty V-description")
+        raise PolyhedronError("cannot convert an empty V-description")
     d = v.dim
-    gen_rows = [_clear_denominators(_qtuple(vert) + (Fraction(1),)) for vert in v.vertices]
+    gen_rows = [_homogeneous(vert) for vert in v.vertices]
     gen_rows += [tuple(ray) + (0,) for ray in v.rays]
     eq_rows = [tuple(l) + (0,) for l in v.lineality]
     rays, lineality = cone_double_description(gen_rows, eq_rows, d + 1)
@@ -363,30 +369,28 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     m = len(rows)
     if v.is_empty:
         return VPolyhedron(dim=m, vertices=(), rays=(), lineality=())
-    # Each vertex becomes integer numerators over the lcm of its denominators,
-    # so the images are integer dot products; (image, lcm) made primitive is
-    # canonical, and Fractions are built only for the distinct images.
+    sparse = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
+
+    def image(vec):
+        return tuple(sum(c * vec[i] for i, c in srow) for srow in sparse)
+
+    # Each vertex becomes integer numerators over a common denominator, so
+    # the images are integer dot products; (image, den) made primitive is
+    # canonical, and Fractions are built only for distinct non-integral images.
     images = set()
     for vert in v.vertices:
-        den = lcm(*(x.denominator for x in vert))
-        nums = [x.numerator * (den // x.denominator) for x in vert]
-        images.add(_primitive(tuple(_dot(row, nums) for row in rows) + (den,)))
-    pts = sorted(tuple(Fraction(x, img[-1]) for x in img[:-1]) for img in images)
-    rys = sorted(
-        {
-            pr
-            for ray in v.rays
-            if any(pr := _primitive(tuple(_dot(row, ray) for row in rows)))
-        }
+        hom = _homogeneous(vert)
+        img = image(hom) + (hom[-1],)
+        images.add(img if hom[-1] == 1 else _primitive(img))
+    pts = sorted(
+        img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
+        for img in images
     )
-    lin = [
-        pl
-        for l in v.lineality
-        if any(pl := _primitive(tuple(_dot(row, l) for row in rows)))
-    ]
+    rys = sorted({pr for ray in v.rays if any(pr := _primitive(image(ray)))})
+    lin = [pl for l in v.lineality if any(pl := _primitive(image(l)))]
     raw = VPolyhedron(
         dim=m,
-        vertices=tuple(_qtuple(p) for p in pts),
+        vertices=tuple(pts),
         rays=tuple(rys),
         lineality=tuple(lin),
     )
@@ -457,9 +461,9 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     polyhedron (no equations, no lineality).
     """
     if v.is_empty or v.lineality:
-        raise ValueError("normal fan needs a nonempty pointed polyhedron")
+        raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
     if h.equations:
-        raise ValueError("normal fan needs a full-dimensional polyhedron")
+        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
     inc = vertex_facet_incidence(h, v)
     rays = [_clear_denominators(coeffs) for coeffs, _ in h.inequalities]
     nfac = len(rays)
@@ -527,7 +531,7 @@ def locate_cone(fan: Fan, w) -> Cone:
     which w is minimized; OutsideSupport is raised when the minimum does not
     exist.
     """
-    w = _qtuple(w)
+    w = tuple(Fraction(x) for x in w)
     for ray in fan.rec_rays:
         if _dot(w, ray) < 0:
             raise OutsideSupport("vector is negative on a recession direction")

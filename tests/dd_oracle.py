@@ -1,16 +1,26 @@
-"""Reference double description with the scan-all-rays adjacency test.
+"""Reference double description: scan-all-rays adjacency, dense back-mapping.
 
-This is the pointed-cone enumeration as first written: a candidate pair of
-rays is adjacent when no third current ray is tight on every row the pair
-shares (Fukuda-Prodon 1996, combinatorial test).  The package's
-_pointed_dd answers the same question with per-row ray bitsets; the tests
-require both to return the same rays in the same order.
+pointed_dd_scan is the pointed-cone enumeration as first written: a
+candidate pair of rays is adjacent when no third current ray is tight on
+every row the pair shares (Fukuda-Prodon 1996, combinatorial test).  The
+package's _pointed_dd answers the same question with per-row ray bitsets;
+the tests require both to return the same rays in the same order.
+
+cone_double_description_dense maps every quotient ray back to the ambient
+space with dense vector sums over all kernel basis rows; the package's
+cone_double_description adds only nonzero terms and must agree exactly.
 """
 
 from fractions import Fraction
 
-from mckay_moduli.intlinalg import int_rank
-from mckay_moduli.polyhedra import _clear_denominators, _dot, _primitive
+from mckay_moduli.intlinalg import int_rank, kernel_basis, row_hnf
+from mckay_moduli.polyhedra import (
+    _clear_denominators,
+    _dot,
+    _pointed_dd,
+    _primitive,
+    _unit_rows,
+)
 
 
 def pointed_dd_scan(rows, d):
@@ -103,3 +113,63 @@ def pointed_dd_scan(rows, d):
         )
         vecs, masks = keep_vecs, keep_masks
     return vecs
+
+
+def cone_double_description_dense(ineq_rows, eq_rows, dim):
+    """V-description (rays, lineality) of {x : ineq . x >= 0, eq . x == 0}."""
+    if eq_rows:
+        sub = kernel_basis(eq_rows)
+        if not sub:
+            return [], []
+    else:
+        sub = _unit_rows(dim)
+    d2 = len(sub)
+    rows2 = [tuple(_dot(row, s) for s in sub) for row in ineq_rows]
+    rows2 = [r for r in rows2 if any(r)]
+    if rows2:
+        lin2 = kernel_basis(rows2)
+    else:
+        lin2 = _unit_rows(d2)
+    if lin2:
+        cols = []
+        chosen = list(lin2)
+        rank = int_rank(chosen)
+        for j in range(d2):
+            unit = tuple(1 if t == j else 0 for t in range(d2))
+            cand = int_rank(chosen + [unit])
+            if cand > rank:
+                cols.append(j)
+                chosen.append(unit)
+                rank = cand
+        rows3 = [tuple(r[j] for j in cols) for r in rows2]
+        rows3 = [r for r in rows3 if any(r)]
+        d3 = len(cols)
+    else:
+        cols = list(range(d2))
+        rows3 = rows2
+        d3 = d2
+    if d3 and rows3:
+        rays3 = _pointed_dd(rows3, d3)
+    else:
+        rays3 = []
+
+    def back(y_quotient):
+        x2 = [0] * d2
+        for t, j in enumerate(cols):
+            x2[j] = y_quotient[t]
+        amb = [0] * dim
+        for coef, srow in zip(x2, sub):
+            if coef:
+                amb = [a + coef * s for a, s in zip(amb, srow)]
+        return _primitive(tuple(amb))
+
+    rays = sorted(back(y) for y in rays3)
+    lin_ambient = []
+    for lvec in lin2:
+        amb = [0] * dim
+        for coef, srow in zip(lvec, sub):
+            if coef:
+                amb = [a + coef * s for a, s in zip(amb, srow)]
+        lin_ambient.append(tuple(amb))
+    lineality = list(row_hnf(lin_ambient)) if lin_ambient else []
+    return rays, lineality

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import golden
+from mckay_moduli import cli
 from mckay_moduli.cli import main, parse_group_spec
-from mckay_moduli.errors import GroupSpecError
+from mckay_moduli.errors import GroupSpecError, PolyhedronError, UnknownMethod
 
 
 def run_cli(capsys, *argv):
@@ -269,3 +270,15 @@ def test_missing_subcommand_is_input_error(capsys):
     rc = main([])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("error", [PolyhedronError, UnknownMethod])
+def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("precondition failed")
+
+    monkeypatch.setattr(cli, "theta_polyhedron", broken)
+    rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb")
+    assert rc == 1
+    assert out == ""
+    assert err == "internal error: precondition failed\n"

@@ -136,6 +136,8 @@ def test_certificate_checks_survive_optimize_flag():
     w = ",".join(str(x) for x in golden.W_A)
     for args in (
         ["fan", "--group", "1/7(1,2,4)", "--ghilb"],
+        ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--lifted"],
+        ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "6"],
         ["rep", "--group", "1/11(1,2,8)", "--theta", theta, "--w", w],
     ):
         argv = ["-m", "mckay_moduli.cli", *args]

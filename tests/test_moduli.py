@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from mckay_moduli import (
     HPolyhedron,
     NegativeW,
     TrivialGroup,
+    UnknownMethod,
+    VPolyhedron,
     build_group,
     build_quiver,
     distinguished_rep,
@@ -27,9 +30,12 @@ from mckay_moduli import (
     stability_parameter,
     theta_polyhedron,
 )
+from mckay_moduli import polyhedra
+from mckay_moduli.cli import main
+from mckay_moduli.groups import AbelianGroupData
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
-from mckay_moduli.moduli import _check_relations
+from mckay_moduli.moduli import _check_relations, _l1_ball
 
 
 def quiver(orders, weights):
@@ -419,3 +425,65 @@ def test_two_path_agreement_on_random_parameters():
             b = theta_polyhedron(q, theta, method="lifted")
             assert a.h == b.h
             assert a.v == b.v
+
+
+def test_theta_polyhedron_rejects_unknown_method():
+    with pytest.raises(UnknownMethod, match="simplex"):
+        theta_polyhedron(w1_quiver(), golden.W1_THETA, method="simplex")
+
+
+def _golden_v(vertices, n):
+    """The golden vertex set as the public VPolyhedron, with Fraction coordinates."""
+    units = tuple(sorted(tuple(1 if t == i else 0 for t in range(n)) for i in range(n)))
+    verts = tuple(sorted(tuple(Fraction(x) for x in vert) for vert in vertices))
+    return VPolyhedron(dim=n, vertices=verts, rays=units)
+
+
+def test_golden_v_descriptions_compare_equal(example_tp):
+    cases = [(example_tp, golden.EXAMPLE_VERTICES)]
+    for method in ("oracle", "lifted"):
+        cases.append((theta_polyhedron(w1_quiver(), golden.W1_THETA, method=method),
+                      golden.W1_VERTICES))
+    for tp, vertices in cases:
+        expected = _golden_v(vertices, tp.quiver.n)
+        assert tp.v == expected
+        assert hash(tp.v) == hash(expected)
+        assert tp.v.vertices == expected.vertices
+        assert all(type(x) is int for vert in tp.v.vertices for x in vert)
+
+
+def test_lifted_path_builds_no_vertex_fractions(monkeypatch):
+    """Only the double description's initial basis inversion makes Fractions."""
+    real = polyhedra.Fraction
+    callers = set()
+
+    def counting(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedra, "Fraction", counting)
+    q = quiver([7], [[1, 2, 4]])
+    tp = theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+    assert callers == {"_pointed_dd"}
+    assert len(tp.v.vertices) == 7
+    assert all(type(x) is int for vert in tp.v.vertices for x in vert)
+
+
+def test_charts_sweep_the_lattice_ball_once(monkeypatch, capsys):
+    real = AbelianGroupData.deg
+    calls = []
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(AbelianGroupData, "deg", counting)
+    base = ["fan", "--group", "1/7(1,2,4)", "--ghilb"]
+    assert main(base) == 0
+    without = len(calls)
+    assert main(base + ["--charts", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) - without == sum(1 for _ in _l1_ball(3, 6))

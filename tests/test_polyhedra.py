@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dd_oracle import pointed_dd_scan
+from dd_oracle import cone_double_description_dense, pointed_dd_scan
 
 from mckay_moduli import (
     HPolyhedron,
     MismatchedDescriptions,
     OutsideSupport,
+    PolyhedronError,
     VPolyhedron,
     h_to_v,
     locate_cone,
@@ -20,7 +21,7 @@ from mckay_moduli import (
     v_to_h,
     vertex_facet_incidence,
 )
-from mckay_moduli.intlinalg import int_rank
+from mckay_moduli.intlinalg import int_rank, kernel_basis
 from mckay_moduli.polyhedra import _pointed_dd, cone_double_description
 
 ORTHANT_2 = HPolyhedron(dim=2, inequalities=(((1, 0), 0), ((0, 1), 0)))
@@ -363,3 +364,96 @@ def test_fan_cone_lookup():
     for cone_key in fan.cones:
         cone = fan.cone(cone_key)
         assert frozenset(cone.indices) == cone_key
+
+
+def test_precondition_failures_raise_polyhedron_error():
+    with pytest.raises(PolyhedronError, match="not pointed"):
+        _pointed_dd([(1, 0), (2, 0)], 2)
+    with pytest.raises(PolyhedronError, match="empty"):
+        v_to_h(VPolyhedron(dim=2, vertices=()))
+    half = HPolyhedron(dim=2, inequalities=(((1, 0), 0),))
+    with pytest.raises(PolyhedronError, match="pointed"):
+        normal_fan(half, h_to_v(half))
+    ray = HPolyhedron(dim=2, inequalities=(((1, 0), 0),), equations=(((0, 1), 0),))
+    with pytest.raises(PolyhedronError, match="full-dimensional"):
+        normal_fan(ray, h_to_v(ray))
+
+
+def _homogenized_rows(rows):
+    """Integer rows (coeffs, -rhs) scaled by the lcm of their denominators."""
+    out = []
+    for coeffs, rhs in rows:
+        entries = [Fraction(x) for x in coeffs] + [-Fraction(rhs)]
+        mult = math.lcm(*(x.denominator for x in entries))
+        out.append(tuple(int(x * mult) for x in entries))
+    return out
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def rational_h_polyhedra(draw):
+    """Small H-descriptions with rational data, so some vertices are fractional."""
+    d = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[st.integers(-3, 3)] * d), rationals)
+    ineqs = draw(st.lists(row, max_size=6))
+    eqs = draw(st.lists(row, max_size=1))
+    return HPolyhedron(dim=d, inequalities=tuple(ineqs), equations=tuple(eqs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_h_polyhedra())
+def test_h_to_v_vertices_match_fraction_reference(h):
+    v = h_to_v(h)
+    ineq_rows = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
+    rays, _ = cone_double_description(ineq_rows, _homogenized_rows(h.equations), h.dim + 1)
+    reference = sorted(tuple(Fraction(x, z[-1]) for x in z[:-1]) for z in rays if z[-1] > 0)
+    assert list(v.vertices) == reference
+    for vert in v.vertices:
+        integral = all(Fraction(x).denominator == 1 for x in vert)
+        assert all(type(x) is int for x in vert) == integral
+        assert integral or all(type(x) is Fraction for x in vert)
+    if v.is_empty:
+        return
+    h2 = v_to_h(v)
+    as_fractions = VPolyhedron(
+        dim=v.dim, vertices=tuple(reference), rays=v.rays, lineality=v.lineality
+    )
+    assert v == as_fractions and hash(v) == hash(as_fractions)
+    assert v_to_h(as_fractions) == h2
+    assert v_to_h(h_to_v(h2)) == h2
+
+
+@st.composite
+def cone_row_sets(draw):
+    """Integer inequality rows plus equation rows, in dimensions 2 to 6."""
+    dim = draw(st.integers(2, 6))
+    entry = st.integers(-2, 2)
+    ineqs = draw(st.lists(st.tuples(*[entry] * dim), max_size=8))
+    eqs = draw(st.lists(st.tuples(*[entry] * dim), max_size=3))
+    return ineqs, eqs, dim
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cone_row_sets())
+def test_cone_double_description_matches_dense_reference(case):
+    ineqs, eqs, dim = case
+    rays, lineality = cone_double_description(ineqs, eqs, dim)
+    assert (rays, lineality) == cone_double_description_dense(ineqs, eqs, dim)
+    for ray in rays:
+        assert all(sum(a * x for a, x in zip(row, ray)) == 0 for row in eqs)
+        assert all(sum(a * x for a, x in zip(row, ray)) >= 0 for row in ineqs)
+
+
+def test_cone_double_description_lifted_cone_matches_dense_reference():
+    from mckay_moduli import build_group, build_quiver, ghilb_parameter, lifted_flow_polyhedron
+
+    q = build_quiver(build_group([7], [[1, 2, 4]]))
+    h = lifted_flow_polyhedron(q, ghilb_parameter(q).integral)
+    ineqs = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
+    eqs = _homogenized_rows(h.equations)
+    assert len(kernel_basis(eqs)) < h.dim
+    rays, lineality = cone_double_description(ineqs, eqs, h.dim + 1)
+    assert len(rays) > 100
+    assert (rays, lineality) == cone_double_description_dense(ineqs, eqs, h.dim + 1)
