@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import le
 
 from .errors import CertificateError, MismatchedDescriptions, OutsideSupport, PolyhedronError
 from .intlinalg import int_rank, kernel_basis, row_hnf
@@ -27,9 +29,7 @@ def _dot(a, b):
 
 def _primitive(vec) -> Vec:
     """Divide an integer vector by the gcd of its entries (sign preserved)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -106,59 +106,94 @@ class Cone:
         return int_rank(self.rays) if self.rays else 0
 
 
+def _greedy_basis(rows, base=(), limit=None):
+    """Indices of the rows that each raise the rank of base plus the rows kept so far.
+
+    One incremental fraction-free echelon pass: each row is reduced against
+    the kept echelon rows and kept when a nonzero remainder is left.  Stops
+    once limit rows are kept.
+    """
+    echelon: list[tuple[int, Vec]] = []
+    picked: list[int] = []
+    for idx, row in enumerate([*base, *rows], start=-len(base)):
+        if len(picked) == limit:
+            break
+        for c, prow in echelon:
+            if row[c]:
+                f, g = prow[c], row[c]
+                row = [f * x - g * y for x, y in zip(row, prow)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is not None:
+            echelon.append((c, _primitive(row)))
+            if idx >= 0:
+                picked.append(idx)
+    return picked
+
+
+def _initial_rays(mat):
+    """Primitive integer columns of sign(det) * adj(mat) for a nonsingular integer matrix.
+
+    Column j is the extreme ray of {x : mat x >= 0} off the j-th facet.  A
+    fraction-free (Bareiss) Gauss-Jordan pass turns [mat | I] into
+    [D I | D mat^-1] with D = +-det(mat); every division in it is exact.
+    """
+    d = len(mat)
+    aug = [list(row) + [1 if i == j else 0 for j in range(d)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(d):
+        piv = next(i for i in range(k, d) if aug[i][k])
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pk = aug[k][k]
+        rowk = aug[k]
+        for i in range(d):
+            if i != k:
+                rowi = aug[i]
+                f = rowi[k]
+                aug[i] = [(pk * x - f * y) // prev for x, y in zip(rowi, rowk)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return [_primitive([sign * aug[i][d + j] for i in range(d)]) for j in range(d)]
+
+
 def _pointed_dd(rows, d):
     """Extreme rays of the pointed cone {x in Z^d : row . x >= 0 for all rows}.
 
     The rows must have full rank d.  Returns primitive integer rays in the
     order produced; callers sort.  Uses the incremental double description
-    method with bitmask tight sets and the combinatorial adjacency test,
-    evaluated on per-row bitsets of tight rays.
+    method (Fukuda-Prodon 1996) with bitmask tight sets and the combinatorial
+    adjacency test: a pair of rays is adjacent when no third ray is tight on
+    every row the pair shares, evaluated on rays_at[row], the bitset of the
+    current rays tight at each processed row.
+
+    Candidates come from the positive side.  A positive ray p with exactly
+    d - 1 tight rows is non-degenerate: an adjacent partner misses exactly one
+    of them, x, and the pair is adjacent exactly when the AND of rays_at over
+    p's other tight rows is {p, q}, so q is read off that AND, with prefix and
+    suffix ANDs making each x one more AND.  A degenerate p, with more tight
+    rows, tests every negative ray in turn.  The pairs are emitted in
+    (positive, negative) index order, as a scan of every pair would.
     """
     work = [tuple(r) for r in rows if any(r)]
-    sel: list[int] = []
-    chosen: list[tuple] = []
-    rank = 0
-    for idx, row in enumerate(work):
-        if rank == d:
-            break
-        cand = int_rank(chosen + [row])
-        if cand > rank:
-            sel.append(idx)
-            chosen.append(row)
-            rank = cand
-    if rank < d:
+    sel = _greedy_basis(work, limit=d)
+    if len(sel) < d:
         raise PolyhedronError("cone is not pointed")
 
-    # Initial rays solve A_sel * r_j = c_j * e_j with c_j > 0, via exact inversion.
-    mat = [[Fraction(x) for x in work[i]] for i in sel]
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if mat[i][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = mat[col][col]
-        mat[col] = [x / scale for x in mat[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for i in range(d):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    vecs = []
-    masks = []
+    # Initial rays solve A_sel * r_j = c_j * e_j with c_j > 0.
+    vecs = _initial_rays([work[i] for i in sel])
     all_sel_bits = 0
     for i in sel:
         all_sel_bits |= 1 << i
-    for j in range(d):
-        column = [inv[i][j] for i in range(d)]
-        vecs.append(_clear_denominators(column))
-        masks.append(all_sel_bits & ~(1 << sel[j]))
+    masks = [all_sel_bits & ~(1 << i) for i in sel]
 
     selset = set(sel)
+    top = sel[-1] + 1
     for b, a in enumerate(work):
         if b in selset:
             continue
-        svals = [_dot(a, v) for v in vecs]
+        svals = [0] * len(vecs)
+        for i, c in enumerate(a):
+            if c:
+                svals = [s + c * v[i] for s, v in zip(svals, vecs)]
         pos = [i for i, s in enumerate(svals) if s > 0]
         neg = [i for i, s in enumerate(svals) if s < 0]
         zer = [i for i, s in enumerate(svals) if s == 0]
@@ -166,22 +201,40 @@ def _pointed_dd(rows, d):
             for i in zer:
                 masks[i] |= 1 << b
             continue
-        # rays_at[row]: bitset of the current rays tight at that processed row.
-        # A pair is adjacent exactly when no third ray is tight on every row
-        # the pair shares, i.e. when the AND of rays_at over those rows is the pair.
-        rays_at = [0] * len(work)
+        # Only rows processed so far (sel and the rows before b) carry bits.
+        rays_at = [0] * max(b, top)
         for i, mask in enumerate(masks):
             bit = 1 << i
             while mask:
                 low = mask & -mask
                 rays_at[low.bit_length() - 1] |= bit
                 mask ^= low
+        negbits = 0
+        for iq in neg:
+            negbits |= 1 << iq
         all_rays = (1 << len(vecs)) - 1
-        new_vecs = []
-        new_masks = []
+        pairs = set()
         for ip in pos:
-            mp, sp = masks[ip], svals[ip]
-            vp = vecs[ip]
+            mp = masks[ip]
+            if mp.bit_count() == d - 1:
+                # prefix[k] ANDs rays_at over the first k tight rows of p.
+                ats = []
+                prefix = [all_rays]
+                rest = mp
+                while rest:
+                    low = rest & -rest
+                    ats.append(rays_at[low.bit_length() - 1])
+                    prefix.append(prefix[-1] & ats[-1])
+                    rest ^= low
+                suffix = all_rays
+                pbit = 1 << ip
+                for k in range(d - 2, -1, -1):
+                    both = prefix[k] & suffix
+                    suffix &= ats[k]
+                    other = both ^ pbit
+                    if other & negbits and other & (other - 1) == 0:
+                        pairs.add((ip, other.bit_length() - 1))
+                continue
             for iq in neg:
                 common = mp & masks[iq]
                 if common.bit_count() < d - 2:
@@ -194,13 +247,15 @@ def _pointed_dd(rows, d):
                     if both.bit_count() == 2:
                         break
                     rest ^= low
-                if both.bit_count() != 2:
-                    continue
-                sq = svals[iq]
-                vq = vecs[iq]
-                w = _primitive(tuple(sp * y - sq * x for x, y in zip(vp, vq)))
-                new_vecs.append(w)
-                new_masks.append(common | (1 << b))
+                if both.bit_count() == 2:
+                    pairs.add((ip, iq))
+        new_vecs = []
+        new_masks = []
+        for ip, iq in sorted(pairs):
+            sp, sq = svals[ip], svals[iq]
+            w = _primitive([sp * y - sq * x for x, y in zip(vecs[ip], vecs[iq])])
+            new_vecs.append(w)
+            new_masks.append(masks[ip] & masks[iq] | (1 << b))
         keep_vecs = [vecs[i] for i in pos] + [vecs[i] for i in zer] + new_vecs
         keep_masks = (
             [masks[i] for i in pos]
@@ -236,16 +291,7 @@ def cone_double_description(ineq_rows, eq_rows, dim):
     else:
         lin2 = _unit_rows(d2)
     if lin2:
-        cols = []
-        chosen = list(lin2)
-        rank = int_rank(chosen)
-        for j in range(d2):
-            unit = tuple(1 if t == j else 0 for t in range(d2))
-            cand = int_rank(chosen + [unit])
-            if cand > rank:
-                cols.append(j)
-                chosen.append(unit)
-                rank = cand
+        cols = _greedy_basis(_unit_rows(d2), base=lin2)
         rows3 = [tuple(r[j] for j in cols) for r in rows2]
         rows3 = [r for r in rows3 if any(r)]
         d3 = len(cols)
@@ -364,7 +410,10 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     """Image of a V-description under an integer linear map given by rows.
 
     Duplicate and interior generators are pruned: the result is the canonical
-    minimal V-description of the image.
+    minimal V-description of the image.  When every unit vector is among the
+    image rays, the orthant lies in the image's recession cone, so an image
+    point that dominates another coordinatewise is redundant; such points are
+    dropped before the double description.
     """
     m = len(rows)
     if v.is_empty:
@@ -374,20 +423,41 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     def image(vec):
         return tuple(sum(c * vec[i] for i, c in srow) for srow in sparse)
 
-    # Each vertex becomes integer numerators over a common denominator, so
-    # the images are integer dot products; (image, den) made primitive is
-    # canonical, and Fractions are built only for distinct non-integral images.
-    images = set()
-    for vert in v.vertices:
-        hom = _homogeneous(vert)
-        img = image(hom) + (hom[-1],)
-        images.add(img if hom[-1] == 1 else _primitive(img))
-    pts = sorted(
-        img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
-        for img in images
-    )
+    verts = v.vertices
+    if m and set(map(type, chain.from_iterable(verts))) == {int}:
+        # Integral vertices: each image coordinate is a sum of scaled vertex
+        # coordinate columns, computed for all vertices at once.
+        cols = list(zip(*verts))
+        img_cols = []
+        for srow in sparse:
+            acc = [0] * len(verts)
+            for i, c in srow:
+                acc = [a + c * x for a, x in zip(acc, cols[i])]
+            img_cols.append(acc)
+        pts = sorted(set(zip(*img_cols)))
+    else:
+        # Each vertex becomes integer numerators over a common denominator, so
+        # the images are integer dot products; (image, den) made primitive is
+        # canonical, and Fractions are built only for distinct non-integral images.
+        images = set()
+        for vert in verts:
+            hom = _homogeneous(vert)
+            img = image(hom) + (hom[-1],)
+            images.add(img if hom[-1] == 1 else _primitive(img))
+        pts = sorted(
+            img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
+            for img in images
+        )
     rys = sorted({pr for ray in v.rays if any(pr := _primitive(image(ray)))})
     lin = [pl for l in v.lineality if any(pl := _primitive(image(l)))]
+    if set(_unit_rows(m)) <= set(rys):
+        # Lexicographic sweep: a point's dominators all precede it, and each
+        # dropped point is dominated by one already on the Pareto front.
+        front = []
+        for pt in pts:
+            if not any(all(map(le, f, pt)) for f in front):
+                front.append(pt)
+        pts = front
     raw = VPolyhedron(
         dim=m,
         vertices=tuple(pts),

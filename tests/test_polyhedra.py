@@ -22,7 +22,7 @@ from mckay_moduli import (
     vertex_facet_incidence,
 )
 from mckay_moduli.intlinalg import int_rank, kernel_basis
-from mckay_moduli.polyhedra import _pointed_dd, cone_double_description
+from mckay_moduli.polyhedra import _greedy_basis, _pointed_dd, cone_double_description
 
 ORTHANT_2 = HPolyhedron(dim=2, inequalities=(((1, 0), 0), ((0, 1), 0)))
 SQUARE = HPolyhedron(
@@ -186,7 +186,18 @@ def _fraction_image(v, rows):
         if any(img):
             g = math.gcd(*img)
             rays.add(tuple(x // g for x in img))
-    raw = VPolyhedron(dim=len(rows), vertices=tuple(sorted(pts)), rays=tuple(sorted(rays)))
+    lin = []
+    for l in v.lineality:
+        img = [sum(a * x for a, x in zip(row, l)) for row in rows]
+        if any(img):
+            g = math.gcd(*img)
+            lin.append(tuple(x // g for x in img))
+    raw = VPolyhedron(
+        dim=len(rows),
+        vertices=tuple(sorted(pts)),
+        rays=tuple(sorted(rays)),
+        lineality=tuple(lin),
+    )
     return h_to_v(v_to_h(raw))
 
 
@@ -230,6 +241,59 @@ def test_project_random_rational_points_match_fraction_image():
 
 
 @st.composite
+def projection_cases(draw):
+    """A V-description in dimension m + extra and the map [I_m | C] onto its first m coordinates.
+
+    Points are all ints or all Fractions with mixed denominators, and
+    include duplicates, ties in single coordinates and points dominating
+    others; the rays contain every unit vector of the image or not, as drawn.
+    """
+    m = draw(st.integers(1, 4))
+    extra = draw(st.integers(0, 2))
+    n = m + extra
+    if draw(st.booleans()):
+        coord, bumps = st.integers(-4, 4), (0, 0, 1, 3)
+    else:
+        coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 6)))
+        bumps = (0, 0, 1, Fraction(1, 2), 3)
+    base = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))
+    pts = list(base)
+    for src, bump in draw(st.lists(st.tuples(st.integers(0, 10), st.tuples(
+            *[st.sampled_from(bumps)] * n)), max_size=6)):
+        pts.append(tuple(x + y for x, y in zip(base[src % len(base)], bump)))
+    pts += draw(st.lists(st.sampled_from(base), max_size=3))
+    rows = [tuple(1 if j == i else 0 for j in range(m)) + draw(
+        st.tuples(*[st.integers(-2, 2)] * extra)) for i in range(m)]
+    units = draw(st.booleans())
+    rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(m)] if units else []
+    rays += draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n).filter(any), max_size=3))
+    lin = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n).filter(any), max_size=1))
+    v = VPolyhedron(dim=n, vertices=tuple(pts), rays=tuple(rays), lineality=tuple(lin))
+    return v, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(projection_cases())
+def test_project_matches_unpruned_image(case):
+    v, rows = case
+    assert project(v, rows) == _fraction_image(v, rows)
+
+
+def test_project_keeps_dominating_points_without_every_unit_ray():
+    # Only e_1 recedes, so (1, 1) dominates (0, 0) without being redundant:
+    # dropping it would turn the strip into a half-line.
+    v = VPolyhedron(dim=2, vertices=((0, 0), (1, 1)), rays=((1, 0),))
+    img = project(v, [(1, 0), (0, 1)])
+    assert img == _fraction_image(v, [(1, 0), (0, 1)])
+    assert img.vertices == ((0, 0), (1, 1))
+    pruned = VPolyhedron(dim=2, vertices=((0, 0),), rays=((1, 0),))
+    assert img != h_to_v(v_to_h(pruned))
+    # With both unit rays, (1, 1) is redundant and the image is the orthant.
+    both = VPolyhedron(dim=2, vertices=v.vertices, rays=((0, 1), (1, 0)))
+    assert project(both, [(1, 0), (0, 1)]) == h_to_v(ORTHANT_2)
+
+
+@st.composite
 def pointed_row_sets(draw):
     """Full-rank integer rows with repeated, parallel and concurrent rows mixed in."""
     d = draw(st.integers(2, 5))
@@ -261,6 +325,74 @@ def test_pointed_dd_matches_scan_reference(case):
         dots = [sum(a * x for a, x in zip(row, ray)) for row in rows]
         assert all(s >= 0 for s in dots)
         assert int_rank([row for row, s in zip(rows, dots) if s == 0]) == d - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=3),
+            st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=7),
+            st.one_of(st.none(), st.integers(0, n)),
+        )
+    )
+)
+def test_greedy_basis_matches_rank_scan(case):
+    base, rows, limit = case
+    expected = []
+    chosen = list(base)
+    for idx, row in enumerate(rows):
+        if len(expected) == limit:
+            break
+        if int_rank(chosen + [row]) > int_rank(chosen):
+            expected.append(idx)
+            chosen.append(row)
+    assert _greedy_basis(rows, base=base, limit=limit) == expected
+
+
+def _generic_theta(rng, r):
+    """theta = 1 (mod r) with entries in {1 - r, 1, 1 + r} off vertex 0, as the benchmark draws it."""
+    rest = [1 + r * rng.choice((-1, 0, 1)) for _ in range(r - 1)]
+    return [-sum(rest)] + rest
+
+
+def _lifted_dd_rows(r, weights, theta=None):
+    """The rows and dimension cone_double_description hands _pointed_dd for a lifted cone."""
+    from mckay_moduli import (
+        build_group,
+        build_quiver,
+        ghilb_parameter,
+        lifted_flow_polyhedron,
+        stability_parameter,
+    )
+
+    q = build_quiver(build_group([r], [weights]))
+    param = ghilb_parameter(q) if theta is None else stability_parameter(q, theta)
+    h = lifted_flow_polyhedron(q, param.integral)
+    ineqs = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
+    sub = kernel_basis(_homogenized_rows(h.equations))
+    rows = [tuple(sum(a * x for a, x in zip(row, s)) for s in sub) for row in ineqs]
+    rows = [row for row in rows if any(row)]
+    assert not kernel_basis(rows)
+    return rows, len(sub)
+
+
+@pytest.mark.parametrize(
+    "r, weights, theta",
+    [
+        (7, [1, 2, 4], None),
+        (8, [1, 2, 5], None),
+        (7, [1, 2, 4], _generic_theta(random.Random(1), 7)),
+        (7, [1, 2, 4], _generic_theta(random.Random(2), 7)),
+    ],
+)
+def test_pointed_dd_matches_scan_reference_on_lifted_cones(r, weights, theta):
+    rows, d = _lifted_dd_rows(r, weights, theta)
+    rays = _pointed_dd(rows, d)
+    assert rays == pointed_dd_scan(rows, d)
+    # The cone mixes non-degenerate rays (d - 1 tight rows) and degenerate ones.
+    tight = [sum(1 for row in rows if sum(a * x for a, x in zip(row, ray)) == 0) for ray in rays]
+    assert min(tight) == d - 1 < max(tight)
 
 
 def test_vertex_facet_incidence_square():
