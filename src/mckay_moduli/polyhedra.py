@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from operator import le
 
@@ -423,31 +422,21 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     def image(vec):
         return tuple(sum(c * vec[i] for i, c in srow) for srow in sparse)
 
-    verts = v.vertices
-    if m and set(map(type, chain.from_iterable(verts))) == {int}:
-        # Integral vertices: each image coordinate is a sum of scaled vertex
-        # coordinate columns, computed for all vertices at once.
-        cols = list(zip(*verts))
-        img_cols = []
-        for srow in sparse:
-            acc = [0] * len(verts)
-            for i, c in srow:
-                acc = [a + c * x for a, x in zip(acc, cols[i])]
-            img_cols.append(acc)
-        pts = sorted(set(zip(*img_cols)))
-    else:
-        # Each vertex becomes integer numerators over a common denominator, so
-        # the images are integer dot products; (image, den) made primitive is
-        # canonical, and Fractions are built only for distinct non-integral images.
-        images = set()
-        for vert in verts:
+    # Each vertex becomes integer numerators over a common denominator, so
+    # the images are integer dot products; (image, den) made primitive is
+    # canonical, and Fractions are built only for distinct non-integral images.
+    images = set()
+    for vert in v.vertices:
+        if all(type(x) is int for x in vert):
+            img = image(vert) + (1,)
+        else:
             hom = _homogeneous(vert)
             img = image(hom) + (hom[-1],)
-            images.add(img if hom[-1] == 1 else _primitive(img))
-        pts = sorted(
-            img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
-            for img in images
-        )
+        images.add(img if img[-1] == 1 else _primitive(img))
+    pts = sorted(
+        img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
+        for img in images
+    )
     rys = sorted({pr for ray in v.rays if any(pr := _primitive(image(ray)))})
     lin = [pl for l in v.lineality if any(pl := _primitive(image(l)))]
     if set(_unit_rows(m)) <= set(rys):

@@ -21,6 +21,7 @@ from mckay_moduli import (
     v_to_h,
     vertex_facet_incidence,
 )
+from mckay_moduli import polyhedra
 from mckay_moduli.intlinalg import int_rank, kernel_basis
 from mckay_moduli.polyhedra import _greedy_basis, _pointed_dd, cone_double_description
 
@@ -356,8 +357,8 @@ def _generic_theta(rng, r):
     return [-sum(rest)] + rest
 
 
-def _lifted_dd_rows(r, weights, theta=None):
-    """The rows and dimension cone_double_description hands _pointed_dd for a lifted cone."""
+def _lifted_dd_calls(monkeypatch, r, weights, theta=None):
+    """The (rows, d) arguments _pointed_dd receives while h_to_v runs on a lifted cone."""
     from mckay_moduli import (
         build_group,
         build_quiver,
@@ -369,12 +370,19 @@ def _lifted_dd_rows(r, weights, theta=None):
     q = build_quiver(build_group([r], [weights]))
     param = ghilb_parameter(q) if theta is None else stability_parameter(q, theta)
     h = lifted_flow_polyhedron(q, param.integral)
-    ineqs = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
-    sub = kernel_basis(_homogenized_rows(h.equations))
-    rows = [tuple(sum(a * x for a, x in zip(row, s)) for s in sub) for row in ineqs]
-    rows = [row for row in rows if any(row)]
-    assert not kernel_basis(rows)
-    return rows, len(sub)
+    calls = []
+
+    def recording(rows, d):
+        rows = [tuple(row) for row in rows]
+        rays = _pointed_dd(rows, d)
+        calls.append((rows, d, list(rays)))
+        return rays
+
+    monkeypatch.setattr(polyhedra, "_pointed_dd", recording)
+    h_to_v(h)
+    monkeypatch.undo()
+    assert calls
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -386,13 +394,12 @@ def _lifted_dd_rows(r, weights, theta=None):
         (7, [1, 2, 4], _generic_theta(random.Random(2), 7)),
     ],
 )
-def test_pointed_dd_matches_scan_reference_on_lifted_cones(r, weights, theta):
-    rows, d = _lifted_dd_rows(r, weights, theta)
-    rays = _pointed_dd(rows, d)
-    assert rays == pointed_dd_scan(rows, d)
-    # The cone mixes non-degenerate rays (d - 1 tight rows) and degenerate ones.
-    tight = [sum(1 for row in rows if sum(a * x for a, x in zip(row, ray)) == 0) for ray in rays]
-    assert min(tight) == d - 1 < max(tight)
+def test_pointed_dd_matches_scan_reference_on_lifted_cones(monkeypatch, r, weights, theta):
+    for rows, d, rays in _lifted_dd_calls(monkeypatch, r, weights, theta):
+        assert rays == pointed_dd_scan(rows, d)
+        # The cone mixes non-degenerate rays (d - 1 tight rows) and degenerate ones.
+        tight = [sum(1 for row in rows if sum(a * x for a, x in zip(row, ray)) == 0) for ray in rays]
+        assert min(tight) == d - 1 < max(tight)
 
 
 def test_vertex_facet_incidence_square():
