@@ -4,16 +4,20 @@ A group is presented as Z/r_1 x ... x Z/r_k together with a k x n integer
 weight matrix whose column i is the character through which the group scales
 the i-th coordinate.  The quiver has one vertex per character and, for each
 vertex rho and each coordinate label i, one arrow from rho * rho_i to rho.
+Flows and paths on the quiver all come from the min-cost-flow kernel in
+flow.py: theta_decompose routes a parameter at zero cost, and the connector
+between components of a closed walk is a unit-cost flow, so a shortest path.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from fractions import Fraction
 
 from .errors import BadShape, BadTheta, CertificateError, NonGenerating, NotInM
-from .intlinalg import lattice_contains, row_hnf
+from .flow import min_cost_flow
+from .intlinalg import row_hnf
 
 
 @dataclass(frozen=True, order=True)
@@ -74,9 +78,6 @@ class AbelianGroupData:
 
     def power(self, a: Character, e: int) -> Character:
         return Character(tuple((x * e) % m for x, m in zip(a.residues, self.orders)))
-
-    def order_of(self, a: Character) -> int:
-        return lcm(*(m // gcd(m, x) for x, m in zip(a.residues, self.orders))) if self.k else 1
 
     def deg(self, m) -> Character:
         """Character of the monomial with exponent vector m (length n)."""
@@ -169,21 +170,27 @@ class McKayQuiver:
         return head * self.n + label - 1
 
 
+def _reachable(adj, start) -> set:
+    """The vertices reachable from start, where adj[v] lists the successors of v."""
+    seen, stack = {start}, [start]
+    while stack:
+        for z in adj[stack.pop()]:
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
 def build_quiver(group: AbelianGroupData) -> McKayQuiver:
     """Construct the quiver of characters and check strong connectivity."""
     q = McKayQuiver(group)
-    for forward in (True, False):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for a in q.arrows:
-                s, t = (a.tail, a.head) if forward else (a.head, a.tail)
-                if s == v and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != q.r:
-            raise NonGenerating("quiver of characters is not strongly connected")
+    succ = [[] for _ in range(q.r)]
+    pred = [[] for _ in range(q.r)]
+    for a in q.arrows:
+        succ[a.tail].append(a.head)
+        pred[a.head].append(a.tail)
+    if any(len(_reachable(adj, 0)) != q.r for adj in (succ, pred)):
+        raise NonGenerating("quiver of characters is not strongly connected")
     return q
 
 
@@ -259,57 +266,6 @@ class PathVector:
     type: tuple[int, ...]
 
 
-def _subgroup_contains(group: AbelianGroupData, from_label: int, target: Character) -> bool:
-    """Is target in the subgroup generated by rho_i for i >= from_label?"""
-    gens = [group.generator(i).residues for i in range(from_label, group.n + 1)]
-    units = [
-        tuple(group.orders[j] if t == j else 0 for t in range(group.k))
-        for j in range(group.k)
-    ]
-    return lattice_contains(gens + units, target.residues)
-
-
-def minimal_exponents(group: AbelianGroupData, target: Character) -> tuple[int, ...]:
-    """Lexicographically least m in N^n with deg(m) == target."""
-    m = []
-    residual = target
-    for i in range(1, group.n + 1):
-        rho_i = group.generator(i)
-        inv_i = group.inv(rho_i)
-        t = 0
-        while not _subgroup_contains(group, i + 1, residual):
-            residual = group.mul(residual, inv_i)
-            t += 1
-            if t > group.order_of(rho_i):
-                raise NonGenerating("no exponent vector reaches the target character")
-        m.append(t)
-    if residual != group.trivial:
-        raise NonGenerating("no exponent vector reaches the target character")
-    return tuple(m)
-
-
-def directed_path(quiver: McKayQuiver, frm: Character, to: Character) -> PathVector:
-    """A directed path in the quiver from one vertex to another.
-
-    The path realizes the lexicographically least m in N^n with
-    deg(m) = to^-1 * frm, traversing all label-1 arrows first, then label-2,
-    and so on.  Its vector v satisfies b * v = e_to - e_frm and v >= 0.
-    """
-    g = quiver.group
-    m = minimal_exponents(g, g.mul(g.inv(to), frm))
-    v = [0] * quiver.num_arrows
-    cur = frm
-    for i in range(1, quiver.n + 1):
-        inv_i = g.inv(g.generator(i))
-        for _ in range(m[i - 1]):
-            nxt = g.mul(cur, inv_i)
-            v[quiver.arrow_index(quiver.vertex_index[nxt], i)] += 1
-            cur = nxt
-    if cur != to:
-        raise CertificateError(f"path of type {m} ends at {cur}, not at {to}")
-    return PathVector(v=tuple(v), type=m)
-
-
 def cycle_from_type(quiver: McKayQuiver, base: Character, mtype) -> PathVector:
     """The closed walk at a base vertex realizing an integer exponent type.
 
@@ -337,32 +293,31 @@ def cycle_from_type(quiver: McKayQuiver, base: Character, mtype) -> PathVector:
     return PathVector(v=tuple(v), type=mtype)
 
 
+def integral_theta(quiver: McKayQuiver, theta) -> list[int]:
+    """theta as a list of ints, after checking it is integral and sums to zero.
+
+    Raises BadTheta unless theta has one entry per vertex, every entry is an
+    integer and the entries sum to zero.
+    """
+    th = [Fraction(x) for x in theta]
+    if len(th) != quiver.r:
+        raise BadTheta(f"parameter has length {len(th)}, expected {quiver.r}")
+    if any(x.denominator != 1 for x in th):
+        raise BadTheta("parameter must be integral")
+    if sum(th) != 0:
+        raise BadTheta("parameter entries must sum to zero")
+    return [int(x) for x in th]
+
+
 def theta_decompose(quiver: McKayQuiver, theta) -> tuple[int, ...]:
     """A nonnegative integer arrow vector u with b * u = theta.
 
-    Repeatedly routes one unit along a directed path from a vertex where
-    theta is still negative to one where it is positive.  Requires integer
-    theta summing to zero; minimality of the result is not promised.
+    u is a min-cost flow at zero arrow cost, so any feasible flow; the kernel
+    certifies it before returning.  Requires integer theta summing to zero;
+    minimality of the result is not promised.
     """
-    theta = list(theta)
-    if len(theta) != quiver.r:
-        raise BadTheta(f"theta has length {len(theta)}, expected {quiver.r}")
-    if any(x != int(x) for x in theta):
-        raise BadTheta("theta must be integral")
-    theta = [int(x) for x in theta]
-    if sum(theta) != 0:
-        raise BadTheta("theta must sum to zero")
-    u = [0] * quiver.num_arrows
-    while True:
-        neg = next((i for i, x in enumerate(theta) if x < 0), None)
-        if neg is None:
-            break
-        pos = next(i for i, x in enumerate(theta) if x > 0)
-        path = directed_path(quiver, quiver.vertices[neg], quiver.vertices[pos])
-        u = [a + b for a, b in zip(u, path.v)]
-        theta[neg] += 1
-        theta[pos] -= 1
-    return tuple(u)
+    theta = integral_theta(quiver, theta)
+    return min_cost_flow(quiver, theta, [0] * quiver.num_arrows)[0]
 
 
 def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
@@ -415,42 +370,35 @@ def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
         return [(k, sign) for (_, k, sign, _) in circuit]
 
     # Node-level components of the support graph, each Eulerian.
-    comp_starts = []
-    unseen = set(out_edges)
-    adj: dict[int, set[int]] = {}
+    adj = [[] for _ in range(quiver.r)]
     for src, lst in out_edges.items():
         for dst, _, _ in lst:
-            adj.setdefault(src, set()).add(dst)
-            adj.setdefault(dst, set()).add(src)
+            adj[src].append(dst)
+            adj[dst].append(src)
+    comp_starts = []
+    unseen = set(out_edges)
     while unseen:
         start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj.get(v, ()):
-                if w in comp:
-                    continue
-                comp.add(w)
-                frontier.append(w)
         comp_starts.append(start)
-        unseen -= comp
+        unseen -= _reachable(adj, start)
 
     if not comp_starts:
         return []
-    walk = euler_circuit(comp_starts[0])
-    base = quiver.vertices[comp_starts[0]]
+    base = comp_starts[0]
+    walk = euler_circuit(base)
     for start in comp_starts[1:]:
-        connector = directed_path(quiver, base, quiver.vertices[start])
+        # A unit-cost flow of one unit from base to start is a shortest path.
+        theta = [0] * quiver.r
+        theta[base] -= 1
+        theta[start] += 1
+        path, _, _ = min_cost_flow(quiver, theta, [1] * quiver.num_arrows)
+        leaving = {quiver.arrows[k].tail: k for k, x in enumerate(path) if x}
         steps = []
         cur = base
-        g = quiver.group
-        for i in range(1, quiver.n + 1):
-            inv_i = g.inv(g.generator(i))
-            for _ in range(connector.type[i - 1]):
-                nxt = g.mul(cur, inv_i)
-                steps.append((quiver.arrow_index(quiver.vertex_index[nxt], i), 1))
-                cur = nxt
+        while cur != start:
+            k = leaving[cur]
+            steps.append((k, 1))
+            cur = quiver.arrows[k].head
         walk.extend(steps)
         walk.extend(euler_circuit(start))
         walk.extend((k, -sign) for k, sign in reversed(steps))

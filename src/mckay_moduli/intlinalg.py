@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Hermite normal forms, kernels, lattice tests.
+"""Exact integer linear algebra: Hermite normal forms, ranks and kernels.
 
 All routines work on sequences of equal-length integer rows and never leave
 exact arithmetic.  The Hermite normal form used here is the row-style echelon
@@ -103,20 +103,6 @@ def kernel_basis(rows) -> list[IntRow]:
     cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
     h, u = row_hnf_with_transform(cols)
     return [tuple(u[i]) for i in range(n) if not any(h[i])]
-
-
-def lattice_contains(basis_rows, v) -> bool:
-    """Test membership of integer vector v in the lattice spanned by rows."""
-    h = row_hnf(basis_rows)
-    work = list(v)
-    for row in h:
-        c = next(i for i, x in enumerate(row) if x)
-        q, rem = divmod(work[c], row[c])
-        if rem:
-            return False
-        if q:
-            work = [work[k] - q * row[k] for k in range(len(work))]
-    return not any(work)
 
 
 def mat_vec(rows, v) -> list:

@@ -15,7 +15,14 @@ from math import gcd, lcm
 
 from .errors import BadTheta, CertificateError, NegativeW, TrivialGroup, UnknownMethod
 from .flow import min_cost_flow
-from .groups import AbelianGroupData, McKayQuiver, incidence_matrices, theta_decompose
+from .groups import (
+    AbelianGroupData,
+    McKayQuiver,
+    _reachable,
+    incidence_matrices,
+    integral_theta,
+    theta_decompose,
+)
 from .polyhedra import (
     Cone,
     Fan,
@@ -265,14 +272,8 @@ def min_total_flow(quiver: McKayQuiver, theta) -> int:
     Requires an integral parameter; the optimum is attained at an integer
     flow because the vertex incidence matrix is totally unimodular.
     """
-    th = [Fraction(x) for x in theta]
-    if len(th) != quiver.r:
-        raise BadTheta(f"parameter has length {len(th)}, expected {quiver.r}")
-    if any(x.denominator != 1 for x in th):
-        raise BadTheta("parameter must be integral")
-    if sum(th) != 0:
-        raise BadTheta("parameter entries must sum to zero")
-    _, _, value = min_cost_flow(quiver, [int(x) for x in th], [1] * quiver.num_arrows)
+    th = integral_theta(quiver, theta)
+    _, _, value = min_cost_flow(quiver, th, [1] * quiver.num_arrows)
     return value
 
 
@@ -313,16 +314,6 @@ def _check_relations(quiver: McKayQuiver, b) -> None:
                 right = b[quiver.arrow_index(hj, i)] * b[quiver.arrow_index(h, j)]
                 if left != right:
                     raise CertificateError(f"arrow relation fails at vertex {h}")
-
-
-def _reachable(adj, start) -> set:
-    seen, stack = {start}, [start]
-    while stack:
-        for z in adj[stack.pop()]:
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return seen
 
 
 def _face_tight_arrows(quiver: McKayQuiver, cost, u, y) -> frozenset:

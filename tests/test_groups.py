@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,6 @@ from mckay_moduli import (
     build_quiver,
     closed_walk_from_kernel,
     cycle_from_type,
-    directed_path,
     incidence_matrices,
     kernel_generators_cij,
     theta_decompose,
@@ -79,7 +79,6 @@ def test_group_operations():
     b = Character((1, 1))
     assert g.mul(a, b) == Character((0, 0))
     assert g.inv(a) == Character((1, 1))
-    assert g.order_of(Character((0, 1))) == 3
     assert g.deg((2, 3)) == Character((0, 0))
     assert g.deg((1, 2)) == Character((1, 2))
 
@@ -206,56 +205,6 @@ def test_binomial_pairs_splits_signs():
     assert pairs == [((2, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 0))]
 
 
-def test_directed_path_single_arrow():
-    q = quiver_7_12()
-    frm = q.vertices[2]
-    to = q.vertices[0]
-    path = directed_path(q, frm, to)
-    expect = [0] * 14
-    expect[q.arrow_index(0, 2)] = 1
-    assert path.v == tuple(expect)
-    assert path.type == (0, 1)
-
-
-def test_directed_path_same_vertex_is_empty():
-    q = quiver_7_12()
-    path = directed_path(q, q.vertices[3], q.vertices[3])
-    assert path.v == (0,) * 14
-    assert path.type == (0, 0)
-
-
-def test_directed_path_type_is_lex_minimal():
-    q = quiver_7_12()
-    g = q.group
-    for f in range(7):
-        for t in range(7):
-            path = directed_path(q, q.vertices[f], q.vertices[t])
-            target = g.mul(g.inv(q.vertices[t]), q.vertices[f])
-            candidates = [
-                (m1, m2)
-                for m1 in range(8)
-                for m2 in range(8)
-                if g.deg((m1, m2)) == target
-            ]
-            assert path.type == min(candidates)
-            inc = incidence_matrices(q)
-            bv = mat_vec(inc.b, path.v)
-            expect = [0] * 7
-            expect[t] += 1
-            expect[f] -= 1
-            assert list(bv) == expect
-            assert all(x >= 0 for x in path.v)
-
-
-def test_directed_path_raises_without_generation():
-    # reachable in the group but not along arrows never happens for a valid
-    # quiver; NonGenerating guards the exponent search overflow instead
-    g = build_group([5], [[1, 2]])
-    q = build_quiver(g)
-    path = directed_path(q, q.vertices[1], q.vertices[0])
-    assert sum(path.v) >= 1
-
-
 def test_cycle_from_type_covering_loop():
     q = quiver_7_12()
     cyc = cycle_from_type(q, q.vertices[0], (7, 0))
@@ -292,14 +241,17 @@ def test_cycle_from_type_rejects_nontrivial_degree():
 
 def test_theta_decompose_routes_units():
     q = quiver_7_12()
-    inc = incidence_matrices(q)
     rng = random.Random(5)
+    cases = []
     for _ in range(20):
         raw = [rng.randrange(-4, 5) for _ in range(6)]
-        theta = raw + [-sum(raw)]
-        u = theta_decompose(q, tuple(theta))
-        assert all(x >= 0 for x in u)
-        assert list(mat_vec(inc.b, u)) == theta
+        cases.append((q, raw + [-sum(raw)]))
+    big = build_quiver(build_group([61], [[1, 11, 49]]))
+    cases.append((big, [1 - big.r] + [1] * (big.r - 1)))
+    for quiver, theta in cases:
+        u = theta_decompose(quiver, tuple(theta))
+        assert all(isinstance(x, int) and x >= 0 for x in u)
+        assert list(mat_vec(incidence_matrices(quiver).b, u)) == theta
 
 
 def test_theta_decompose_zero():
@@ -309,10 +261,12 @@ def test_theta_decompose_zero():
 
 def test_theta_decompose_validates():
     q = quiver_7_12()
-    with pytest.raises(BadTheta):
+    with pytest.raises(BadTheta, match="sum to zero"):
         theta_decompose(q, (1, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(BadTheta):
+    with pytest.raises(BadTheta, match="length"):
         theta_decompose(q, (1, -1))
+    with pytest.raises(BadTheta, match="integral"):
+        theta_decompose(q, (Fraction(1, 2), Fraction(-1, 2), 0, 0, 0, 0, 0))
 
 
 def test_closed_walk_from_kernel():
@@ -338,6 +292,42 @@ def test_closed_walk_from_kernel():
                 assert frm == pos
             pos = to
         assert pos == start
+
+
+def test_closed_walk_links_components_by_a_shortest_path():
+    # on 1/13(1,3,9) the commutation vectors at vertices 0 and 5 have the
+    # disjoint vertex supports {0, 1, 3, 4} and {5, 6, 8, 9}
+    q = build_quiver(build_group([13], [[1, 3, 9]]))
+    gens = kernel_generators_cij(q)
+    u = [a + b for a, b in zip(gens[0], gens[15])]
+    walk = closed_walk_from_kernel(q, u)
+    net = [0] * q.num_arrows
+    for k, s in walk:
+        net[k] += s
+    assert net == u
+    ends = []
+    for k, s in walk:
+        a = q.arrows[k]
+        ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
+    assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
+    assert ends[-1][1] == ends[0][0] == 0
+    # breadth-first distance along arrows from vertex 0 to vertex 5
+    dist = {0: 0}
+    frontier = [0]
+    while 5 not in dist:
+        nxt = []
+        for a in q.arrows:
+            if a.tail in frontier and a.head not in dist:
+                dist[a.head] = dist[a.tail] + 1
+                nxt.append(a.head)
+        frontier = nxt
+    length = dist[5]
+    assert length >= 1
+    assert len(walk) == 8 + 2 * length
+    connector = walk[4 : 4 + length]
+    assert all(s == 1 for _, s in connector)
+    assert ends[4][0] == 0 and ends[3 + length][1] == 5
+    assert walk[8 + length :] == [(k, -s) for k, s in reversed(connector)]
 
 
 def test_closed_walk_rejects_non_kernel():

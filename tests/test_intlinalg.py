@@ -4,10 +4,23 @@ from mckay_moduli.intlinalg import (
     ext_gcd,
     int_rank,
     kernel_basis,
-    lattice_contains,
     mat_vec,
     row_hnf,
 )
+
+
+def lattice_contains(basis_rows, v) -> bool:
+    """Test membership of integer vector v in the lattice spanned by rows."""
+    h = row_hnf(basis_rows)
+    work = list(v)
+    for row in h:
+        c = next(i for i, x in enumerate(row) if x)
+        q, rem = divmod(work[c], row[c])
+        if rem:
+            return False
+        if q:
+            work = [work[k] - q * row[k] for k in range(len(work))]
+    return not any(work)
 
 
 def test_ext_gcd_small_cases():

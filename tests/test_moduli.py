@@ -177,8 +177,12 @@ def test_min_total_flow():
 
 def test_min_total_flow_validates():
     q = w1_quiver()
-    with pytest.raises(BadTheta):
+    with pytest.raises(BadTheta, match="sum to zero"):
         min_total_flow(q, (1, 1, 1))
+    with pytest.raises(BadTheta, match="length"):
+        min_total_flow(q, (1, -1))
+    with pytest.raises(BadTheta, match="integral"):
+        min_total_flow(q, (Fraction(1, 2), Fraction(-1, 2), 0))
 
 
 def test_ghilb_parameter():
