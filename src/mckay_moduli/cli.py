@@ -15,17 +15,7 @@ import sys
 from fractions import Fraction
 
 from .checks import run_all
-from .errors import (
-    BadShape,
-    BadTheta,
-    GroupSpecError,
-    ModuliError,
-    NegativeW,
-    NonGenerating,
-    NotInM,
-    OutsideSupport,
-    TrivialGroup,
-)
+from .errors import GroupSpecError, InputError, ModuliError
 from .groups import build_group, build_quiver, incidence_matrices
 from .moduli import (
     distinguished_rep,
@@ -263,7 +253,7 @@ def render_fan_svg(tf, title: str) -> str:
 def _quiver_text(group, quiver, inc) -> str:
     lines = [f"group: orders {group.orders}, {quiver.r} characters, {quiver.n} coordinates"]
     for i, v in enumerate(quiver.vertices):
-        lines.append(f"vertex {i}: {v.residues}")
+        lines.append(f"vertex {i}: {v}")
     for k, a in enumerate(quiver.arrows):
         lines.append(f"arrow {k}: {a.tail} -> {a.head} (label {a.label})")
     for name, mat in (("B", inc.b), ("C", inc.c), ("D", inc.d)):
@@ -330,17 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fan", help="type polyhedron and its inner-normal fan")
     add_common(sp)
     add_theta(sp)
-    method = sp.add_mutually_exclusive_group()
-    method.add_argument(
-        "--oracle",
-        action="store_true",
-        help="certify facets with exact min-cost flows (default)",
-    )
-    method.add_argument(
-        "--lifted",
-        action="store_true",
-        help="enumerate the flow polyhedron and project (can be huge)",
-    )
+    sp.add_argument("--lifted", action="store_true",
+                    help="enumerate the flow polyhedron and project (can be huge) "
+                    "instead of certifying facets with min-cost flows")
     sp.add_argument("--charts", type=int, metavar="BOUND", help="chart reports up to degree BOUND")
     sp.add_argument("--svg", help="write a barycentric cross-section (3 coordinates only)")
 
@@ -403,16 +385,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (
-        GroupSpecError,
-        BadTheta,
-        BadShape,
-        NegativeW,
-        NonGenerating,
-        NotInM,
-        TrivialGroup,
-        OutsideSupport,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModuliError as exc:
@@ -434,7 +407,7 @@ def _dispatch(args) -> int:
             "schema": SCHEMA,
             "group": _group_block(args.group, group),
             "quiver": {
-                "vertices": [list(v.residues) for v in quiver.vertices],
+                "vertices": [list(v) for v in quiver.vertices],
                 "arrows": [
                     {"tail": a.tail, "head": a.head, "label": a.label}
                     for a in quiver.arrows
@@ -450,8 +423,7 @@ def _dispatch(args) -> int:
     if args.cmd == "check":
         for flag, value in (("--bound", args.bound), ("--trials", args.trials)):
             if value < 1:
-                print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-                return 2
+                raise InputError(f"{flag} must be at least 1, got {value}")
         results = run_all(quiver, bound=args.bound, seed=args.seed, trials=args.trials)
         ok = True
         for name, passed, detail in results:
@@ -468,7 +440,7 @@ def _dispatch(args) -> int:
     if args.cmd == "fan":
         method = "lifted" if args.lifted else "oracle"
         if args.charts is not None and args.charts < 0:
-            raise BadTheta("chart bound must be nonnegative")
+            raise InputError("chart bound must be nonnegative")
         tp = theta_polyhedron(quiver, param, method=method)
         tf = moduli_fan(tp, charts_bound=args.charts)
         if args.svg is not None:

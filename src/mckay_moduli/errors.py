@@ -5,27 +5,31 @@ class ModuliError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class BadShape(ModuliError):
+class InputError(ModuliError):
+    """Malformed input; the command line reports it and exits 2."""
+
+
+class BadShape(InputError):
     """Input matrix or vector has the wrong dimensions."""
 
 
-class NonGenerating(ModuliError):
+class NonGenerating(InputError):
     """The given weight characters do not generate the character group."""
 
 
-class NotInM(ModuliError):
+class NotInM(InputError):
     """An exponent vector does not lie in the weight-trivial sublattice."""
 
 
-class BadTheta(ModuliError):
+class BadTheta(InputError):
     """A stability parameter fails validation (shape, integrality, or sum)."""
 
 
-class NegativeW(ModuliError):
+class NegativeW(InputError):
     """A cone-locating parameter w has a negative entry."""
 
 
-class TrivialGroup(ModuliError):
+class TrivialGroup(InputError):
     """The requested construction needs a nontrivial group."""
 
 
@@ -33,7 +37,7 @@ class MismatchedDescriptions(ModuliError):
     """An H-description and a V-description do not describe the same set."""
 
 
-class OutsideSupport(ModuliError):
+class OutsideSupport(InputError):
     """A query vector lies outside the support of the fan."""
 
 
@@ -41,7 +45,7 @@ class NotOptimal(ModuliError):
     """A linear program expected to be solvable was infeasible or unbounded."""
 
 
-class GroupSpecError(ModuliError):
+class GroupSpecError(InputError):
     """A group specification string failed to parse.
 
     Carries the character position of the offending token when known.

@@ -20,23 +20,15 @@ from .flow import min_cost_flow
 from .intlinalg import row_hnf
 
 
-@dataclass(frozen=True, order=True)
-class Character:
-    """A character of the group, stored as residues modulo the cycle orders."""
-
-    residues: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class AbelianGroupData:
-    """Validated product group Z/r_1 x ... x Z/r_k with an n-column weight matrix."""
+    """Validated product group Z/r_1 x ... x Z/r_k with an n-column weight matrix.
+
+    A character is a tuple of residues, one modulo each cycle order.
+    """
 
     orders: tuple[int, ...]
     weights: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.orders)
 
     @property
     def n(self) -> int:
@@ -50,44 +42,33 @@ class AbelianGroupData:
         return out
 
     @property
-    def trivial(self) -> Character:
-        return Character((0,) * self.k)
+    def trivial(self) -> tuple[int, ...]:
+        return (0,) * len(self.orders)
 
-    def characters(self) -> tuple[Character, ...]:
-        """All characters in lexicographic order on residue tuples.
+    def characters(self) -> tuple[tuple[int, ...], ...]:
+        """All characters in lexicographic order; the trivial one comes first."""
+        return tuple(itertools.product(*(range(m) for m in self.orders)))
 
-        The trivial character always comes first.
-        """
-        return tuple(
-            Character(t) for t in itertools.product(*(range(m) for m in self.orders))
-        )
-
-    def generator(self, i: int) -> Character:
+    def generator(self, i: int) -> tuple[int, ...]:
         """The weight character rho_i of coordinate i (1-based)."""
-        return Character(
-            tuple(self.weights[j][i - 1] % self.orders[j] for j in range(self.k))
-        )
+        return tuple(row[i - 1] % m for row, m in zip(self.weights, self.orders))
 
-    def mul(self, a: Character, b: Character) -> Character:
-        return Character(
-            tuple((x + y) % m for x, y, m in zip(a.residues, b.residues, self.orders))
-        )
+    def mul(self, a, b) -> tuple[int, ...]:
+        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
 
-    def inv(self, a: Character) -> Character:
-        return Character(tuple((-x) % m for x, m in zip(a.residues, self.orders)))
+    def inv(self, a) -> tuple[int, ...]:
+        return tuple((-x) % m for x, m in zip(a, self.orders))
 
-    def power(self, a: Character, e: int) -> Character:
-        return Character(tuple((x * e) % m for x, m in zip(a.residues, self.orders)))
+    def power(self, a, e: int) -> tuple[int, ...]:
+        return tuple((x * e) % m for x, m in zip(a, self.orders))
 
-    def deg(self, m) -> Character:
+    def deg(self, m) -> tuple[int, ...]:
         """Character of the monomial with exponent vector m (length n)."""
         if len(m) != self.n:
             raise BadShape(f"exponent vector has length {len(m)}, expected {self.n}")
-        return Character(
-            tuple(
-                sum(w * e for w, e in zip(row, m)) % order
-                for row, order in zip(self.weights, self.orders)
-            )
+        return tuple(
+            sum(w * e for w, e in zip(row, m)) % order
+            for row, order in zip(self.weights, self.orders)
         )
 
 
@@ -220,26 +201,35 @@ def incidence_matrices(quiver: McKayQuiver) -> IncidenceData:
     return IncidenceData(b=bt, c=bt + dt, d=dt)
 
 
+def commutation_squares(quiver: McKayQuiver) -> list[tuple[int, int, int, int]]:
+    """The commutation squares (p1, p2, m1, m2) as arrow indices, by head h then i < j.
+
+    p1 = (h, i), p2 = (tail of p1, j), m1 = (h, j) and m2 = (tail of m1, i):
+    the paths p2 p1 and m2 m1 both run from h * rho_i * rho_j to h.
+    """
+    n, arrows, index = quiver.n, quiver.arrows, quiver.arrow_index
+    out = []
+    for h in range(quiver.r):
+        for i in range(1, n + 1):
+            p1 = index(h, i)
+            for j in range(i + 1, n + 1):
+                m1 = index(h, j)
+                out.append((p1, index(arrows[p1].tail, j), m1, index(arrows[m1].tail, i)))
+    return out
+
+
 def kernel_generators_cij(quiver: McKayQuiver) -> list[tuple[int, ...]]:
     """The commutation vectors spanning the integer kernel of the full incidence matrix.
 
-    For each vertex rho and each unordered pair of labels i < j the vector is
-    e_i^rho + e_j^(rho rho_i) - e_j^rho - e_i^(rho rho_j); there are exactly
-    r * n * (n - 1) / 2 of them, listed by vertex then by (i, j).
+    One vector e_p1 + e_p2 - e_m1 - e_m2 per commutation square; there are
+    exactly r * n * (n - 1) / 2 of them, listed by vertex then by (i, j).
     """
-    g = quiver.group
     out = []
-    for h, rho in enumerate(quiver.vertices):
-        for i in range(1, quiver.n + 1):
-            for j in range(i + 1, quiver.n + 1):
-                v = [0] * quiver.num_arrows
-                hi = quiver.vertex_index[g.mul(rho, g.generator(i))]
-                hj = quiver.vertex_index[g.mul(rho, g.generator(j))]
-                v[quiver.arrow_index(h, i)] += 1
-                v[quiver.arrow_index(hi, j)] += 1
-                v[quiver.arrow_index(h, j)] -= 1
-                v[quiver.arrow_index(hj, i)] -= 1
-                out.append(tuple(v))
+    for square in commutation_squares(quiver):
+        v = [0] * quiver.num_arrows
+        for k, sign in zip(square, (1, 1, -1, -1)):
+            v[k] += sign
+        out.append(tuple(v))
     return out
 
 
@@ -258,16 +248,8 @@ def binomial_pairs(vectors) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True)
-class PathVector:
-    """Net arrow-multiplicity vector of a walk, with its coordinate type D*v."""
-
-    v: tuple[int, ...]
-    type: tuple[int, ...]
-
-
-def cycle_from_type(quiver: McKayQuiver, base: Character, mtype) -> PathVector:
-    """The closed walk at a base vertex realizing an integer exponent type.
+def cycle_from_type(quiver: McKayQuiver, base, mtype) -> tuple[int, ...]:
+    """The net arrow vector of the closed walk at a base vertex realizing an exponent type.
 
     Labels with positive entries are traversed forward, negative ones
     backward; the type must have trivial degree or NotInM is raised.
@@ -290,7 +272,7 @@ def cycle_from_type(quiver: McKayQuiver, base: Character, mtype) -> PathVector:
             cur = g.mul(cur, rho_i)
     if cur != base:
         raise CertificateError(f"walk of type {mtype} ends at {cur}, not at {base}")
-    return PathVector(v=tuple(v), type=mtype)
+    return tuple(v)
 
 
 def integral_theta(quiver: McKayQuiver, theta) -> list[int]:

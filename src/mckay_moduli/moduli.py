@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import BadTheta, CertificateError, NegativeW, TrivialGroup, UnknownMethod
+from .errors import CertificateError, NegativeW, TrivialGroup, UnknownMethod
 from .flow import min_cost_flow
 from .groups import (
     AbelianGroupData,
     McKayQuiver,
     _reachable,
+    commutation_squares,
     incidence_matrices,
     integral_theta,
     theta_decompose,
@@ -28,6 +29,7 @@ from .polyhedra import (
     Fan,
     HPolyhedron,
     VPolyhedron,
+    _clear_denominators,
     h_to_v,
     locate_cone,
     normal_fan,
@@ -53,14 +55,7 @@ def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
     if isinstance(theta, GitParameter):
         return theta
     th = tuple(Fraction(x) for x in theta)
-    if len(th) != quiver.r:
-        raise BadTheta(f"parameter has length {len(th)}, expected {quiver.r}")
-    if sum(th) != 0:
-        raise BadTheta("parameter entries must sum to zero")
-    mult = lcm(*(f.denominator for f in th))
-    nums = [int(f * mult) for f in th]
-    g = gcd(*nums) or 1
-    return GitParameter(theta=th, integral=tuple(x // g for x in nums))
+    return GitParameter(theta=th, integral=tuple(integral_theta(quiver, _clear_denominators(th))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +63,6 @@ class ThetaPolyhedron:
     """Both descriptions of the polyhedron of types of flows routing theta."""
 
     quiver: McKayQuiver
-    parameter: GitParameter
     h: HPolyhedron
     v: VPolyhedron
 
@@ -158,7 +152,7 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     units = [tuple(1 if t == i else 0 for t in range(quiver.n)) for i in range(quiver.n)]
     if list(v.rays) != sorted(units):
         raise CertificateError("recession cone is not the nonnegative orthant")
-    return ThetaPolyhedron(quiver=quiver, parameter=param, h=h, v=v)
+    return ThetaPolyhedron(quiver=quiver, h=h, v=v)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,6 @@ class ChartReport:
 class ThetaFan:
     """Inner-normal fan of the type polyhedron, with optional chart reports."""
 
-    polyhedron: ThetaPolyhedron
     fan: Fan
     charts: tuple | None = None
 
@@ -263,7 +256,7 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
         charts = tuple(
             _chart_report(tp, fan, i, charts_bound, ball) for i in range(len(tp.v.vertices))
         )
-    return ThetaFan(polyhedron=tp, fan=fan, charts=charts)
+    return ThetaFan(fan=fan, charts=charts)
 
 
 def min_total_flow(quiver: McKayQuiver, theta) -> int:
@@ -304,16 +297,9 @@ class DistinguishedRep:
 
 
 def _check_relations(quiver: McKayQuiver, b) -> None:
-    g = quiver.group
-    for h, rho in enumerate(quiver.vertices):
-        for i in range(1, quiver.n + 1):
-            hi = quiver.vertex_index[g.mul(rho, g.generator(i))]
-            for j in range(i + 1, quiver.n + 1):
-                hj = quiver.vertex_index[g.mul(rho, g.generator(j))]
-                left = b[quiver.arrow_index(hi, j)] * b[quiver.arrow_index(h, i)]
-                right = b[quiver.arrow_index(hj, i)] * b[quiver.arrow_index(h, j)]
-                if left != right:
-                    raise CertificateError(f"arrow relation fails at vertex {h}")
+    for p1, p2, m1, m2 in commutation_squares(quiver):
+        if b[p1] * b[p2] != b[m1] * b[m2]:
+            raise CertificateError(f"arrow relation fails at vertex {quiver.arrows[p1].head}")
 
 
 def _face_tight_arrows(quiver: McKayQuiver, cost, u, y) -> frozenset:
@@ -393,8 +379,6 @@ def distinguished_rep(
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)
     value = sum(t * v for t, v in zip(param.theta, point))
-    if isinstance(fan, ThetaFan):
-        fan = fan.fan
     cone = locate_cone(fan, wq) if fan is not None else None
     mode = "single" if single_optimizer else "face"
     return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode, cone=cone)

@@ -96,7 +96,6 @@ class Cone:
     cone.
     """
 
-    ambient_dim: int
     rays: tuple
     indices: tuple = ()
 
@@ -496,21 +495,17 @@ class Fan:
     """Inner-normal fan of a full-dimensional pointed polyhedron.
 
     Rays are the facet normals, indexed exactly like the inequalities of the
-    source H-description.  Cones are stored as frozensets of ray indices; one
-    maximal cone per vertex, marked by that vertex.
+    source H-description.  cones maps each frozenset of ray indices to its
+    Cone; maximal[j] is the index set of the cone of vertices[j].
     """
 
-    def __init__(self, rays, cones, maximal, markers, vertices, rec_rays, facet_ray_zero):
+    def __init__(self, rays, cones, maximal, vertices, rec_rays, facet_ray_zero):
         self.rays = rays
         self.cones = cones
         self.maximal = maximal
-        self.markers = markers
         self.vertices = vertices
         self.rec_rays = rec_rays
         self._facet_ray_zero = facet_ray_zero
-
-    def cone(self, indices) -> Cone:
-        return self.cones[frozenset(indices)]
 
 
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
@@ -562,21 +557,18 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
         )
         if full not in cones:
             cones[full] = Cone(
-                ambient_dim=h.dim,
                 rays=tuple(rays[i] for i in sorted(full)),
                 indices=tuple(sorted(full)),
             )
     zero = frozenset()
     if zero not in cones:
-        cones[zero] = Cone(ambient_dim=h.dim, rays=(), indices=())
+        cones[zero] = Cone(rays=(), indices=())
 
     maximal = [frozenset(t) for t in inc]
-    markers = {frozenset(t): vert for t, vert in zip(inc, v.vertices)}
     return Fan(
         rays=rays,
         cones=cones,
         maximal=maximal,
-        markers=markers,
         vertices=v.vertices,
         rec_rays=v.rays,
         facet_ray_zero=facet_ray_zero,

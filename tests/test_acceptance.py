@@ -191,7 +191,7 @@ def test_05_benchmark_fan(example_tp, example_fan):
 def test_06_first_representation(example_quiver, example_fan):
     t0 = time.perf_counter()
     rep = distinguished_rep(
-        example_quiver, golden.EXAMPLE_THETA, golden.W_A, fan=example_fan
+        example_quiver, golden.EXAMPLE_THETA, golden.W_A, fan=example_fan.fan
     )
     assert rep.b == golden.B_A
     assert rep.value == golden.VALUE_A
@@ -203,7 +203,7 @@ def test_06_first_representation(example_quiver, example_fan):
 def test_07_second_representation(example_quiver, example_fan):
     t0 = time.perf_counter()
     rep = distinguished_rep(
-        example_quiver, golden.EXAMPLE_THETA, golden.W_B, fan=example_fan
+        example_quiver, golden.EXAMPLE_THETA, golden.W_B, fan=example_fan.fan
     )
     assert rep.b == golden.B_B
     assert len(rep.tight) == 18

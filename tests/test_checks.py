@@ -10,7 +10,7 @@ import pytest
 from conftest import SUITE_GROUPS
 from flow_oracle import flow_images_up_to
 import mckay_moduli
-from mckay_moduli import build_group, build_quiver
+from mckay_moduli import build_group, build_quiver, groups
 from mckay_moduli.checks import (
     random_parameter,
     run_all,
@@ -57,6 +57,22 @@ def test_cycle_type_identification_bound_six():
 def test_closed_walks_random_kernel_vectors():
     q = build_quiver(build_group([7], [[1, 2]]))
     verify_closed_walks(q, trials=25, seed=3)
+
+
+def test_closed_walks_reach_the_connector(monkeypatch):
+    # the connector between components is the only unit-cost flow the walk
+    # decomposition solves
+    connector_flows = []
+    kernel = groups.min_cost_flow
+
+    def counting(quiver, theta, cost):
+        if all(c == 1 for c in cost):
+            connector_flows.append(theta)
+        return kernel(quiver, theta, cost)
+
+    monkeypatch.setattr(groups, "min_cost_flow", counting)
+    verify_closed_walks(build_quiver(build_group([13], [[1, 3, 9]])), trials=10, seed=1)
+    assert len(connector_flows) >= 1
 
 
 def test_random_parameter_sums_to_zero():

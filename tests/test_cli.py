@@ -6,7 +6,13 @@ import pytest
 import golden
 from mckay_moduli import cli
 from mckay_moduli.cli import main, parse_group_spec
-from mckay_moduli.errors import GroupSpecError, PolyhedronError, UnknownMethod
+from mckay_moduli.errors import (
+    GroupSpecError,
+    InputError,
+    ModuliError,
+    PolyhedronError,
+    UnknownMethod,
+)
 
 
 def run_cli(capsys, *argv):
@@ -142,9 +148,7 @@ def test_fan_theta_zero_single_cone(capsys):
 
 
 def test_lifted_and_oracle_documents_identical(capsys):
-    rc1, out1, _ = run_cli(
-        capsys, "fan", "--group", "1/3(1,1,1)", "--theta", "-2,1,1", "--oracle"
-    )
+    rc1, out1, _ = run_cli(capsys, "fan", "--group", "1/3(1,1,1)", "--theta", "-2,1,1")
     rc2, out2, _ = run_cli(
         capsys, "fan", "--group", "1/3(1,1,1)", "--theta", "-2,1,1", "--lifted"
     )
@@ -282,3 +286,55 @@ def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch, error):
     assert rc == 1
     assert out == ""
     assert err == "internal error: precondition failed\n"
+
+
+def test_input_error_classes():
+    names = {cls.__name__ for cls in InputError.__subclasses__()}
+    assert names == {
+        "BadShape",
+        "BadTheta",
+        "GroupSpecError",
+        "NegativeW",
+        "NonGenerating",
+        "NotInM",
+        "OutsideSupport",
+        "TrivialGroup",
+    }
+
+
+@pytest.mark.parametrize(
+    "error", [InputError] + InputError.__subclasses__(), ids=lambda cls: cls.__name__
+)
+def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, error):
+    def broken(group):
+        raise error("malformed input")
+
+    monkeypatch.setattr(cli, "build_quiver", broken)
+    rc, out, err = run_cli(capsys, "quiver", "--group", "1/7(1,2)")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: malformed input\n"
+
+
+def test_bare_moduli_error_is_internal(capsys, monkeypatch):
+    def broken(group):
+        raise ModuliError("inconsistent state")
+
+    monkeypatch.setattr(cli, "build_quiver", broken)
+    rc, out, err = run_cli(capsys, "quiver", "--group", "1/7(1,2)")
+    assert rc == 1
+    assert out == ""
+    assert err == "internal error: inconsistent state\n"
+
+
+def test_negative_chart_bound_is_input_error(capsys):
+    rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: chart bound must be nonnegative\n"
+
+
+def test_oracle_flag_is_gone(capsys):
+    rc, out, _ = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb", "--oracle")
+    assert rc == 2
+    assert out == ""

@@ -32,7 +32,7 @@ from mckay_moduli import (
 )
 from mckay_moduli import polyhedra
 from mckay_moduli.cli import main
-from mckay_moduli.groups import AbelianGroupData
+from mckay_moduli.groups import AbelianGroupData, integral_theta
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
 from mckay_moduli.moduli import _check_relations, _l1_ball
@@ -59,6 +59,25 @@ def test_stability_parameter_validates():
         stability_parameter(q, (1, 1))
     with pytest.raises(BadTheta):
         stability_parameter(q, (0,))
+
+
+@pytest.mark.parametrize(
+    "theta", [(0,), (1, -1, 0), (1, 1), (Fraction(1, 2), Fraction(1, 3)), (3, -2)]
+)
+def test_stability_parameter_and_integral_theta_share_messages(theta):
+    # integral inputs fail both validations with the same message; the
+    # rational one fails only by its sum, which stability_parameter rescales
+    q = quiver([2], [[1, 1]])
+    with pytest.raises(BadTheta) as direct:
+        stability_parameter(q, theta)
+    cleared = [x * 6 for x in theta]
+    with pytest.raises(BadTheta) as shared:
+        integral_theta(q, cleared)
+    assert str(direct.value) == str(shared.value)
+    assert str(direct.value) in (
+        f"parameter has length {len(theta)}, expected 2",
+        "parameter entries must sum to zero",
+    )
 
 
 def test_theta_polyhedron_zero_is_orthant():
@@ -266,8 +285,8 @@ def test_distinguished_rep_same_cone_same_b():
     rays = [tf.fan.rays[i] for i in sorted(cone)]
     w1 = tuple(sum(r[j] for r in rays) for j in range(3))
     w2 = tuple(sum((k + 1) * r[j] for k, r in enumerate(rays)) for j in range(3))
-    rep1 = distinguished_rep(q, golden.W1_THETA, w1, fan=tf)
-    rep2 = distinguished_rep(q, golden.W1_THETA, w2, fan=tf)
+    rep1 = distinguished_rep(q, golden.W1_THETA, w1, fan=tf.fan)
+    rep2 = distinguished_rep(q, golden.W1_THETA, w2, fan=tf.fan)
     assert frozenset(rep1.cone.indices) == frozenset(cone)
     assert frozenset(rep2.cone.indices) == frozenset(cone)
     assert rep1.b == rep2.b

@@ -501,7 +501,7 @@ def test_fan_cone_lookup():
     v = h_to_v(SQUARE)
     fan = normal_fan(SQUARE, v)
     for cone_key in fan.cones:
-        cone = fan.cone(cone_key)
+        cone = fan.cones[cone_key]
         assert frozenset(cone.indices) == cone_key
 
 
