@@ -57,16 +57,25 @@ def verify_theta_routing(quiver: McKayQuiver, trials: int = 20, seed: int = 0) -
 def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) -> None:
     """Kernel vectors of the vertex incidence matrix decompose into one closed walk.
 
-    Odd trials (when n > 1) add two random commutation vectors, whose supports
-    can lie apart, so that the walk's connector runs too.
+    Odd trials (when n > 1) add two random commutation vectors, the second
+    drawn from those whose vertex sets miss the first's whenever there are
+    any, so that the walk's connector runs too.
     """
     rng = random.Random(seed)
     inc = incidence_matrices(quiver)
     basis = kernel_basis(inc.b)
     squares = kernel_generators_cij(quiver)
+    arrows = quiver.arrows
+    touched = [
+        {v for k, x in enumerate(sq) if x for v in (arrows[k].tail, arrows[k].head)}
+        for sq in squares
+    ]
     for t in range(trials):
         if t % 2 and squares:
-            u = [a + b for a, b in zip(rng.choice(squares), rng.choice(squares))]
+            i = rng.randrange(len(squares))
+            apart = [j for j, vs in enumerate(touched) if vs.isdisjoint(touched[i])]
+            j = rng.choice(apart) if apart else rng.randrange(len(squares))
+            u = [a + b for a, b in zip(squares[i], squares[j])]
         else:
             u = [0] * quiver.num_arrows
             for vec in basis:
@@ -82,7 +91,6 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) ->
         if not walk:
             continue
         first = walk[0]
-        arrows = quiver.arrows
         cur = arrows[first[0]].tail if first[1] > 0 else arrows[first[0]].head
         start = cur
         for k, sign in walk:

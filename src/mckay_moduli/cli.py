@@ -345,10 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write(path: str, text: str) -> None:
+    # Only a path that cannot be opened is malformed input; a failure while
+    # writing an opened file (disk full, I/O error) is not.
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with fh:
+        fh.write(text)
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -451,8 +461,7 @@ def _dispatch(args) -> int:
                 )
                 return 3
             title = f"{args.group.strip()} theta={','.join(_qvec(param.theta))}"
-            with open(args.svg, "w") as fh:
-                fh.write(render_fan_svg(tf, title))
+            _write(args.svg, render_fan_svg(tf, title))
         if args.format == "text":
             _emit(args, _fan_text(tf))
             return 0

@@ -59,9 +59,6 @@ class AbelianGroupData:
     def inv(self, a) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.orders))
 
-    def power(self, a, e: int) -> tuple[int, ...]:
-        return tuple((x * e) % m for x, m in zip(a, self.orders))
-
     def deg(self, m) -> tuple[int, ...]:
         """Character of the monomial with exponent vector m (length n)."""
         if len(m) != self.n:
@@ -230,21 +227,6 @@ def kernel_generators_cij(quiver: McKayQuiver) -> list[tuple[int, ...]]:
         for k, sign in zip(square, (1, 1, -1, -1)):
             v[k] += sign
         out.append(tuple(v))
-    return out
-
-
-def binomial_pairs(vectors) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Split integer arrow vectors into (positive, negative) exponent parts.
-
-    Each pair (p, m) satisfies vector = p - m with p, m >= 0 and disjoint
-    supports; these are the exponents of the two monomials of the binomial
-    attached to the vector.
-    """
-    out = []
-    for v in vectors:
-        pos = tuple(x if x > 0 else 0 for x in v)
-        neg = tuple(-x if x < 0 else 0 for x in v)
-        out.append((pos, neg))
     return out
 
 

@@ -1,9 +1,10 @@
-"""Exact integer linear algebra: Hermite normal forms, ranks and kernels.
+"""Exact integer linear algebra: Hermite normal forms, ranks, kernels, independent rows.
 
-All routines work on sequences of equal-length integer rows and never leave
-exact arithmetic.  The Hermite normal form used here is the row-style echelon
-form with positive pivots and entries above each pivot reduced into [0, pivot),
-which is a canonical representative of the row lattice.
+One echelon pass serves all four.  All routines work on sequences of
+equal-length integer rows and never leave exact arithmetic.  The Hermite
+normal form used here is the row-style echelon form with positive pivots and
+entries above each pivot reduced into [0, pivot), which is a canonical
+representative of the row lattice.
 """
 
 from __future__ import annotations
@@ -26,52 +27,49 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def row_hnf_with_transform(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form with a recording transform.
+def _echelon(rows, ncols=None) -> tuple[list[list[int]], list[int]]:
+    """Bring the first ncols columns (all by default) of integer rows into Hermite normal form.
 
-    Returns (h, u) where u is unimodular, u * rows == h, and h is in echelon
-    form with positive pivots and reduced entries above pivots.  Zero rows of
-    h sit at the bottom; the matching rows of u span the left kernel lattice
-    of the input.
+    Returns (h, pivots): h holds every input row after unimodular row
+    operations on whole rows, with positive pivots and the entries above each
+    pivot reduced into [0, pivot), and pivots lists the pivot columns.  The
+    rows past the last pivot row are zero in the first ncols columns; the
+    columns past ncols only carry along the same row operations.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
     h = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivot_row = 0
-    for col in range(n):
+    m = len(h)
+    if ncols is None:
+        ncols = len(h[0]) if m else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
         piv = None
-        for i in range(pivot_row, m):
+        for i in range(top, m):
             if h[i][col] == 0:
                 continue
             if piv is None:
                 piv = i
                 continue
-            a, b = h[piv][col], h[i][col]
-            g, x, y = ext_gcd(a, b)
-            p, q = a // g, b // g
             hp, hi = h[piv], h[i]
-            up, ui = u[piv], u[i]
-            h[piv] = [x * hp[k] + y * hi[k] for k in range(n)]
-            h[i] = [-q * hp[k] + p * hi[k] for k in range(n)]
-            u[piv] = [x * up[k] + y * ui[k] for k in range(m)]
-            u[i] = [-q * up[k] + p * ui[k] for k in range(m)]
+            g, x, y = ext_gcd(hp[col], hi[col])
+            p, q = hp[col] // g, hi[col] // g
+            h[piv] = [x * a + y * b for a, b in zip(hp, hi)]
+            h[i] = [p * b - q * a for a, b in zip(hp, hi)]
         if piv is None:
             continue
-        h[pivot_row], h[piv] = h[piv], h[pivot_row]
-        u[pivot_row], u[piv] = u[piv], u[pivot_row]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        p = h[pivot_row][col]
-        for i in range(pivot_row):
+        h[top], h[piv] = h[piv], h[top]
+        if h[top][col] < 0:
+            h[top] = [-a for a in h[top]]
+        prow = h[top]
+        p = prow[col]
+        for i in range(top):
             q = h[i][col] // p
             if q:
-                hp, up = h[pivot_row], u[pivot_row]
-                h[i] = [h[i][k] - q * hp[k] for k in range(n)]
-                u[i] = [u[i][k] - q * up[k] for k in range(m)]
-        pivot_row += 1
-    return h, u
+                h[i] = [a - q * b for a, b in zip(h[i], prow)]
+        pivots.append(col)
+    return h, pivots
 
 
 def row_hnf(rows) -> tuple[IntRow, ...]:
@@ -79,30 +77,42 @@ def row_hnf(rows) -> tuple[IntRow, ...]:
 
     Zero rows are dropped, so equal lattices give equal results.
     """
-    if not rows:
-        return ()
-    h, _ = row_hnf_with_transform(rows)
-    return tuple(tuple(r) for r in h if any(r))
+    h, pivots = _echelon(rows)
+    return tuple(tuple(r) for r in h[: len(pivots)])
 
 
 def int_rank(rows) -> int:
     """Rank of an integer matrix given as a sequence of rows."""
-    return len(row_hnf(rows))
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows) -> list[IntRow]:
     """Basis of the integer kernel lattice {x : rows * x = 0}.
 
     The input is an m x n matrix as rows; the result is a list of n-vectors
-    spanning all integer solutions.
+    spanning all integer solutions.  The echelon pass runs on [rows^T | I]
+    over the first m columns only: the identity block records its row
+    operations, and its rows that end zero on the left span the left kernel
+    of rows^T.
     """
     m = len(rows)
     if m == 0:
         return []
     n = len(rows[0])
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n)]
-    h, u = row_hnf_with_transform(cols)
-    return [tuple(u[i]) for i in range(n) if not any(h[i])]
+    aug = [[rows[i][j] for i in range(m)] + [int(k == j) for k in range(n)] for j in range(n)]
+    h, pivots = _echelon(aug, m)
+    return [tuple(r[m:]) for r in h[len(pivots) :]]
+
+
+def independent_rows(rows, base=()) -> list[int]:
+    """Indices of the rows that each raise the rank of base plus the rows kept so far.
+
+    These are the pivot columns past base of the echelon pass on the
+    transpose of [base; rows].
+    """
+    all_rows = [*base, *rows]
+    _, pivots = _echelon(list(zip(*all_rows)))
+    return [c - len(base) for c in pivots if c >= len(base)]
 
 
 def mat_vec(rows, v) -> list:

@@ -259,17 +259,6 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
     return ThetaFan(fan=fan, charts=charts)
 
 
-def min_total_flow(quiver: McKayQuiver, theta) -> int:
-    """Least total arrow multiplicity of a nonnegative flow routing theta.
-
-    Requires an integral parameter; the optimum is attained at an integer
-    flow because the vertex incidence matrix is totally unimodular.
-    """
-    th = integral_theta(quiver, theta)
-    _, _, value = min_cost_flow(quiver, th, [1] * quiver.num_arrows)
-    return value
-
-
 def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:
     """The parameter (1 - r, 1, ..., 1) whose moduli space is the orbit Hilbert scheme."""
     if quiver.r == 1:

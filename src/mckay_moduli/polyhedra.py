@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import le
 
 from .errors import CertificateError, MismatchedDescriptions, OutsideSupport, PolyhedronError
-from .intlinalg import int_rank, kernel_basis, row_hnf
+from .intlinalg import independent_rows, int_rank, kernel_basis, row_hnf
 
 Vec = tuple[int, ...]
 
@@ -104,30 +104,6 @@ class Cone:
         return int_rank(self.rays) if self.rays else 0
 
 
-def _greedy_basis(rows, base=(), limit=None):
-    """Indices of the rows that each raise the rank of base plus the rows kept so far.
-
-    One incremental fraction-free echelon pass: each row is reduced against
-    the kept echelon rows and kept when a nonzero remainder is left.  Stops
-    once limit rows are kept.
-    """
-    echelon: list[tuple[int, Vec]] = []
-    picked: list[int] = []
-    for idx, row in enumerate([*base, *rows], start=-len(base)):
-        if len(picked) == limit:
-            break
-        for c, prow in echelon:
-            if row[c]:
-                f, g = prow[c], row[c]
-                row = [f * x - g * y for x, y in zip(row, prow)]
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is not None:
-            echelon.append((c, _primitive(row)))
-            if idx >= 0:
-                picked.append(idx)
-    return picked
-
-
 def _initial_rays(mat):
     """Primitive integer columns of sign(det) * adj(mat) for a nonsingular integer matrix.
 
@@ -172,7 +148,7 @@ def _pointed_dd(rows, d):
     (positive, negative) index order, as a scan of every pair would.
     """
     work = [tuple(r) for r in rows if any(r)]
-    sel = _greedy_basis(work, limit=d)
+    sel = independent_rows(work)
     if len(sel) < d:
         raise PolyhedronError("cone is not pointed")
 
@@ -288,15 +264,10 @@ def cone_double_description(ineq_rows, eq_rows, dim):
         lin2 = kernel_basis(rows2)
     else:
         lin2 = _unit_rows(d2)
-    if lin2:
-        cols = _greedy_basis(_unit_rows(d2), base=lin2)
-        rows3 = [tuple(r[j] for j in cols) for r in rows2]
-        rows3 = [r for r in rows3 if any(r)]
-        d3 = len(cols)
-    else:
-        cols = list(range(d2))
-        rows3 = rows2
-        d3 = d2
+    cols = independent_rows(_unit_rows(d2), base=lin2)
+    rows3 = [tuple(r[j] for j in cols) for r in rows2]
+    rows3 = [r for r in rows3 if any(r)]
+    d3 = len(cols)
     if d3 and rows3:
         rays3 = _pointed_dd(rows3, d3)
     else:
@@ -388,8 +359,7 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     gen_rows = [_homogeneous(vert) for vert in v.vertices]
     gen_rows += [tuple(ray) + (0,) for ray in v.rays]
     eq_rows = [tuple(l) + (0,) for l in v.lineality]
-    rays, lineality = cone_double_description(gen_rows, eq_rows, d + 1)
-    eq_hnf = list(row_hnf(lineality)) if lineality else []
+    rays, eq_hnf = cone_double_description(gen_rows, eq_rows, d + 1)
     inequalities = []
     for z in rays:
         red = _primitive(_reduce_mod(z, eq_hnf))

@@ -14,6 +14,18 @@ SUITE_GROUPS = [
 ]
 
 
+def binomial_pairs(vectors):
+    """Split integer arrow vectors into (positive, negative) exponent parts.
+
+    Each pair (p, m) satisfies vector = p - m with p, m >= 0 and disjoint
+    supports; these are the exponents of the two monomials of the binomial
+    attached to the vector.
+    """
+    return [
+        (tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in vectors
+    ]
+
+
 def suite_quivers():
     return [(spec, build_quiver(build_group(orders, weights)))
             for spec, orders, weights in SUITE_GROUPS]

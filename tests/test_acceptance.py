@@ -20,10 +20,9 @@ import pytest
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS
+from conftest import SUITE_GROUPS, binomial_pairs
 from mckay_moduli import (
     HPolyhedron,
-    binomial_pairs,
     build_group,
     build_quiver,
     distinguished_rep,

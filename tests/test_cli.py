@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 from fractions import Fraction
 
@@ -338,3 +340,33 @@ def test_oracle_flag_is_gone(capsys):
     rc, out, _ = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb", "--oracle")
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (("quiver", "--group", "1/7(1,2)", "--output"), "missing/x.json"),
+        (("fan", "--group", "1/7(1,2,4)", "--ghilb", "--svg"), "missing/x.svg"),
+        (("quiver", "--group", "1/7(1,2)", "--output"), ""),
+    ],
+    ids=["output-in-missing-dir", "svg-in-missing-dir", "output-is-a-directory"],
+)
+def test_unwritable_path_exits_2_with_one_line(capsys, tmp_path, argv, target):
+    path = str(tmp_path / target)
+    rc, out, err = run_cli(capsys, *argv, path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_write_failure_after_open_is_not_malformed_input(monkeypatch, tmp_path):
+    # A full disk is not bad input: the error propagates instead of exiting 2.
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: FullFile(), raising=False)
+    with pytest.raises(OSError) as info:
+        main(["quiver", "--group", "1/7(1,2)", "--output", str(tmp_path / "x.json")])
+    assert info.value.errno == errno.ENOSPC

@@ -1,7 +1,15 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import suite_quivers
+from echelon_oracle import greedy_basis, kernel_basis_reference, row_hnf_reference
+from mckay_moduli import build_group, build_quiver, incidence_matrices
 from mckay_moduli.intlinalg import (
     ext_gcd,
+    independent_rows,
     int_rank,
     kernel_basis,
     mat_vec,
@@ -106,3 +114,70 @@ def test_int_rank():
 
 def test_mat_vec():
     assert list(mat_vec(((1, 2), (3, 4)), (5, 6))) == [17, 39]
+
+
+def _matrices(max_rows, max_cols):
+    """Integer matrices as row tuples, with zero rows and columns likely."""
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return st.integers(0, max_cols).flatmap(
+        lambda n: st.lists(st.tuples(*[entry] * n), max_size=max_rows)
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_matrices(6, 7))
+def test_echelon_pass_matches_reference(rows):
+    assert row_hnf(rows) == row_hnf_reference(rows)
+    assert int_rank(rows) == len(row_hnf_reference(rows))
+    # The kernel is the reference's transform rows, not their Hermite form.
+    assert kernel_basis(rows) == kernel_basis_reference(rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=4),
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=8),
+        )
+    )
+)
+def test_independent_rows_match_greedy_reference(case):
+    base, rows = case
+    assert independent_rows(rows, base=base) == greedy_basis(rows, base=base, limit=None)
+
+
+def test_echelon_edge_cases_match_reference():
+    for rows in ([], [()], [(), ()], [(0, 0)], [(0, 0), (0, 0)], [(0, 3), (0, 6)]):
+        assert row_hnf(rows) == row_hnf_reference(rows)
+        assert kernel_basis(rows) == kernel_basis_reference(rows)
+    assert independent_rows([]) == greedy_basis([], limit=None) == []
+    assert independent_rows([(0, 0), (0, 0)]) == greedy_basis([(0, 0), (0, 0)], limit=None) == []
+    assert independent_rows([(1, 0), (0, 1)], base=[(1, 1)]) == greedy_basis(
+        [(1, 0), (0, 1)], base=[(1, 1)], limit=None
+    )
+
+
+def test_kernel_basis_is_not_the_hermite_form_of_the_kernel():
+    # A full Hermite pass over [rows^T | I] would also reduce the identity
+    # block; the kernel must keep the transform rows as recorded.
+    rows = [(2, 3, 5)]
+    assert kernel_basis(rows) == kernel_basis_reference(rows) == [(-3, 2, 0), (5, -5, 1)]
+    assert row_hnf(kernel_basis(rows)) != tuple(kernel_basis(rows))
+
+
+QUIVERS = dict(suite_quivers())
+QUIVERS.update(
+    (f"1/{r}({w[0]},{w[1]},{w[2]})", build_quiver(build_group([r], [w])))
+    for r, w in ((7, [1, 2, 4]), (13, [1, 3, 9]))
+)
+
+
+@pytest.mark.parametrize("spec", sorted(QUIVERS))
+def test_quiver_incidence_elimination_matches_reference(spec):
+    quiver = QUIVERS[spec]
+    inc = incidence_matrices(quiver)
+    for mat in (inc.b, inc.c):
+        assert kernel_basis(mat) == kernel_basis_reference(mat)
+        assert row_hnf(mat) == row_hnf_reference(mat)
+        assert row_hnf(kernel_basis(mat)) == row_hnf_reference(kernel_basis_reference(mat))

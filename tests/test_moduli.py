@@ -24,7 +24,6 @@ from mckay_moduli import (
     h_to_v,
     incidence_matrices,
     locate_cone,
-    min_total_flow,
     moduli_fan,
     lifted_flow_polyhedron,
     stability_parameter,
@@ -32,6 +31,7 @@ from mckay_moduli import (
 )
 from mckay_moduli import polyhedra
 from mckay_moduli.cli import main
+from mckay_moduli.flow import min_cost_flow
 from mckay_moduli.groups import AbelianGroupData, integral_theta
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
@@ -177,6 +177,11 @@ def test_brute_force_images_match_polyhedron():
                 assert sum(c * x for c, x in zip(coeffs, m)) >= rhs
         for v in tp.v.vertices:
             assert tuple(int(x) for x in v) in images
+
+
+def min_total_flow(q, theta):
+    """Least total arrow multiplicity of a nonnegative flow routing theta."""
+    return min_cost_flow(q, integral_theta(q, theta), [1] * q.num_arrows)[2]
 
 
 def test_min_total_flow():

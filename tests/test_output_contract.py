@@ -1,0 +1,55 @@
+"""Documents of the benchmark's anchor jobs stay byte-identical.
+
+The outputs are the contract: each job below runs in process and the sha256
+of its standard output must equal the digest recorded when the document
+format was last settled.  A change that alters any of these documents has
+to say why and update the digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from mckay_moduli.cli import main
+
+GOLDEN_REP = ("rep", "--group", "1/11(1,2,8)", "--theta", "1,1,1,1,-7,-9,1,1,1,8,1")
+G13_REP = ("rep", "--group", "1/13(1,3,9)", "--ghilb", "-w", "13,7,1")
+CHECK_PASSED = "1615d78bac13ce80c2958bd4ef59b326ad5e1be5b366f8c6f8495cd895cc8a05"
+
+ANCHORS = [
+    (
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb"),
+        "c625979f4f6afbbd91ecb19657c6e851aae1cd68f866a171464de0d6c7b22111",
+    ),
+    (
+        ("fan", "--group", "1/13(1,3,9)", "--ghilb"),
+        "f35695a20ba4d0174164ae2b1858ce5e23086cf682b723dad40a3136570cec41",
+    ),
+    (
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb", "--lifted"),
+        "c625979f4f6afbbd91ecb19657c6e851aae1cd68f866a171464de0d6c7b22111",
+    ),
+    (
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "14"),
+        "341d562710fcc1d1be8c7670c863e50c0ad5f5387465f62f46ca285b3331d489",
+    ),
+    (
+        GOLDEN_REP + ("-w", "10,7,6"),
+        "694d43f3f2611dcfc0a04812b30e28b6289d5d83aedad960bcab6e0d40d9557f",
+    ),
+    (G13_REP, "6841d31e7f3d3e92589eee6f4bc18e01f4ea6ed37f6960bb19de4b3fee22720b"),
+    (
+        G13_REP + ("--single-optimizer",),
+        "57883b61d0f9a9b09a3a675ecc043bc44e17c6b95df6ff2a503a7cb97bd9790a",
+    ),
+    (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
+    (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ANCHORS, ids=[" ".join(a) for a, _ in ANCHORS])
+def test_anchor_document_digest(capsys, argv, digest):
+    rc = main(list(argv))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
