@@ -1,13 +1,17 @@
-"""Exact min-cost flows on the quiver by successive shortest paths.
+"""Exact min-cost flows on the quiver by the primal-dual method.
 
 Minimizes cost . u over the flow polyhedron {u >= 0 : b * u = theta}, where
 column k of b is +1 at head(k) and -1 at tail(k), for nonnegative integer
-arrow costs.  Dijkstra runs on reduced costs over the forward arrows, which
-are uncapacitated, and over the reverse of every arrow carrying flow; its
-distance labels accumulate into vertex potentials y, the optimal dual
-(Ahuja, Magnanti and Orlin, Network Flows, 1993, section 9.7).  Everything
-is plain int, and every result is returned only after its certificate has
-been checked.
+arrow costs (Ahuja, Magnanti and Orlin, Network Flows, 1993, section 9.8).
+Each phase runs one Dijkstra to completion from every vertex with flow left
+to send, on reduced costs over the forward arrows, which are uncapacitated,
+and over the reverse of every arrow carrying flow.  Its distances accumulate
+into vertex potentials y, the optimal dual; a vertex it does not reach gets
+the largest finite distance, which keeps every residual reduced cost
+nonnegative.  Every vertex with flow left to receive is then served along
+one BFS forest of residual arcs of zero reduced cost.  With a single source
+a solve is one phase.  Everything is plain int, and every result is
+returned only after its certificate has been checked.
 """
 
 import heapq
@@ -59,6 +63,8 @@ def min_cost_flow(quiver, theta, cost):
     cost = [int(c) for c in cost]
     theta = [int(t) for t in theta]
     r = quiver.r
+    tails = [a.tail for a in arrows]
+    heads = [a.head for a in arrows]
     out_arcs = [[] for _ in range(r)]
     in_arcs = [[] for _ in range(r)]
     for k, a in enumerate(arrows):
@@ -70,43 +76,66 @@ def min_cost_flow(quiver, theta, cost):
     excess = [-t for t in theta]
     while any(excess):
         dist = [None] * r
-        pred = [None] * r
         heap = [(0, v) for v in range(r) if excess[v] > 0]
         for _, v in heap:
             dist[v] = 0
-        target = None
         while heap:
             d, x = heapq.heappop(heap)
             if d > dist[x]:
                 continue
-            if excess[x] < 0:
-                target = x
-                break
-            steps = [(k, 1, arrows[k].head, cost[k]) for k in out_arcs[x]]
-            steps += [(k, -1, arrows[k].tail, -cost[k]) for k in in_arcs[x] if u[k]]
-            for k, sign, z, c in steps:
-                nd = d + c + y[x] - y[z]
+            base = d + y[x]
+            for k in out_arcs[x]:
+                z = heads[k]
+                nd = base + cost[k] - y[z]
                 if dist[z] is None or nd < dist[z]:
                     dist[z] = nd
-                    pred[z] = (k, sign)
                     heapq.heappush(heap, (nd, z))
-        if target is None:
+            for k in in_arcs[x]:
+                if u[k]:
+                    z = tails[k]
+                    nd = base - cost[k] - y[z]
+                    if dist[z] is None or nd < dist[z]:
+                        dist[z] = nd
+                        heapq.heappush(heap, (nd, z))
+        if all(dist[v] is None for v in range(r) if excess[v] < 0):
             raise NotOptimal("no nonnegative flow routes theta")
-        # Labels beyond the target are capped at its distance, which keeps
-        # every residual reduced cost nonnegative.
+        # Unreached labels are capped at the largest finite distance, which
+        # keeps every residual reduced cost nonnegative.
+        cap = max(d for d in dist if d is not None)
         for v in range(r):
-            y[v] += d if dist[v] is None else min(dist[v], d)
-        path = []
-        x = target
-        while pred[x] is not None:
-            k, sign = pred[x]
-            path.append((k, sign))
-            x = arrows[k].tail if sign > 0 else arrows[k].head
-        delta = min([excess[x], -excess[target]] + [u[k] for k, s in path if s < 0])
-        for k, sign in path:
-            u[k] += sign * delta
-        excess[x] -= delta
-        excess[target] += delta
+            y[v] += cap if dist[v] is None else dist[v]
+        # BFS forest over the residual arcs of zero reduced cost; every
+        # reached vertex lies in it, along its shortest path.
+        pred = [None] * r
+        seen = [e > 0 for e in excess]
+        order = [v for v in range(r) if seen[v]]
+        for x in order:
+            for k in out_arcs[x]:
+                z = heads[k]
+                if not seen[z] and cost[k] + y[x] == y[z]:
+                    seen[z], pred[z] = True, (k, 1)
+                    order.append(z)
+            for k in in_arcs[x]:
+                z = tails[k]
+                if not seen[z] and u[k]:
+                    seen[z], pred[z] = True, (k, -1)
+                    order.append(z)
+        for target in order:
+            if excess[target] >= 0:
+                continue
+            path = []
+            x = target
+            while pred[x] is not None:
+                k, sign = pred[x]
+                path.append((k, sign))
+                x = tails[k] if sign > 0 else heads[k]
+            delta = min([excess[x], -excess[target]] + [u[k] for k, s in path if s < 0])
+            if not delta:
+                continue
+            for k, sign in path:
+                u[k] += sign * delta
+            excess[x] -= delta
+            excess[target] += delta
     value = sum(c * f for c, f in zip(cost, u))
     check_certificate(quiver, theta, cost, u, y, value)
     return tuple(u), tuple(y), value

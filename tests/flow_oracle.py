@@ -9,10 +9,16 @@ forests whose components each route theta with strictly positive flow, and
 they can be counted with a rooted-tree dynamic program over vertex subsets,
 with no polyhedral computation at all.  These oracles certify the double
 description output on lifted flow polyhedra; flow_images_up_to enumerates
-the types of all small flows by brute force.
+the types of all small flows by brute force.  min_cost_flow_ssp is the
+successive-shortest-paths kernel that mckay_moduli.flow used before its
+primal-dual phases, kept as their reference.
 """
 
+import heapq
 from fractions import Fraction
+
+from mckay_moduli.errors import BadTheta, CertificateError, NotOptimal
+from mckay_moduli.flow import check_certificate
 
 
 def _flow_balance(quiver, u):
@@ -218,3 +224,70 @@ def flow_images_up_to(quiver, theta, bound: int):
 
     rec(0, bound)
     return out
+
+
+def min_cost_flow_ssp(quiver, theta, cost):
+    """Return (u, y, value): an optimal integer flow, its potentials and cost . u.
+
+    theta is an integer vector summing to zero and cost holds one nonnegative
+    integer per arrow.  Raises NotOptimal when no flow routes theta.
+    """
+    arrows = quiver.arrows
+    if len(theta) != quiver.r or any(int(t) != t for t in theta):
+        raise BadTheta("flow parameter must be integral, one entry per vertex")
+    if len(cost) != len(arrows) or any(int(c) != c or c < 0 for c in cost):
+        raise CertificateError("flow costs must be nonnegative integers")
+    cost = [int(c) for c in cost]
+    theta = [int(t) for t in theta]
+    r = quiver.r
+    out_arcs = [[] for _ in range(r)]
+    in_arcs = [[] for _ in range(r)]
+    for k, a in enumerate(arrows):
+        out_arcs[a.tail].append(k)
+        in_arcs[a.head].append(k)
+    u = [0] * len(arrows)
+    y = [0] * r
+    # excess > 0: flow still to leave the vertex; < 0: flow still to arrive
+    excess = [-t for t in theta]
+    while any(excess):
+        dist = [None] * r
+        pred = [None] * r
+        heap = [(0, v) for v in range(r) if excess[v] > 0]
+        for _, v in heap:
+            dist[v] = 0
+        target = None
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > dist[x]:
+                continue
+            if excess[x] < 0:
+                target = x
+                break
+            steps = [(k, 1, arrows[k].head, cost[k]) for k in out_arcs[x]]
+            steps += [(k, -1, arrows[k].tail, -cost[k]) for k in in_arcs[x] if u[k]]
+            for k, sign, z, c in steps:
+                nd = d + c + y[x] - y[z]
+                if dist[z] is None or nd < dist[z]:
+                    dist[z] = nd
+                    pred[z] = (k, sign)
+                    heapq.heappush(heap, (nd, z))
+        if target is None:
+            raise NotOptimal("no nonnegative flow routes theta")
+        # Labels beyond the target are capped at its distance, which keeps
+        # every residual reduced cost nonnegative.
+        for v in range(r):
+            y[v] += d if dist[v] is None else min(dist[v], d)
+        path = []
+        x = target
+        while pred[x] is not None:
+            k, sign = pred[x]
+            path.append((k, sign))
+            x = arrows[k].tail if sign > 0 else arrows[k].head
+        delta = min([excess[x], -excess[target]] + [u[k] for k, s in path if s < 0])
+        for k, sign in path:
+            u[k] += sign * delta
+        excess[x] -= delta
+        excess[target] += delta
+    value = sum(c * f for c, f in zip(cost, u))
+    check_certificate(quiver, theta, cost, u, y, value)
+    return tuple(u), tuple(y), value

@@ -1,8 +1,10 @@
+import heapq
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import golden
 from conftest import suite_quivers
+from flow_oracle import min_cost_flow_ssp
 from mckay_moduli import (
     BadTheta,
     CertificateError,
@@ -18,6 +21,7 @@ from mckay_moduli import (
     build_quiver,
     incidence_matrices,
 )
+from mckay_moduli import flow
 from mckay_moduli.flow import check_certificate, min_cost_flow
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LpOptimal, simplex_standard
@@ -45,6 +49,65 @@ def test_kernel_matches_simplex(program):
     res = simplex_standard(b, theta, cost)
     assert isinstance(res, LpOptimal)
     assert value == res.value
+
+
+REFERENCE_QUIVERS = QUIVERS + [build_quiver(build_group([13], [[1, 3, 9]]))]
+
+
+@st.composite
+def reference_programs(draw):
+    """A multi-source theta and costs with zeros and ties, on a quiver or a part of it.
+
+    Dropping about a quarter of the arrows leaves vertices that a phase
+    cannot reach, and some theta that cannot be routed at all.
+    """
+    q = draw(st.sampled_from(REFERENCE_QUIVERS))
+    if draw(st.booleans()):
+        drop = draw(st.lists(st.integers(0, 3), min_size=q.num_arrows, max_size=q.num_arrows))
+        q = SimpleNamespace(r=q.r, arrows=tuple(a for a, d in zip(q.arrows, drop) if d))
+    head = draw(st.lists(st.integers(-6, 6), min_size=q.r - 1, max_size=q.r - 1))
+    theta = tuple(head) + (-sum(head),)
+    top = draw(st.sampled_from([1, 5]))
+    cost = draw(st.lists(st.integers(0, top), min_size=len(q.arrows), max_size=len(q.arrows)))
+    return q, theta, cost
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(reference_programs())
+def test_kernel_matches_successive_shortest_paths(program):
+    q, theta, cost = program
+    try:
+        expected = min_cost_flow_ssp(q, theta, cost)
+    except NotOptimal:
+        with pytest.raises(NotOptimal):
+            min_cost_flow(q, theta, cost)
+        return
+    got = min_cost_flow(q, theta, cost)
+    assert got[2] == expected[2]
+    for u, y, value in (got, expected):
+        check_certificate(q, theta, cost, u, y, value)
+
+
+def test_single_source_solve_is_one_phase(monkeypatch):
+    # One phase is one Dijkstra over the residual graph of the zero flow:
+    # at most one pop for the source and one per improving arrow.
+    q = build_quiver(build_group([61], [[1, 11, 49]]))
+    theta = (1 - q.r,) + (1,) * (q.r - 1)
+    pops = []
+
+    def heappop(heap):
+        pops[-1] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(flow, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+    for cost in (
+        [1] * q.num_arrows,
+        [0] * q.num_arrows,
+        [(3 * k) % 7 for k in range(q.num_arrows)],
+    ):
+        pops.append(0)
+        min_cost_flow(q, theta, cost)
+    assert max(pops) <= q.r + q.num_arrows == 244
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +202,8 @@ def test_certificate_checks_survive_optimize_flag():
         ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--lifted"],
         ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "6"],
         ["rep", "--group", "1/11(1,2,8)", "--theta", theta, "--w", w],
+        # generic theta with five sources: each of its solves takes 3-4 phases
+        ["fan", "--group", "1/13(1,3,9)", "--theta", "-38,-12,14,14,-12,1,14,1,14,14,-12,14,-12"],
     ):
         argv = ["-m", "mckay_moduli.cli", *args]
         plain = subprocess.run(

@@ -14,6 +14,8 @@ from mckay_moduli.cli import main
 
 GOLDEN_REP = ("rep", "--group", "1/11(1,2,8)", "--theta", "1,1,1,1,-7,-9,1,1,1,8,1")
 G13_REP = ("rep", "--group", "1/13(1,3,9)", "--ghilb", "-w", "13,7,1")
+# A generic theta on 1/13 with five sources: its flows take several phases.
+GENERIC_13 = "-38,-12,14,14,-12,1,14,1,14,14,-12,14,-12"
 CHECK_PASSED = "1615d78bac13ce80c2958bd4ef59b326ad5e1be5b366f8c6f8495cd895cc8a05"
 
 ANCHORS = [
@@ -41,6 +43,18 @@ ANCHORS = [
     (
         G13_REP + ("--single-optimizer",),
         "57883b61d0f9a9b09a3a675ecc043bc44e17c6b95df6ff2a503a7cb97bd9790a",
+    ),
+    (
+        ("fan", "--group", "1/61(1,11,49)", "--ghilb"),
+        "135f81115ebba68b275c8c3935100962d3cda5cfae3cad66cc90668636fa4604",
+    ),
+    (
+        ("fan",) + GOLDEN_REP[1:],
+        "6d4f89ee62e992620ed4b06a576cd0fb3c0dfc82ca438f21c3838bd234c52f9f",
+    ),
+    (
+        ("fan", "--group", "1/13(1,3,9)", "--theta", GENERIC_13),
+        "cd1c8831d7efed73d553e280eac9343eb6ac46fee19f50745045664cd44ba657",
     ),
     (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
     (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
