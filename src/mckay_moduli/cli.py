@@ -24,6 +24,7 @@ from .moduli import (
     stability_parameter,
     theta_polyhedron,
 )
+from .polyhedra import locate_cone
 
 _INT = re.compile(r"[+-]?\d+")
 
@@ -149,7 +150,7 @@ def _fan_block(tf):
     fan = tf.fan
     block = {
         "rays": [list(r) for r in fan.rays],
-        "maximal_cones": [sorted(c) for c in fan.maximal],
+        "maximal_cones": [list(c.indices) for c in fan.cones],
         "markers": [_qvec(v) for v in fan.vertices],
     }
     if tf.charts is not None:
@@ -166,7 +167,7 @@ def _fan_block(tf):
     return block
 
 
-def _rep_block(rep):
+def _rep_block(rep, cone):
     return {
         "w": _qvec(rep.w),
         "v": _qvec(rep.point),
@@ -175,9 +176,9 @@ def _rep_block(rep):
         "tight_set": sorted(rep.tight),
         "mode": rep.mode,
         "cone": {
-            "ray_indices": list(rep.cone.indices),
-            "rays": [list(r) for r in rep.cone.rays],
-            "dim": rep.cone.dim,
+            "ray_indices": list(cone.indices),
+            "rays": [list(r) for r in cone.rays],
+            "dim": cone.dim,
         },
     }
 
@@ -217,8 +218,8 @@ def render_fan_svg(tf, title: str) -> str:
         f'<title>{title}</title>',
         '<rect width="640" height="620" fill="white"/>',
     ]
-    for idx, cone in enumerate(fan.maximal):
-        cpts = [pts[i] for i in sorted(cone)]
+    for idx, cone in enumerate(fan.cones):
+        cpts = [pts[i] for i in cone.indices]
         cx = sum(p[0] for p in cpts) / len(cpts)
         cy = sum(p[1] for p in cpts) / len(cpts)
         ordered = sorted(cpts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
@@ -268,9 +269,9 @@ def _fan_text(tf) -> str:
     lines = []
     for i, r in enumerate(fan.rays):
         lines.append(f"ray {i}: {tuple(r)}")
-    for cone, vert in zip(fan.maximal, fan.vertices):
+    for cone, vert in zip(fan.cones, fan.vertices):
         lines.append(
-            f"maximal cone {sorted(cone)} at vertex {tuple(int(x) for x in vert)}"
+            f"maximal cone {list(cone.indices)} at vertex {tuple(int(x) for x in vert)}"
         )
     if tf.charts is not None:
         for ch in tf.charts:
@@ -282,12 +283,12 @@ def _fan_text(tf) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rep_text(rep) -> str:
+def _rep_text(rep, cone) -> str:
     lines = [
         "b = " + "".join(str(x) for x in rep.b),
         f"tight set: {sorted(rep.tight)}",
         f"optimal value: {rep.value}",
-        f"cone rays: {[tuple(r) for r in rep.cone.rays]}",
+        f"cone rays: {[tuple(r) for r in cone.rays]}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -451,15 +452,15 @@ def _dispatch(args) -> int:
         method = "lifted" if args.lifted else "oracle"
         if args.charts is not None and args.charts < 0:
             raise InputError("chart bound must be nonnegative")
+        if args.svg is not None and quiver.n != 3:
+            print(
+                "error: the SVG cross-section is only defined for 3 coordinates",
+                file=sys.stderr,
+            )
+            return 3
         tp = theta_polyhedron(quiver, param, method=method)
         tf = moduli_fan(tp, charts_bound=args.charts)
         if args.svg is not None:
-            if quiver.n != 3:
-                print(
-                    "error: the SVG cross-section is only defined for 3 coordinates",
-                    file=sys.stderr,
-                )
-                return 3
             title = f"{args.group.strip()} theta={','.join(_qvec(param.theta))}"
             _write(args.svg, render_fan_svg(tf, title))
         if args.format == "text":
@@ -478,21 +479,16 @@ def _dispatch(args) -> int:
     if args.cmd == "rep":
         tp = theta_polyhedron(quiver, param, method="oracle")
         tf = moduli_fan(tp)
-        rep = distinguished_rep(
-            quiver,
-            param,
-            args.w,
-            single_optimizer=args.single_optimizer,
-            fan=tf.fan,
-        )
+        rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
+        cone = locate_cone(tf.fan, rep.w)
         if args.format == "text":
-            _emit(args, _rep_text(rep))
+            _emit(args, _rep_text(rep, cone))
             return 0
         doc = {
             "schema": SCHEMA,
             "group": _group_block(args.group, group),
             "theta": _qvec(param.theta),
-            "rep": _rep_block(rep),
+            "rep": _rep_block(rep, cone),
         }
         _emit(args, _dump(doc))
         return 0

@@ -25,13 +25,11 @@ from .groups import (
     theta_decompose,
 )
 from .polyhedra import (
-    Cone,
     Fan,
     HPolyhedron,
     VPolyhedron,
     _clear_denominators,
     h_to_v,
-    locate_cone,
     normal_fan,
     project,
     v_to_h,
@@ -205,8 +203,9 @@ def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, ball: li
     if any(x.denominator != 1 for x in vert):
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
-    tight = sorted(fan.maximal[vidx])
-    cone_rows = [tuple(tp.h.inequalities[i][0]) for i in tight]
+    # The cone's rays are positive multiples of its tight inequality rows,
+    # and only the signs of dot products with them are read.
+    cone_rows = fan.cones[vidx].rays
     gens = []
     extra = []
     for q in ball:
@@ -272,8 +271,7 @@ class DistinguishedRep:
 
     b has one 0/1 entry per arrow; tight lists the arrow indices with b = 1.
     point is the greatest optimal potential vector with v_0 = 0 and value the
-    optimal objective theta . v.  cone, when located, is the fan cone whose
-    relative interior contains w.
+    optimal objective theta . v.
     """
 
     w: tuple
@@ -282,7 +280,6 @@ class DistinguishedRep:
     point: tuple
     value: Fraction
     mode: str
-    cone: Cone | None = None
 
 
 def _check_relations(quiver: McKayQuiver, b) -> None:
@@ -335,7 +332,7 @@ def _greatest_potential(quiver: McKayQuiver, cost, tight) -> list:
 
 
 def distinguished_rep(
-    quiver: McKayQuiver, theta, w, single_optimizer: bool = False, fan=None
+    quiver: McKayQuiver, theta, w, single_optimizer: bool = False
 ) -> DistinguishedRep:
     """Compute which arrow maps are nonzero in the representation for (theta, w).
 
@@ -368,6 +365,5 @@ def distinguished_rep(
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)
     value = sum(t * v for t, v in zip(param.theta, point))
-    cone = locate_cone(fan, wq) if fan is not None else None
     mode = "single" if single_optimizer else "face"
-    return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode, cone=cone)
+    return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode)

@@ -16,7 +16,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import le
 
-from .errors import CertificateError, MismatchedDescriptions, OutsideSupport, PolyhedronError
+from .errors import (
+    BadShape,
+    CertificateError,
+    MismatchedDescriptions,
+    OutsideSupport,
+    PolyhedronError,
+)
 from .intlinalg import independent_rows, int_rank, kernel_basis, row_hnf
 
 Vec = tuple[int, ...]
@@ -92,12 +98,11 @@ class VPolyhedron:
 class Cone:
     """Polyhedral cone spanned by primitive integer rays.
 
-    indices, when set, point into the ray list of the fan that produced the
-    cone.
+    indices point into the ray list of the fan that produced the cone.
     """
 
     rays: tuple
-    indices: tuple = ()
+    indices: tuple
 
     @property
     def dim(self) -> int:
@@ -461,84 +466,51 @@ def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
     return out
 
 
+@dataclass(frozen=True)
 class Fan:
-    """Inner-normal fan of a full-dimensional pointed polyhedron.
+    """Inner-normal fan of a full-dimensional pointed polyhedron, by its maximal cones.
 
     Rays are the facet normals, indexed exactly like the inequalities of the
-    source H-description.  cones maps each frozenset of ray indices to its
-    Cone; maximal[j] is the index set of the cone of vertices[j].
+    source H-description.  cones[j] is the maximal cone of vertices[j],
+    spanned by the facets tight there.  facet_ray_zero[i] is the set of
+    indices of the recession rays rec_rays on which facet i's normal vanishes.
     """
 
-    def __init__(self, rays, cones, maximal, vertices, rec_rays, facet_ray_zero):
-        self.rays = rays
-        self.cones = cones
-        self.maximal = maximal
-        self.vertices = vertices
-        self.rec_rays = rec_rays
-        self._facet_ray_zero = facet_ray_zero
+    rays: tuple
+    cones: tuple
+    vertices: tuple
+    rec_rays: tuple
+    facet_ray_zero: tuple
+
+
+def _fan_cone(rays, indices) -> Cone:
+    idx = tuple(sorted(indices))
+    return Cone(rays=tuple(rays[i] for i in idx), indices=idx)
 
 
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
-    """Fan of inner-normal cones of the faces of a polyhedron.
+    """Fan of inner-normal cones of a polyhedron: one maximal cone per vertex.
 
     Requires matching descriptions of a nonempty pointed full-dimensional
-    polyhedron (no equations, no lineality).
+    polyhedron (no equations, no lineality).  Every vertex must be a basic
+    point of h, so its tight facets span a full-dimensional cone.
     """
     if v.is_empty or v.lineality:
         raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
     if h.equations:
         raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
     inc = vertex_facet_incidence(h, v)
-    rays = [_clear_denominators(coeffs) for coeffs, _ in h.inequalities]
-    nfac = len(rays)
-    nv = len(v.vertices)
-    nr = len(v.rays)
     for tight in inc:
         if int_rank([tuple(h.inequalities[i][0]) for i in tight]) != h.dim:
             raise MismatchedDescriptions("vertex is not a basic point of the H-description")
-
-    facet_verts = [frozenset(j for j in range(nv) if i in inc[j]) for i in range(nfac)]
-    facet_ray_zero = [
-        frozenset(k for k in range(nr) if _dot(h.inequalities[i][0], v.rays[k]) == 0)
-        for i in range(nfac)
-    ]
-
-    # Faces are identified by (vertex set, ray set); every nonempty face is an
-    # intersection of facets, and the whole polyhedron is the empty intersection.
-    whole = (frozenset(range(nv)), frozenset(range(nr)))
-    faces = {whole}
-    atoms = [(facet_verts[i], facet_ray_zero[i]) for i in range(nfac)]
-    frontier = [a for a in atoms if a[0]]
-    faces.update(frontier)
-    while frontier:
-        new = []
-        for fv, fr in frontier:
-            for av, ar in atoms:
-                cand = (fv & av, fr & ar)
-                if cand[0] and cand not in faces:
-                    faces.add(cand)
-                    new.append(cand)
-        frontier = new
-
-    cones = {}
-    for fv, fr in faces:
-        full = frozenset(
-            i for i in range(nfac) if fv <= facet_verts[i] and fr <= facet_ray_zero[i]
-        )
-        if full not in cones:
-            cones[full] = Cone(
-                rays=tuple(rays[i] for i in sorted(full)),
-                indices=tuple(sorted(full)),
-            )
-    zero = frozenset()
-    if zero not in cones:
-        cones[zero] = Cone(rays=(), indices=())
-
-    maximal = [frozenset(t) for t in inc]
+    rays = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
+    facet_ray_zero = tuple(
+        frozenset(k for k, ray in enumerate(v.rays) if _dot(coeffs, ray) == 0)
+        for coeffs, _ in h.inequalities
+    )
     return Fan(
         rays=rays,
-        cones=cones,
-        maximal=maximal,
+        cones=tuple(_fan_cone(rays, tight) for tight in inc),
         vertices=v.vertices,
         rec_rays=v.rays,
         facet_ray_zero=facet_ray_zero,
@@ -549,21 +521,21 @@ def locate_cone(fan: Fan, w) -> Cone:
     """The fan cone whose relative interior contains the vector w.
 
     This is the inner-normal cone of the face of the source polyhedron on
-    which w is minimized; OutsideSupport is raised when the minimum does not
-    exist.
+    which w is minimized: its rays are the facets tight at every minimizing
+    vertex and zero on every recession ray where w is zero.  OutsideSupport
+    is raised when the minimum does not exist.
     """
     w = tuple(Fraction(x) for x in w)
+    dim = len(fan.vertices[0])
+    if len(w) != dim:
+        raise BadShape(f"vector has length {len(w)}, expected {dim}")
     for ray in fan.rec_rays:
         if _dot(w, ray) < 0:
             raise OutsideSupport("vector is negative on a recession direction")
     vals = [_dot(w, vert) for vert in fan.vertices]
     mn = min(vals)
-    argmin = [j for j, x in enumerate(vals) if x == mn]
-    zero_rays = frozenset(
-        k for k in range(len(fan.rec_rays)) if _dot(w, fan.rec_rays[k]) == 0
+    tight = frozenset.intersection(
+        *(frozenset(fan.cones[j].indices) for j, x in enumerate(vals) if x == mn)
     )
-    tight = frozenset.intersection(*(fan.maximal[j] for j in argmin))
-    full = frozenset(
-        i for i in tight if zero_rays <= fan._facet_ray_zero[i]
-    )
-    return fan.cones[full]
+    zero_rays = frozenset(k for k, ray in enumerate(fan.rec_rays) if _dot(w, ray) == 0)
+    return _fan_cone(fan.rays, (i for i in tight if zero_rays <= fan.facet_ray_zero[i]))

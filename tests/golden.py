@@ -137,3 +137,7 @@ W1_THETA = (-2, 1, 1)
 W1_VERTICES = frozenset({(3, 0, 0), (0, 3, 0), (0, 0, 3)})
 W1_INEQS = frozenset({((0, 0, 1), 0), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 1), 3)})
 W1_FAN_RAYS = frozenset({(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)})
+
+# A generic theta on 1/13(1,3,9) with five sources: its flows take several
+# phases.  Command-line form, as passed to --theta.
+GENERIC_13 = "-38,-12,14,14,-12,1,14,1,14,14,-12,14,-12"

@@ -30,6 +30,7 @@ from mckay_moduli import (
     h_to_v,
     incidence_matrices,
     kernel_generators_cij,
+    locate_cone,
     moduli_fan,
     project,
     theta_polyhedron,
@@ -174,40 +175,36 @@ def test_05_benchmark_fan(example_tp, example_fan):
     t0 = time.perf_counter()
     fan = example_fan.fan
     assert set(fan.rays) == golden.EXAMPLE_FAN_RAYS
-    assert len(fan.maximal) == 11
+    assert len(fan.cones) == 11
     label_of = {ineq: num for num, ineq in golden.EXAMPLE_INEQS.items()}
     row_label = [
         label_of[(tuple(int(c) for c in coeffs), int(rhs))]
         for coeffs, rhs in example_tp.h.inequalities
     ]
-    for j, cone in enumerate(fan.maximal):
+    for j, cone in enumerate(fan.cones):
         vert = tuple(int(x) for x in fan.vertices[j])
-        assert frozenset(row_label[i] for i in cone) == golden.EXAMPLE_TIGHT[vert]
+        assert frozenset(row_label[i] for i in cone.indices) == golden.EXAMPLE_TIGHT[vert]
     assert time.perf_counter() - t0 < 60.0
 
 
 @criterion(6, "first worked representation")
 def test_06_first_representation(example_quiver, example_fan):
     t0 = time.perf_counter()
-    rep = distinguished_rep(
-        example_quiver, golden.EXAMPLE_THETA, golden.W_A, fan=example_fan.fan
-    )
+    rep = distinguished_rep(example_quiver, golden.EXAMPLE_THETA, golden.W_A)
     assert rep.b == golden.B_A
     assert rep.value == golden.VALUE_A
-    assert set(rep.cone.rays) == golden.CONE_A
+    assert set(locate_cone(example_fan.fan, golden.W_A).rays) == golden.CONE_A
     assert time.perf_counter() - t0 < 5.0
 
 
 @criterion(7, "second worked representation")
 def test_07_second_representation(example_quiver, example_fan):
     t0 = time.perf_counter()
-    rep = distinguished_rep(
-        example_quiver, golden.EXAMPLE_THETA, golden.W_B, fan=example_fan.fan
-    )
+    rep = distinguished_rep(example_quiver, golden.EXAMPLE_THETA, golden.W_B)
     assert rep.b == golden.B_B
     assert len(rep.tight) == 18
     assert rep.value == golden.VALUE_B
-    assert set(rep.cone.rays) == golden.CONE_B
+    assert set(locate_cone(example_fan.fan, golden.W_B).rays) == golden.CONE_B
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -231,9 +228,9 @@ def test_09_weight_one_action():
     tf = moduli_fan(tp, charts_bound=6)
     fan = tf.fan
     assert set(fan.rays) == golden.W1_FAN_RAYS
-    assert len(fan.maximal) == 3
-    for cone in fan.maximal:
-        assert fan.rays.index((1, 1, 1)) in cone
+    assert len(fan.cones) == 3
+    for cone in fan.cones:
+        assert fan.rays.index((1, 1, 1)) in cone.indices
     assert all(ch.saturated_up_to_bound for ch in tf.charts)
     assert time.perf_counter() - t0 < 5.0
 

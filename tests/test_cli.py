@@ -99,6 +99,21 @@ def test_svg_requires_three_coordinates(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_svg_rejected_before_the_polyhedron_is_built(capsys, monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise AssertionError("theta_polyhedron ran for an SVG that cannot be drawn")
+
+    monkeypatch.setattr(cli, "theta_polyhedron", broken)
+    target = tmp_path / "fan.svg"
+    rc, out, err = run_cli(
+        capsys, "fan", "--group", "1/41(1,5,12,23)", "--ghilb", "--svg", str(target)
+    )
+    assert rc == 3
+    assert out == ""
+    assert err == "error: the SVG cross-section is only defined for 3 coordinates\n"
+    assert not target.exists()
+
+
 def test_svg_output(capsys, tmp_path):
     target = tmp_path / "fan.svg"
     rc, out, _ = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import flow_oracle
 import golden
 from conftest import SUITE_GROUPS, suite_quivers
+from fan_oracle import face_cones
 from mckay_moduli import (
     BadTheta,
     CertificateError,
@@ -156,7 +157,7 @@ def test_theta_polyhedron_resolution_of_a1():
     assert set(map(tuple, tp.v.vertices)) == {(1, 0), (0, 1)}
     assert set(tp.h.inequalities) == {((1, 0), 0), ((0, 1), 0), ((1, 1), 1)}
     tf = moduli_fan(tp)
-    rays_of = {frozenset(tf.fan.rays[i] for i in c) for c in tf.fan.maximal}
+    rays_of = {frozenset(c.rays) for c in tf.fan.cones}
     assert rays_of == {
         frozenset({(1, 0), (1, 1)}),
         frozenset({(0, 1), (1, 1)}),
@@ -286,14 +287,14 @@ def test_distinguished_rep_same_cone_same_b():
     tp = theta_polyhedron(q, golden.W1_THETA)
     tf = moduli_fan(tp)
     # two interior combinations of one maximal cone's rays
-    cone = tf.fan.maximal[0]
-    rays = [tf.fan.rays[i] for i in sorted(cone)]
+    cone = tf.fan.cones[0]
+    rays = cone.rays
     w1 = tuple(sum(r[j] for r in rays) for j in range(3))
     w2 = tuple(sum((k + 1) * r[j] for k, r in enumerate(rays)) for j in range(3))
-    rep1 = distinguished_rep(q, golden.W1_THETA, w1, fan=tf.fan)
-    rep2 = distinguished_rep(q, golden.W1_THETA, w2, fan=tf.fan)
-    assert frozenset(rep1.cone.indices) == frozenset(cone)
-    assert frozenset(rep2.cone.indices) == frozenset(cone)
+    rep1 = distinguished_rep(q, golden.W1_THETA, w1)
+    rep2 = distinguished_rep(q, golden.W1_THETA, w2)
+    assert locate_cone(tf.fan, w1).indices == cone.indices
+    assert locate_cone(tf.fan, w2).indices == cone.indices
     assert rep1.b == rep2.b
     assert rep1.tight == rep2.tight
 
@@ -360,11 +361,12 @@ def test_locate_cone_succeeds_on_random_w():
     q = w1_quiver()
     tp = theta_polyhedron(q, golden.W1_THETA)
     tf = moduli_fan(tp)
+    faces = face_cones(tp.h, tp.v)
     rng = random.Random(19)
     for _ in range(50):
         w = tuple(Fraction(rng.randrange(0, 40), rng.randrange(1, 5)) for _ in range(3))
         cone = locate_cone(tf.fan, w)
-        assert frozenset(cone.indices) in tf.fan.cones
+        assert faces.get(frozenset(cone.indices)) == cone
 
 
 def test_moduli_fan_weight_one_structure():
@@ -373,13 +375,13 @@ def test_moduli_fan_weight_one_structure():
     tf = moduli_fan(tp)
     fan = tf.fan
     assert set(fan.rays) == golden.W1_FAN_RAYS
-    assert len(fan.maximal) == 3
+    assert len(fan.cones) == 3
     big = fan.rays.index((1, 1, 1))
-    for cone in fan.maximal:
-        assert big in cone
-        assert len(cone) == 3
-    marker_of = {frozenset(c): tuple(int(x) for x in fan.vertices[j])
-                 for j, c in enumerate(fan.maximal)}
+    for cone in fan.cones:
+        assert big in cone.indices
+        assert len(cone.indices) == 3
+    marker_of = {frozenset(c.indices): tuple(int(x) for x in fan.vertices[j])
+                 for j, c in enumerate(fan.cones)}
     unit_of = {(3, 0, 0): (1, 0, 0), (0, 3, 0): (0, 1, 0), (0, 0, 3): (0, 0, 1)}
     for key, vert in marker_of.items():
         missing_unit = unit_of[vert]
@@ -429,14 +431,14 @@ def test_fan_support_covers_orthant_only(example_fan):
 
 def test_adjacent_vertices_share_wall(example_tp, example_fan):
     fan = example_fan.fan
-    maximal = fan.maximal
     shared = 0
-    for i in range(len(maximal)):
-        for j in range(i + 1, len(maximal)):
-            common = maximal[i] & maximal[j]
+    for i, ci in enumerate(fan.cones):
+        for cj in fan.cones[i + 1:]:
+            common = sorted(set(ci.indices) & set(cj.indices))
             if len(common) == 2:
-                assert common in fan.cones
-                wall = fan.cones[common]
+                w = tuple(sum(col) for col in zip(*(fan.rays[k] for k in common)))
+                wall = locate_cone(fan, w)
+                assert wall.indices == tuple(common)
                 assert wall.dim == 2
                 shared += 1
     assert shared >= 10

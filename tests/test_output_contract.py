@@ -10,12 +10,11 @@ import hashlib
 
 import pytest
 
+from golden import GENERIC_13
 from mckay_moduli.cli import main
 
 GOLDEN_REP = ("rep", "--group", "1/11(1,2,8)", "--theta", "1,1,1,1,-7,-9,1,1,1,8,1")
 G13_REP = ("rep", "--group", "1/13(1,3,9)", "--ghilb", "-w", "13,7,1")
-# A generic theta on 1/13 with five sources: its flows take several phases.
-GENERIC_13 = "-38,-12,14,14,-12,1,14,1,14,14,-12,14,-12"
 CHECK_PASSED = "1615d78bac13ce80c2958bd4ef59b326ad5e1be5b366f8c6f8495cd895cc8a05"
 
 ANCHORS = [
@@ -56,6 +55,14 @@ ANCHORS = [
         ("fan", "--group", "1/13(1,3,9)", "--theta", GENERIC_13),
         "cd1c8831d7efed73d553e280eac9343eb6ac46fee19f50745045664cd44ba657",
     ),
+    (
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "6", "--format", "text"),
+        "053cac27586ff8f82a7fae8f8d2bbd9fd1af6628e31a1462175478cdbd375b97",
+    ),
+    (
+        G13_REP + ("--format", "text"),
+        "cb0053ea83fc7f1b8be214234dc8e898c2baa6ec21dc8b1fc9dfc456cef641c9",
+    ),
     (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
     (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
 ]
@@ -67,3 +74,12 @@ def test_anchor_document_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fan_svg_digest(capsys, tmp_path):
+    target = tmp_path / "fan.svg"
+    rc = main(["fan", "--group", "1/13(1,3,9)", "--ghilb", "--svg", str(target)])
+    capsys.readouterr()
+    assert rc == 0
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "75ceaeca812f6fb560221f3e873f42f93ac1dc25267f57c38f0cee8331e7e79f"

@@ -6,18 +6,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import golden
 from dd_oracle import cone_double_description_dense, pointed_dd_scan
+from fan_oracle import face_cones
 
 from mckay_moduli import (
+    BadShape,
     HPolyhedron,
     MismatchedDescriptions,
     OutsideSupport,
     PolyhedronError,
     VPolyhedron,
+    build_group,
+    build_quiver,
+    ghilb_parameter,
     h_to_v,
     locate_cone,
     normal_fan,
     project,
+    theta_polyhedron,
     v_to_h,
     vertex_facet_incidence,
 )
@@ -440,20 +447,15 @@ def test_normal_fan_orthant():
     v = h_to_v(ORTHANT_2)
     fan = normal_fan(ORTHANT_2, v)
     assert set(fan.rays) == {(1, 0), (0, 1)}
-    assert len(fan.maximal) == 1
-    assert fan.maximal[0] == frozenset({0, 1})
-    assert frozenset() in fan.cones
-    assert len(fan.cones) == 4
+    assert len(fan.cones) == len(v.vertices) == 1
+    assert fan.cones[0].indices == (0, 1)
 
 
 def test_normal_fan_square():
     v = h_to_v(SQUARE)
     fan = normal_fan(SQUARE, v)
-    assert len(fan.maximal) == 4
-    assert len(fan.cones) == 9
-    rays_of = {
-        frozenset(fan.rays[i] for i in cone) for cone in fan.maximal
-    }
+    assert len(fan.cones) == len(v.vertices) == 4
+    rays_of = {frozenset(cone.rays) for cone in fan.cones}
     assert rays_of == {
         frozenset({(1, 0), (0, 1)}),
         frozenset({(0, 1), (-1, 0)}),
@@ -466,8 +468,7 @@ def test_normal_fan_translated_orthant():
     h = HPolyhedron(dim=2, inequalities=(((1, 0), 1), ((0, 1), 1)))
     v = h_to_v(h)
     fan = normal_fan(h, v)
-    assert len(fan.maximal) == 1
-    assert len(fan.cones) == 4
+    assert len(fan.cones) == len(v.vertices) == 1
     assert set(fan.rec_rays) == {(1, 0), (0, 1)}
 
 
@@ -510,12 +511,64 @@ def test_locate_cone_scaling_stability():
         assert cone.indices == scaled.indices
 
 
+def test_locate_cone_rejects_wrong_length():
+    fan = normal_fan(SQUARE, h_to_v(SQUARE))
+    for w in ((1,), (1, 1, -5)):
+        with pytest.raises(BadShape):
+            locate_cone(fan, w)
+
+
 def test_fan_cone_lookup():
     v = h_to_v(SQUARE)
     fan = normal_fan(SQUARE, v)
-    for cone_key in fan.cones:
-        cone = fan.cones[cone_key]
-        assert frozenset(cone.indices) == cone_key
+    for cone, tight in zip(fan.cones, vertex_facet_incidence(SQUARE, v), strict=True):
+        assert cone.indices == tuple(sorted(tight))
+        assert cone.rays == tuple(fan.rays[i] for i in cone.indices)
+
+
+def _theta_case(orders, weights, theta=None):
+    q = build_quiver(build_group(orders, weights))
+    tp = theta_polyhedron(q, ghilb_parameter(q) if theta is None else theta)
+    return tp.h, tp.v
+
+
+def _h_case(h):
+    return h, h_to_v(h)
+
+
+# (builder of matching (h, v), number of cones of the normal fan, zero cone included)
+FACE_CASES = {
+    "square": (lambda: _h_case(SQUARE), 9),
+    "orthant": (lambda: _h_case(ORTHANT_2), 4),
+    "translated-orthant": (
+        lambda: _h_case(HPolyhedron(dim=2, inequalities=(((1, 0), 1), ((0, 1), 1)))),
+        4,
+    ),
+    "golden-1/11(1,2,8)": (
+        lambda: _theta_case(golden.EXAMPLE_ORDERS, golden.EXAMPLE_WEIGHTS, golden.EXAMPLE_THETA),
+        38,
+    ),
+    "ghilb-1/7(1,2,4)": (lambda: _theta_case([7], [[1, 2, 4]]), 26),
+    "ghilb-1/13(1,3,9)": (lambda: _theta_case([13], [[1, 3, 9]]), 44),
+    "generic-1/13(1,3,9)": (
+        lambda: _theta_case([13], [[1, 3, 9]], tuple(map(int, golden.GENERIC_13.split(",")))),
+        44,
+    ),
+    "ghilb-2x2:1,0,1;0,1,1": (lambda: _theta_case([2, 2], [[1, 0, 1], [0, 1, 1]]), 20),
+}
+
+
+@pytest.mark.parametrize("case", FACE_CASES)
+def test_locate_cone_finds_every_face_cone(case):
+    build, count = FACE_CASES[case]
+    h, v = build()
+    fan = normal_fan(h, v)
+    faces = face_cones(h, v)
+    assert len(faces) == count
+    for cone in faces.values():
+        # The sum of a cone's rays lies in its relative interior.
+        w = tuple(sum(col) for col in zip(*cone.rays)) if cone.rays else (0,) * h.dim
+        assert locate_cone(fan, w) == cone
 
 
 def test_precondition_failures_raise_polyhedron_error():
