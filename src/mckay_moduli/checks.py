@@ -22,7 +22,7 @@ from .groups import (
     theta_decompose,
 )
 from .intlinalg import kernel_basis, mat_vec, row_hnf
-from .moduli import _invariant_ball, theta_polyhedron
+from .moduli import _invariant_ball, lifted_flow_polyhedron, theta_polyhedron
 from .polyhedra import h_to_v
 
 
@@ -118,8 +118,6 @@ def verify_flow_vertex_integrality(
     quiver: McKayQuiver, trials: int = 3, seed: int = 2
 ) -> None:
     """Vertices of the flow polyhedron are integral for integral parameters."""
-    from .moduli import lifted_flow_polyhedron
-
     rng = random.Random(seed)
     for _ in range(trials):
         theta = random_parameter(quiver, rng, spread=2)

@@ -409,28 +409,6 @@ def _dispatch(args) -> int:
     group = build_group(orders, weights)
     quiver = build_quiver(group)
 
-    if args.cmd == "quiver":
-        inc = incidence_matrices(quiver)
-        if args.format == "text":
-            _emit(args, _quiver_text(group, quiver, inc))
-            return 0
-        doc = {
-            "schema": SCHEMA,
-            "group": _group_block(args.group, group),
-            "quiver": {
-                "vertices": [list(v) for v in quiver.vertices],
-                "arrows": [
-                    {"tail": a.tail, "head": a.head, "label": a.label}
-                    for a in quiver.arrows
-                ],
-                "b": [list(r) for r in inc.b],
-                "c": [list(r) for r in inc.c],
-                "d": [list(r) for r in inc.d],
-            },
-        }
-        _emit(args, _dump(doc))
-        return 0
-
     if args.cmd == "check":
         for flag, value in (("--bound", args.bound), ("--trials", args.trials)):
             if value < 1:
@@ -446,54 +424,56 @@ def _dispatch(args) -> int:
         print(("all checks passed" if ok else "some checks FAILED"))
         return 0 if ok else 1
 
-    param = ghilb_parameter(quiver) if args.ghilb else stability_parameter(quiver, args.theta)
-
-    if args.cmd == "fan":
-        method = "lifted" if args.lifted else "oracle"
-        if args.charts is not None and args.charts < 0:
-            raise InputError("chart bound must be nonnegative")
-        if args.svg is not None and quiver.n != 3:
-            print(
-                "error: the SVG cross-section is only defined for 3 coordinates",
-                file=sys.stderr,
-            )
-            return 3
-        tp = theta_polyhedron(quiver, param, method=method)
-        tf = moduli_fan(tp, charts_bound=args.charts)
-        if args.svg is not None:
-            title = f"{args.group.strip()} theta={','.join(_qvec(param.theta))}"
-            _write(args.svg, render_fan_svg(tf, title))
-        if args.format == "text":
-            _emit(args, _fan_text(tf))
-            return 0
-        doc = {
-            "schema": SCHEMA,
-            "group": _group_block(args.group, group),
-            "theta": _qvec(param.theta),
-            "p_theta": _ptheta_block(tp),
-            "fan": _fan_block(tf),
-        }
-        _emit(args, _dump(doc))
-        return 0
-
-    if args.cmd == "rep":
-        tp = theta_polyhedron(quiver, param, method="oracle")
-        tf = moduli_fan(tp)
-        rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
-        cone = locate_cone(tf.fan, rep.w)
-        if args.format == "text":
-            _emit(args, _rep_text(rep, cone))
-            return 0
-        doc = {
-            "schema": SCHEMA,
-            "group": _group_block(args.group, group),
-            "theta": _qvec(param.theta),
-            "rep": _rep_block(rep, cone),
-        }
-        _emit(args, _dump(doc))
-        return 0
-
-    raise ModuliError(f"unknown command {args.cmd!r}")
+    as_text = args.format == "text"
+    doc = {"schema": SCHEMA, "group": _group_block(args.group, group)}
+    if args.cmd == "quiver":
+        inc = incidence_matrices(quiver)
+        if as_text:
+            text = _quiver_text(group, quiver, inc)
+        else:
+            doc["quiver"] = {
+                "vertices": [list(v) for v in quiver.vertices],
+                "arrows": [
+                    {"tail": a.tail, "head": a.head, "label": a.label}
+                    for a in quiver.arrows
+                ],
+                "b": [list(r) for r in inc.b],
+                "c": [list(r) for r in inc.c],
+                "d": [list(r) for r in inc.d],
+            }
+    else:
+        param = ghilb_parameter(quiver) if args.ghilb else stability_parameter(quiver, args.theta)
+        doc["theta"] = _qvec(param.theta)
+        if args.cmd == "fan":
+            if args.charts is not None and args.charts < 0:
+                raise InputError("chart bound must be nonnegative")
+            if args.svg is not None and quiver.n != 3:
+                print(
+                    "error: the SVG cross-section is only defined for 3 coordinates",
+                    file=sys.stderr,
+                )
+                return 3
+            tp = theta_polyhedron(quiver, param, method="lifted" if args.lifted else "oracle")
+            tf = moduli_fan(tp, charts_bound=args.charts)
+            if args.svg is not None:
+                title = f"{args.group.strip()} theta={','.join(doc['theta'])}"
+                _write(args.svg, render_fan_svg(tf, title))
+            if as_text:
+                text = _fan_text(tf)
+            else:
+                doc["p_theta"] = _ptheta_block(tp)
+                doc["fan"] = _fan_block(tf)
+        else:
+            # The flow validates w, so a malformed w exits before any geometry.
+            rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
+            tf = moduli_fan(theta_polyhedron(quiver, param, method="oracle"))
+            cone = locate_cone(tf.fan, rep.w)
+            if as_text:
+                text = _rep_text(rep, cone)
+            else:
+                doc["rep"] = _rep_block(rep, cone)
+    _emit(args, text if as_text else _dump(doc))
+    return 0
 
 
 if __name__ == "__main__":

@@ -35,13 +35,6 @@ class AbelianGroupData:
         return len(self.weights[0]) if self.weights else 0
 
     @property
-    def r(self) -> int:
-        out = 1
-        for m in self.orders:
-            out *= m
-        return out
-
-    @property
     def trivial(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
 

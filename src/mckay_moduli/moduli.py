@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import CertificateError, NegativeW, TrivialGroup, UnknownMethod
+from .errors import BadShape, CertificateError, NegativeW, TrivialGroup, UnknownMethod
 from .flow import min_cost_flow
 from .groups import (
     AbelianGroupData,
@@ -348,7 +348,7 @@ def distinguished_rep(
     param = stability_parameter(quiver, theta)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != quiver.n:
-        raise NegativeW(f"weight vector has length {len(wq)}, expected {quiver.n}")
+        raise BadShape(f"weight vector has length {len(wq)}, expected {quiver.n}")
     if any(x < 0 for x in wq):
         raise NegativeW("weight vector entries must be nonnegative")
     scale = lcm(*(x.denominator for x in wq))

@@ -89,6 +89,25 @@ def test_negative_w_exit_code(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "w,message",
+    [
+        ("1,0", "error: weight vector has length 2, expected 3\n"),
+        ("1,-1,0", "error: weight vector entries must be nonnegative\n"),
+    ],
+    ids=["wrong-length", "negative"],
+)
+def test_rep_validates_w_before_any_geometry(capsys, monkeypatch, w, message):
+    def broken(*args, **kwargs):
+        raise ModuliError("theta_polyhedron ran before w was validated")
+
+    monkeypatch.setattr(cli, "theta_polyhedron", broken)
+    rc, out, err = run_cli(capsys, "rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", w)
+    assert rc == 2
+    assert out == ""
+    assert err == message
+
+
 def test_svg_requires_three_coordinates(capsys, tmp_path):
     target = tmp_path / "fan.svg"
     rc, _, err = run_cli(

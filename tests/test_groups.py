@@ -27,7 +27,7 @@ def quiver_7_12():
 
 def test_build_group_basic():
     g = build_group([7], [[1, 2]])
-    assert g.r == 7
+    assert len(g.characters()) == 7
     assert g.n == 2
     chars = g.characters()
     assert chars[0] == g.trivial
@@ -41,14 +41,14 @@ def test_build_group_reduces_weights():
 
 def test_build_group_klein():
     g = build_group([2, 2], [[1, 0], [0, 1]])
-    assert g.r == 4
+    assert len(g.characters()) == 4
     chars = g.characters()
     assert list(chars) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_build_group_trivial():
     g = build_group([1], [[0, 0]])
-    assert g.r == 1
+    assert len(g.characters()) == 1
     assert g.n == 2
 
 

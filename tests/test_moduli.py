@@ -11,6 +11,7 @@ import golden
 from conftest import SUITE_GROUPS, suite_quivers
 from fan_oracle import face_cones
 from mckay_moduli import (
+    BadShape,
     BadTheta,
     CertificateError,
     HPolyhedron,
@@ -223,9 +224,9 @@ def test_ghilb_parameter():
 
 def test_distinguished_rep_validates_w():
     q = quiver([3], [[1, 2]])
-    with pytest.raises(NegativeW):
+    with pytest.raises(NegativeW, match="^weight vector entries must be nonnegative$"):
         distinguished_rep(q, (-1, 0, 1), (-1, 0))
-    with pytest.raises(NegativeW):
+    with pytest.raises(BadShape, match="^weight vector has length 1, expected 2$"):
         distinguished_rep(q, (-1, 0, 1), (1,))
 
 

@@ -63,6 +63,18 @@ ANCHORS = [
         G13_REP + ("--format", "text"),
         "cb0053ea83fc7f1b8be214234dc8e898c2baa6ec21dc8b1fc9dfc456cef641c9",
     ),
+    (
+        ("quiver", "--group", "1/7(1,2)"),
+        "9123ff506124fdf65c62572b77e593718e3293385ab93ca31ec336b8e030a2c7",
+    ),
+    (
+        ("quiver", "--group", "1/7(1,2)", "--format", "text"),
+        "dd0b92f7dc75b164adbd05d5eadb8f502874aa6a7ad78116ebf229e93a2e82a8",
+    ),
+    (
+        ("quiver", "--group", "2x2:1,0;0,1"),
+        "dabbcb5daaf19f55d8bae1efeb124238d4a1e3a3a3194cda097effaf82329316",
+    ),
     (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
     (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
 ]
