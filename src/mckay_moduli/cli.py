@@ -26,7 +26,9 @@ from .moduli import (
 )
 from .polyhedra import locate_cone
 
-_INT = re.compile(r"[+-]?\d+")
+# ASCII digits only: str.isdigit and an unflagged \d accept "²" and "٣".
+_INT = re.compile(r"[+-]?\d+", re.ASCII)
+_ORDER = re.compile(r"\d+", re.ASCII)
 
 SCHEMA = "mckay-moduli/1"
 
@@ -57,12 +59,11 @@ def parse_group_spec(spec: str):
         raise GroupSpecError("empty group spec", 0)
     if s.startswith("1/"):
         i = 2
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == i:
+        m = _ORDER.match(s, i)
+        if not m:
             raise GroupSpecError("expected the cyclic order after '1/'", base + i)
-        r = int(s[i:j])
+        j = m.end()
+        r = int(m.group())
         if r < 1:
             raise GroupSpecError("cyclic order must be positive", base + i)
         if j >= len(s) or s[j] != "(":
@@ -78,7 +79,7 @@ def parse_group_spec(spec: str):
         for tok in head.split("x"):
             stripped = tok.strip()
             inner = pos + (len(tok) - len(tok.lstrip()))
-            if not stripped or not stripped.isdigit():
+            if not stripped or not _ORDER.fullmatch(stripped):
                 raise GroupSpecError(
                     f"expected a positive cycle order, got {stripped!r}", inner
                 )

@@ -104,15 +104,13 @@ def kernel_basis(rows) -> list[IntRow]:
     return [tuple(r[m:]) for r in h[len(pivots) :]]
 
 
-def independent_rows(rows, base=()) -> list[int]:
-    """Indices of the rows that each raise the rank of base plus the rows kept so far.
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that each raise the rank of the rows kept so far.
 
-    These are the pivot columns past base of the echelon pass on the
-    transpose of [base; rows].
+    These are the pivot columns of the echelon pass on the transpose of rows.
     """
-    all_rows = [*base, *rows]
-    _, pivots = _echelon(list(zip(*all_rows)))
-    return [c - len(base) for c in pivots if c >= len(base)]
+    _, pivots = _echelon(list(zip(*rows)))
+    return pivots
 
 
 def mat_vec(rows, v) -> list:

@@ -313,9 +313,9 @@ def optimal_face_tight_set(lp: LinearProgram):
     Solves the program, then enumerates the generators of the optimal face
     (the feasible set cut with objective = optimal value); an inequality is
     reported tight exactly when it is tight at every vertex of that face and
-    constant along every ray and lineality direction.  Returns (optimal
-    outcome, frozenset of tight indices); raises NotOptimal when the program
-    has no optimum.
+    constant along every ray.  The feasible set must be pointed, as h_to_v
+    requires.  Returns (optimal outcome, frozenset of tight indices); raises
+    NotOptimal when the program has no optimum.
     """
     sol = solve(lp)
     if not isinstance(sol, LpOptimal):
@@ -338,8 +338,6 @@ def optimal_face_tight_set(lp: LinearProgram):
         if any(_dot(coeffs, p) != Fraction(b) for p in face.vertices):
             continue
         if any(_dot(coeffs, r) != 0 for r in face.rays):
-            continue
-        if any(_dot(coeffs, l) != 0 for l in face.lineality):
             continue
         tight.add(k)
     return sol, frozenset(tight)

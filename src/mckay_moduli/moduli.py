@@ -107,12 +107,7 @@ def _theta_polyhedron_oracle(quiver, param):
     units = tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
     certified = set()
     while True:
-        inner = VPolyhedron(
-            dim=n, vertices=tuple(sorted(pts)), rays=units, lineality=()
-        )
-        h = v_to_h(inner)
-        if h.equations:
-            raise CertificateError("inner approximation is not full-dimensional")
+        h = v_to_h(VPolyhedron(dim=n, vertices=tuple(sorted(pts)), rays=units))
         grew = False
         for row in h.inequalities:
             if row in certified:

@@ -1,9 +1,11 @@
 """Exact rational polyhedra in both descriptions, normal fans, cone location.
 
 Polyhedra carry either an H-description (inequalities a.x >= b plus equations)
-or a V-description (vertices, rays, lineality).  Conversions run a pure
-integer double description method on the homogenization, so no floating point
-ever enters.  Vertex coordinates are plain ints when the vertex is integral
+or a V-description (vertices and rays).  Every polyhedron here is pointed, as
+the type polyhedra and lifted flow polyhedra are: conversions run a pure
+integer double description method on the homogenization, which must be a
+pointed cone, and raise PolyhedronError otherwise.  No floating point ever
+enters.  Vertex coordinates are plain ints when the vertex is integral
 and Fractions otherwise; the two compare, hash and sort alike, so equality
 and the canonical order do not depend on which is stored.  Outputs are
 canonically sorted, making every conversion independent of input row order.
@@ -23,7 +25,7 @@ from .errors import (
     OutsideSupport,
     PolyhedronError,
 )
-from .intlinalg import independent_rows, int_rank, kernel_basis, row_hnf
+from .intlinalg import independent_rows, int_rank, kernel_basis
 
 Vec = tuple[int, ...]
 
@@ -76,18 +78,17 @@ class HPolyhedron:
 
 @dataclass(frozen=True)
 class VPolyhedron:
-    """Convex hull of vertices plus the cone of rays plus a lineality space.
+    """Convex hull of vertices plus the cone of rays.
 
     The empty polyhedron is the instance with no vertices; any nonempty
     polyhedron stores at least one point.  Vertex coordinates are ints when
-    the vertex is integral and Fractions otherwise.  Rays and lineality
-    generators are primitive integer vectors.
+    the vertex is integral and Fractions otherwise.  Rays are primitive
+    integer vectors.
     """
 
     dim: int
     vertices: tuple
     rays: tuple = ()
-    lineality: tuple = ()
 
     @property
     def is_empty(self) -> bool:
@@ -250,73 +251,52 @@ def _unit_rows(d):
 
 
 def cone_double_description(ineq_rows, eq_rows, dim):
-    """V-description (rays, lineality) of {x : ineq . x >= 0, eq . x == 0}.
+    """Extreme rays of the pointed cone {x : ineq . x >= 0, eq . x == 0}.
 
-    Input rows are integer vectors of length dim.  Rays come back primitive
-    and lexicographically sorted; the lineality basis is in Hermite normal
-    form, so the output is canonical.
+    Input rows are integer vectors of length dim.  The inequality rows must
+    span the dual of the equations' kernel, so the cone has no lineality;
+    PolyhedronError is raised otherwise.  Rays come back primitive and
+    lexicographically sorted, so the output is canonical.
     """
-    if eq_rows:
-        sub = kernel_basis(eq_rows)
-        if not sub:
-            return [], []
-    else:
-        sub = _unit_rows(dim)
-    d2 = len(sub)
-    rows2 = [tuple(_dot(row, s) for s in sub) for row in ineq_rows]
-    rows2 = [r for r in rows2 if any(r)]
-    if rows2:
-        lin2 = kernel_basis(rows2)
-    else:
-        lin2 = _unit_rows(d2)
-    cols = independent_rows(_unit_rows(d2), base=lin2)
-    rows3 = [tuple(r[j] for j in cols) for r in rows2]
-    rows3 = [r for r in rows3 if any(r)]
-    d3 = len(cols)
-    if d3 and rows3:
-        rays3 = _pointed_dd(rows3, d3)
-    else:
-        rays3 = []
+    if not eq_rows:
+        return sorted(_pointed_dd(ineq_rows, dim))
+    sub = kernel_basis(eq_rows)
+    if not sub:
+        return []
+    rays2 = _pointed_dd([tuple(_dot(row, s) for s in sub) for row in ineq_rows], len(sub))
 
-    # A quotient ray y maps back to the sum of y[t] * sub[cols[t]] over its
-    # nonzero entries, adding only the nonzeros (i, s) of each sub row: both
-    # the quotient rays and sub are sparse on lifted cones.
-    row_terms = [[(i, s) for i, s in enumerate(sub[j]) if s] for j in cols]
+    # A kernel ray y maps back to the sum of y[j] * sub[j] over its nonzero
+    # entries, adding only the nonzeros (i, s) of each sub row: both the
+    # kernel rays and sub are sparse on lifted cones.
+    row_terms = [[(i, s) for i, s in enumerate(srow) if s] for srow in sub]
 
-    def back(y_quotient) -> Vec:
+    def back(y_kernel) -> Vec:
         amb = [0] * dim
-        for y, terms in zip(y_quotient, row_terms):
+        for y, terms in zip(y_kernel, row_terms):
             if y:
                 for i, s in terms:
                     amb[i] += y * s
         return _primitive(tuple(amb))
 
-    rays = sorted(back(y) for y in rays3)
-    lin_ambient = []
-    for lvec in lin2:
-        amb = [0] * dim
-        for coef, srow in zip(lvec, sub):
-            if coef:
-                amb = [a + coef * s for a, s in zip(amb, srow)]
-        lin_ambient.append(tuple(amb))
-    lineality = list(row_hnf(lin_ambient)) if lin_ambient else []
-    return rays, lineality
+    return sorted(back(y) for y in rays2)
 
 
 def h_to_v(h: HPolyhedron) -> VPolyhedron:
-    """Vertices, rays and lineality of an H-description.
+    """Vertices and rays of an H-description.
 
-    The empty polyhedron comes back as the VPolyhedron with no generators.
+    The inequality normals must span the space cut out by the equations, so
+    that the homogenization is pointed; PolyhedronError is raised otherwise,
+    even when the polyhedron is empty.  The empty polyhedron comes back as
+    the VPolyhedron with no generators.
     """
     d = h.dim
     ineq_rows = [(0,) * d + (1,)]
     for coeffs, rhs in h.inequalities:
         ineq_rows.append(_clear_denominators(tuple(coeffs) + (-rhs,)))
     eq_rows = [_clear_denominators(tuple(coeffs) + (-rhs,)) for coeffs, rhs in h.equations]
-    rays, lineality = cone_double_description(ineq_rows, eq_rows, d + 1)
     verts = []
     vrays = []
-    for z in rays:
+    for z in cone_double_description(ineq_rows, eq_rows, d + 1):
         t = z[-1]
         if t < 0:
             raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
@@ -325,58 +305,34 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
             verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
         else:
             vrays.append(_primitive(z[:-1]))
-    lin = []
-    for z in lineality:
-        if z[-1] != 0:
-            raise CertificateError(f"lineality generator {z} leaves the hyperplane t = 0")
-        lin.append(z[:-1])
     if not verts:
-        return VPolyhedron(dim=d, vertices=(), rays=(), lineality=())
-    return VPolyhedron(
-        dim=d,
-        vertices=tuple(sorted(verts)),
-        rays=tuple(sorted(vrays)),
-        lineality=tuple(lin),
-    )
-
-
-def _reduce_mod(vec, hnf_rows):
-    """Canonical representative of vec modulo the lattice spanned by HNF rows."""
-    out = list(vec)
-    for row in hnf_rows:
-        c = next(i for i, x in enumerate(row) if x)
-        q = out[c] // row[c]
-        if q:
-            out = [a - q * b for a, b in zip(out, row)]
-    return tuple(out)
+        return VPolyhedron(dim=d, vertices=(), rays=())
+    return VPolyhedron(dim=d, vertices=tuple(sorted(verts)), rays=tuple(sorted(vrays)))
 
 
 def v_to_h(v: VPolyhedron) -> HPolyhedron:
-    """Irredundant H-description of a nonempty V-description.
+    """Irredundant H-description of a nonempty full-dimensional V-description.
 
-    Facet inequalities are primitive integer rows in sorted order; implicit
-    equations are separated out in Hermite normal form.  Inequality rows are
-    reduced modulo the equation lattice, so the representation is canonical.
+    Facet inequalities are primitive integer rows in sorted order, so the
+    representation is canonical; there are never equations.  A
+    lower-dimensional V-description raises PolyhedronError, since the cone
+    of its valid inequalities is not pointed.
     """
     if v.is_empty:
         raise PolyhedronError("cannot convert an empty V-description")
     d = v.dim
     gen_rows = [_homogeneous(vert) for vert in v.vertices]
     gen_rows += [tuple(ray) + (0,) for ray in v.rays]
-    eq_rows = [tuple(l) + (0,) for l in v.lineality]
-    rays, eq_hnf = cone_double_description(gen_rows, eq_rows, d + 1)
     inequalities = []
-    for z in rays:
-        red = _primitive(_reduce_mod(z, eq_hnf))
-        coeffs, c = red[:-1], red[-1]
+    for z in cone_double_description(gen_rows, [], d + 1):
+        coeffs, c = z[:-1], z[-1]
         if not any(coeffs):
             if c < 0:
                 raise CertificateError(f"inconsistent trivial inequality 0 >= {-c}")
             continue
         inequalities.append((coeffs, -c))
     inequalities.sort()
-    equations = tuple((z[:-1], -z[-1]) for z in eq_hnf)
-    return HPolyhedron(dim=d, inequalities=tuple(inequalities), equations=equations)
+    return HPolyhedron(dim=d, inequalities=tuple(inequalities))
 
 
 def project(v: VPolyhedron, rows) -> VPolyhedron:
@@ -390,7 +346,7 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     """
     m = len(rows)
     if v.is_empty:
-        return VPolyhedron(dim=m, vertices=(), rays=(), lineality=())
+        return VPolyhedron(dim=m, vertices=(), rays=())
     sparse = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
 
     def image(vec):
@@ -412,7 +368,6 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
         for img in images
     )
     rys = sorted({pr for ray in v.rays if any(pr := _primitive(image(ray)))})
-    lin = [pl for l in v.lineality if any(pl := _primitive(image(l)))]
     if set(_unit_rows(m)) <= set(rys):
         # Lexicographic sweep: a point's dominators all precede it, and each
         # dropped point is dominated by one already on the Pareto front.
@@ -421,13 +376,7 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
             if not any(all(map(le, f, pt)) for f in front):
                 front.append(pt)
         pts = front
-    raw = VPolyhedron(
-        dim=m,
-        vertices=tuple(pts),
-        rays=tuple(rys),
-        lineality=tuple(lin),
-    )
-    return h_to_v(v_to_h(raw))
+    return h_to_v(v_to_h(VPolyhedron(dim=m, vertices=tuple(pts), rays=tuple(rys))))
 
 
 def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
@@ -442,8 +391,8 @@ def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
         for vert in v.vertices:
             if _dot(coeffs, vert) != rhs:
                 raise MismatchedDescriptions("vertex violates an equation")
-        for gen in tuple(v.rays) + tuple(v.lineality):
-            if _dot(coeffs, gen) != 0:
+        for ray in v.rays:
+            if _dot(coeffs, ray) != 0:
                 raise MismatchedDescriptions("ray violates an equation")
     out = []
     for vert in v.vertices:
@@ -459,10 +408,6 @@ def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
         for coeffs, _ in h.inequalities:
             if _dot(coeffs, ray) < 0:
                 raise MismatchedDescriptions("ray violates an inequality")
-    for l in v.lineality:
-        for coeffs, _ in h.inequalities:
-            if _dot(coeffs, l) != 0:
-                raise MismatchedDescriptions("lineality violates an inequality")
     return out
 
 
@@ -491,12 +436,12 @@ def _fan_cone(rays, indices) -> Cone:
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     """Fan of inner-normal cones of a polyhedron: one maximal cone per vertex.
 
-    Requires matching descriptions of a nonempty pointed full-dimensional
-    polyhedron (no equations, no lineality).  Every vertex must be a basic
-    point of h, so its tight facets span a full-dimensional cone.
+    Requires matching descriptions of a nonempty full-dimensional polyhedron
+    (no equations).  Every vertex must be a basic point of h, so its tight
+    facets span a full-dimensional cone.
     """
-    if v.is_empty or v.lineality:
-        raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
+    if v.is_empty:
+        raise PolyhedronError("normal fan needs a nonempty polyhedron")
     if h.equations:
         raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
     inc = vertex_facet_incidence(h, v)

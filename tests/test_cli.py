@@ -34,6 +34,17 @@ def test_parse_group_spec_product():
     assert parse_group_spec("2x4:1,1;0,3") == ((2, 4), ((1, 1), (0, 3)))
 
 
+@pytest.mark.parametrize(
+    "spec,position", [("1/²(1,2)", 2), ("²x2:1,0;0,1", 0), ("1/7(1,٣)", 6)]
+)
+def test_non_ascii_digit_in_group_is_input_error(capsys, spec, position):
+    rc, out, err = run_cli(capsys, "quiver", "--group", spec)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(f"(at position {position})")
+
+
 def test_parse_group_spec_error_positions():
     with pytest.raises(GroupSpecError) as err:
         parse_group_spec("1/7(1,x)")

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from dd_oracle import cone_double_description_dense
 
-from mckay_moduli import HPolyhedron, NotOptimal, h_to_v
+from mckay_moduli import HPolyhedron, NotOptimal, PolyhedronError, h_to_v
 from mckay_moduli.lp import (
     LinearProgram,
     LpInfeasible,
@@ -114,12 +115,20 @@ def test_solve_against_vertex_enumeration():
         h = HPolyhedron(dim=dim, inequalities=ineqs)
         obj = tuple(rng.randrange(-3, 4) for _ in range(dim))
         res = solve(LinearProgram(objective=obj, feasible=h))
+        homogenized = [(0,) * dim + (1,)] + [tuple(c) + (-b,) for c, b in ineqs]
+        lineality = [l[:-1] for l in cone_double_description_dense(homogenized, [], dim + 1)[1]]
+        if lineality:
+            # Vertex enumeration refuses lineality; the slice orthogonal to
+            # it is pointed, and empty exactly when h is.
+            with pytest.raises(PolyhedronError, match="not pointed"):
+                h_to_v(h)
+            h = HPolyhedron(dim=dim, inequalities=ineqs, equations=tuple((l, 0) for l in lineality))
         v = h_to_v(h)
         if v.is_empty:
             assert isinstance(res, LpInfeasible)
             continue
-        drops = [r for r in list(v.rays) + list(v.lineality) if dot(obj, r) < 0]
-        drops += [l for l in v.lineality if dot(obj, l) > 0]
+        drops = [r for r in v.rays if dot(obj, r) < 0]
+        drops += [l for l in lineality if dot(obj, l) != 0]
         if drops:
             assert isinstance(res, LpUnbounded)
         else:

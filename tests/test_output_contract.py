@@ -77,6 +77,23 @@ ANCHORS = [
     ),
     (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
     (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
+    # Degenerate inputs: theta = 0, n = 1, and a non-cyclic group on the lifted path.
+    (
+        ("fan", "--group", "1/3(1,1,1)", "--theta", "0,0,0", "--lifted", "--charts", "4"),
+        "5a249d5c96b489fcf0ed13693035bb30d91a502da89ec61f89efdb71d53f9639",
+    ),
+    (
+        ("fan", "--group", "1/2(1)", "--ghilb", "--lifted"),
+        "d5f8adde341f5718db2e2f8d5256d833816acd8beed450b0cabd2a4ebb6d2f4b",
+    ),
+    (
+        ("rep", "--group", "1/3(1,1,1)", "--theta", "0,0,0", "-w", "0,0,0"),
+        "946de9445bc7fea3c1bbe8b75ebce7e07a8ce976cee09f2160f063902cdcbbff",
+    ),
+    (
+        ("fan", "--group", "2x2:1,0,1;0,1,1", "--ghilb", "--lifted"),
+        "92b0fae0c49f7072578c54f8c1de7a9bfa9421fc6ab3d7c6269208c836e83bcc",
+    ),
 ]
 
 

@@ -40,11 +40,48 @@ SQUARE = HPolyhedron(
 TRIANGLE = VPolyhedron(dim=2, vertices=((0, 0), (1, 0), (0, 1)))
 
 
+def _homogenized_rows(rows):
+    """Integer rows (coeffs, -rhs) scaled by the lcm of their denominators."""
+    out = []
+    for coeffs, rhs in rows:
+        entries = [Fraction(x) for x in coeffs] + [-Fraction(rhs)]
+        mult = math.lcm(*(x.denominator for x in entries))
+        out.append(tuple(int(x * mult) for x in entries))
+    return out
+
+
+def _dense_lineality_of_h(h):
+    """Lineality of the homogenization of h, by the dense reference.
+
+    It is nonempty exactly when h_to_v must raise PolyhedronError.
+    """
+    ineq_rows = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
+    return cone_double_description_dense(ineq_rows, _homogenized_rows(h.equations), h.dim + 1)[1]
+
+
+def _generator_rows(v):
+    """Integer generators (den * vertex, den) and (ray, 0) of the homogenization of v."""
+    rows = []
+    for vert in v.vertices:
+        den = math.lcm(*(Fraction(x).denominator for x in vert))
+        rows.append(tuple(int(x * den) for x in vert) + (den,))
+    return rows + [tuple(ray) + (0,) for ray in v.rays]
+
+
+def _dense_lineality_of_v(v):
+    """Lineality of the cone of inequalities valid on v, by the dense reference.
+
+    It is nonempty exactly when v is lower-dimensional, where v_to_h must
+    raise PolyhedronError.
+    """
+    return cone_double_description_dense(_generator_rows(v), [], v.dim + 1)[1]
+
+
 def test_h_to_v_orthant():
     v = h_to_v(ORTHANT_2)
     assert set(v.vertices) == {(0, 0)}
     assert set(v.rays) == {(1, 0), (0, 1)}
-    assert v.lineality == ()
+    assert v == VPolyhedron(dim=2, vertices=((0, 0),), rays=((0, 1), (1, 0)))
 
 
 def test_h_to_v_square():
@@ -57,22 +94,22 @@ def test_h_to_v_empty():
     empty = HPolyhedron(dim=1, inequalities=(((1,), 1), ((-1,), 0)))
     v = h_to_v(empty)
     assert v.is_empty
-    assert v.vertices == () and v.rays == () and v.lineality == ()
+    assert v.vertices == () and v.rays == ()
+    assert v == VPolyhedron(dim=1, vertices=())
 
 
 def test_h_to_v_halfspace_has_lineality():
     half = HPolyhedron(dim=2, inequalities=(((1, 0), 0),))
-    v = h_to_v(half)
-    assert set(v.vertices) == {(0, 0)}
-    assert set(v.rays) == {(1, 0)}
-    assert [tuple(l) for l in v.lineality] == [(0, 1)]
+    assert _dense_lineality_of_h(half) == [(0, 1, 0)]
+    with pytest.raises(PolyhedronError, match="not pointed"):
+        h_to_v(half)
 
 
 def test_h_to_v_whole_space():
-    v = h_to_v(HPolyhedron(dim=2, inequalities=()))
-    assert set(v.vertices) == {(0, 0)}
-    assert v.rays == ()
-    assert len(v.lineality) == 2
+    whole = HPolyhedron(dim=2, inequalities=())
+    assert len(_dense_lineality_of_h(whole)) == 2
+    with pytest.raises(PolyhedronError, match="not pointed"):
+        h_to_v(whole)
 
 
 def test_h_to_v_equations_only_point():
@@ -81,7 +118,8 @@ def test_h_to_v_equations_only_point():
     )
     v = h_to_v(point)
     assert v.vertices == ((2, 3),)
-    assert v.rays == () and v.lineality == ()
+    assert v.rays == ()
+    assert v == VPolyhedron(dim=2, vertices=((2, 3),))
 
 
 def test_v_to_h_triangle():
@@ -91,9 +129,11 @@ def test_v_to_h_triangle():
 
 
 def test_v_to_h_single_point():
-    h = v_to_h(VPolyhedron(dim=2, vertices=((1, 2),)))
-    assert h.inequalities == ()
-    assert set(h.equations) == {((1, 0), 1), ((0, 1), 2)}
+    point = VPolyhedron(dim=2, vertices=((1, 2),))
+    # The valid inequalities x = 1 and y = 2 make up the lineality of the polar cone.
+    assert _dense_lineality_of_v(point) == [(1, 0, -1), (0, 1, -2)]
+    with pytest.raises(PolyhedronError, match="not pointed"):
+        v_to_h(point)
 
 
 def test_v_to_h_rejects_empty():
@@ -127,7 +167,7 @@ def test_h_to_v_row_order_independence():
         again = h_to_v(HPolyhedron(dim=2, inequalities=tuple(rows)))
         assert again.vertices == base.vertices
         assert again.rays == base.rays
-        assert again.lineality == base.lineality
+        assert again == base
 
 
 def test_round_trip_random_h_polyhedra():
@@ -142,29 +182,38 @@ def test_round_trip_random_h_polyhedra():
         ineqs = tuple((c, b) for c, b in ineqs if any(c))
         if not ineqs:
             continue
-        v1 = h_to_v(HPolyhedron(dim=dim, inequalities=ineqs))
+        h1 = HPolyhedron(dim=dim, inequalities=ineqs)
+        if _dense_lineality_of_h(h1):
+            with pytest.raises(PolyhedronError, match="not pointed"):
+                h_to_v(h1)
+            continue
+        v1 = h_to_v(h1)
         if v1.is_empty:
+            continue
+        if _dense_lineality_of_v(v1):
+            with pytest.raises(PolyhedronError, match="not pointed"):
+                v_to_h(v1)
             continue
         h2 = v_to_h(v1)
         v2 = h_to_v(h2)
         assert set(v1.vertices) == set(v2.vertices)
         assert set(v1.rays) == set(v2.rays)
-        assert v1.lineality == v2.lineality
+        assert v1 == v2
 
 
 def test_cone_double_description_orthant():
-    rays, lin = cone_double_description([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [], 3)
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rays = cone_double_description(units, [], 3)
     assert set(rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert lin == []
+    assert (rays, []) == cone_double_description_dense(units, [], 3)
 
 
 def test_cone_double_description_with_equation():
     # slice the orthant with x + y + z = 0: only the origin survives
-    rays, lin = cone_double_description(
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 1)], 3
-    )
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rays = cone_double_description(units, [(1, 1, 1)], 3)
     assert rays == [] or all(all(x == 0 for x in r) for r in rays)
-    assert lin == []
+    assert (rays, []) == cone_double_description_dense(units, [(1, 1, 1)], 3)
 
 
 def test_project_triangle_to_axis():
@@ -182,7 +231,11 @@ def test_project_orthant_sum():
 
 
 def _fraction_image(v, rows):
-    """Reference image of a V-description computed in Fraction arithmetic."""
+    """Reference image of a V-description computed in Fraction arithmetic.
+
+    Returns None when the dense reference finds the image lower-dimensional
+    or with lineality, where project must raise PolyhedronError.
+    """
     pts = {
         tuple(sum((Fraction(a) * Fraction(x) for a, x in zip(row, vert)), Fraction(0))
               for row in rows)
@@ -194,19 +247,24 @@ def _fraction_image(v, rows):
         if any(img):
             g = math.gcd(*img)
             rays.add(tuple(x // g for x in img))
-    lin = []
-    for l in v.lineality:
-        img = [sum(a * x for a, x in zip(row, l)) for row in rows]
-        if any(img):
-            g = math.gcd(*img)
-            lin.append(tuple(x // g for x in img))
-    raw = VPolyhedron(
-        dim=len(rows),
-        vertices=tuple(sorted(pts)),
-        rays=tuple(sorted(rays)),
-        lineality=tuple(lin),
-    )
+    raw = VPolyhedron(dim=len(rows), vertices=tuple(sorted(pts)), rays=tuple(sorted(rays)))
+    if _dense_lineality_of_v(raw):
+        return None
+    # The facets of the image cut out its homogenization; lineality there
+    # means the image is not pointed.
+    facets, _ = cone_double_description_dense(_generator_rows(raw), [], raw.dim + 1)
+    if cone_double_description_dense(facets, [], raw.dim + 1)[1]:
+        return None
     return h_to_v(v_to_h(raw))
+
+
+def _assert_project_matches_fraction_image(v, rows):
+    reference = _fraction_image(v, rows)
+    if reference is None:
+        with pytest.raises(PolyhedronError, match="not pointed"):
+            project(v, rows)
+    else:
+        assert project(v, rows) == reference
 
 
 def test_project_mixed_denominators_matches_fraction_image():
@@ -226,8 +284,9 @@ def test_project_mixed_denominators_matches_fraction_image():
         rays=((1, 0, 0),),
     )
     rows = [(1, 1, 0), (2, 0, -3), (1, 1, 0)]
-    img = project(v, rows)
-    assert img == _fraction_image(v, rows)
+    # The equal first and last rows put the image in a plane: it must raise.
+    assert _fraction_image(v, rows) is None
+    _assert_project_matches_fraction_image(v, rows)
     # (1/2, 2/3, 0) and (2, -5/6, 1) share the image (7/6, 1, 7/6).
     images = [tuple(sum(a * x for a, x in zip(row, vert)) for row in rows) for vert in v.vertices]
     assert len(set(images)) < len(images)
@@ -245,7 +304,7 @@ def test_project_random_rational_points_match_fraction_image():
         )
         rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
         v = VPolyhedron(dim=dim, vertices=verts)
-        assert project(v, rows) == _fraction_image(v, rows)
+        _assert_project_matches_fraction_image(v, rows)
 
 
 @st.composite
@@ -254,7 +313,8 @@ def projection_cases(draw):
 
     Points are all ints or all Fractions with mixed denominators, and
     include duplicates, ties in single coordinates and points dominating
-    others; the rays contain every unit vector of the image or not, as drawn.
+    others; the rays contain every unit vector of the image or not, as drawn,
+    and a drawn lineality direction l enters as the two rays l and -l.
     """
     m = draw(st.integers(1, 4))
     extra = draw(st.integers(0, 2))
@@ -276,7 +336,8 @@ def projection_cases(draw):
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(m)] if units else []
     rays += draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n).filter(any), max_size=3))
     lin = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n).filter(any), max_size=1))
-    v = VPolyhedron(dim=n, vertices=tuple(pts), rays=tuple(rays), lineality=tuple(lin))
+    rays += [tuple(s * x for x in l) for l in lin for s in (1, -1)]
+    v = VPolyhedron(dim=n, vertices=tuple(pts), rays=tuple(rays))
     return v, rows
 
 
@@ -284,7 +345,7 @@ def projection_cases(draw):
 @given(projection_cases())
 def test_project_matches_unpruned_image(case):
     v, rows = case
-    assert project(v, rows) == _fraction_image(v, rows)
+    _assert_project_matches_fraction_image(v, rows)
 
 
 def test_project_keeps_dominating_points_without_every_unit_ray():
@@ -295,7 +356,11 @@ def test_project_keeps_dominating_points_without_every_unit_ray():
     assert img == _fraction_image(v, [(1, 0), (0, 1)])
     assert img.vertices == ((0, 0), (1, 1))
     pruned = VPolyhedron(dim=2, vertices=((0, 0),), rays=((1, 0),))
-    assert img != h_to_v(v_to_h(pruned))
+    assert img != pruned
+    # The half-line is lower-dimensional, so it has no H-description here.
+    assert _dense_lineality_of_v(pruned)
+    with pytest.raises(PolyhedronError, match="not pointed"):
+        v_to_h(pruned)
     # With both unit rays, (1, 1) is redundant and the image is the orthant.
     both = VPolyhedron(dim=2, vertices=v.vertices, rays=((0, 1), (1, 0)))
     assert project(both, [(1, 0), (0, 1)]) == h_to_v(ORTHANT_2)
@@ -346,6 +411,7 @@ def test_pointed_dd_matches_scan_reference(case):
 )
 def test_greedy_basis_matches_rank_scan(case):
     base, rows = case
+    past_base = [i - len(base) for i in independent_rows([*base, *rows]) if i >= len(base)]
 
     def rank(vectors):
         # Gaussian elimination over Q, independent of the package's echelon pass.
@@ -368,7 +434,7 @@ def test_greedy_basis_matches_rank_scan(case):
         if rank(chosen + [row]) > rank(chosen):
             expected.append(idx)
             chosen.append(row)
-    assert independent_rows(rows, base=base) == expected
+    assert past_base == expected
 
 
 def _generic_theta(rng, r):
@@ -579,19 +645,11 @@ def test_precondition_failures_raise_polyhedron_error():
     half = HPolyhedron(dim=2, inequalities=(((1, 0), 0),))
     with pytest.raises(PolyhedronError, match="pointed"):
         normal_fan(half, h_to_v(half))
+    with pytest.raises(PolyhedronError, match="nonempty"):
+        normal_fan(SQUARE, VPolyhedron(dim=2, vertices=()))
     ray = HPolyhedron(dim=2, inequalities=(((1, 0), 0),), equations=(((0, 1), 0),))
     with pytest.raises(PolyhedronError, match="full-dimensional"):
         normal_fan(ray, h_to_v(ray))
-
-
-def _homogenized_rows(rows):
-    """Integer rows (coeffs, -rhs) scaled by the lcm of their denominators."""
-    out = []
-    for coeffs, rhs in rows:
-        entries = [Fraction(x) for x in coeffs] + [-Fraction(rhs)]
-        mult = math.lcm(*(x.denominator for x in entries))
-        out.append(tuple(int(x * mult) for x in entries))
-    return out
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -610,9 +668,13 @@ def rational_h_polyhedra(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(rational_h_polyhedra())
 def test_h_to_v_vertices_match_fraction_reference(h):
+    if _dense_lineality_of_h(h):
+        with pytest.raises(PolyhedronError, match="not pointed"):
+            h_to_v(h)
+        return
     v = h_to_v(h)
     ineq_rows = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
-    rays, _ = cone_double_description(ineq_rows, _homogenized_rows(h.equations), h.dim + 1)
+    rays = cone_double_description(ineq_rows, _homogenized_rows(h.equations), h.dim + 1)
     reference = sorted(tuple(Fraction(x, z[-1]) for x in z[:-1]) for z in rays if z[-1] > 0)
     assert list(v.vertices) == reference
     for vert in v.vertices:
@@ -621,11 +683,14 @@ def test_h_to_v_vertices_match_fraction_reference(h):
         assert integral or all(type(x) is Fraction for x in vert)
     if v.is_empty:
         return
-    h2 = v_to_h(v)
-    as_fractions = VPolyhedron(
-        dim=v.dim, vertices=tuple(reference), rays=v.rays, lineality=v.lineality
-    )
+    as_fractions = VPolyhedron(dim=v.dim, vertices=tuple(reference), rays=v.rays)
     assert v == as_fractions and hash(v) == hash(as_fractions)
+    if _dense_lineality_of_v(v):
+        for lower in (v, as_fractions):
+            with pytest.raises(PolyhedronError, match="not pointed"):
+                v_to_h(lower)
+        return
+    h2 = v_to_h(v)
     assert v_to_h(as_fractions) == h2
     assert v_to_h(h_to_v(h2)) == h2
 
@@ -644,8 +709,13 @@ def cone_row_sets(draw):
 @given(cone_row_sets())
 def test_cone_double_description_matches_dense_reference(case):
     ineqs, eqs, dim = case
-    rays, lineality = cone_double_description(ineqs, eqs, dim)
-    assert (rays, lineality) == cone_double_description_dense(ineqs, eqs, dim)
+    dense_rays, lineality = cone_double_description_dense(ineqs, eqs, dim)
+    if lineality:
+        with pytest.raises(PolyhedronError, match="not pointed"):
+            cone_double_description(ineqs, eqs, dim)
+        return
+    rays = cone_double_description(ineqs, eqs, dim)
+    assert rays == dense_rays
     for ray in rays:
         assert all(sum(a * x for a, x in zip(row, ray)) == 0 for row in eqs)
         assert all(sum(a * x for a, x in zip(row, ray)) >= 0 for row in ineqs)
@@ -659,6 +729,6 @@ def test_cone_double_description_lifted_cone_matches_dense_reference():
     ineqs = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
     eqs = _homogenized_rows(h.equations)
     assert len(kernel_basis(eqs)) < h.dim
-    rays, lineality = cone_double_description(ineqs, eqs, h.dim + 1)
+    rays = cone_double_description(ineqs, eqs, h.dim + 1)
     assert len(rays) > 100
-    assert (rays, lineality) == cone_double_description_dense(ineqs, eqs, h.dim + 1)
+    assert (rays, []) == cone_double_description_dense(ineqs, eqs, h.dim + 1)
