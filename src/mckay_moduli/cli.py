@@ -110,6 +110,9 @@ def _rational_csv(text: str):
     for tok in text.split(","):
         t = tok.strip()
         try:
+            # Fraction also reads any Unicode decimal digit, such as "١".
+            if not t.isascii():
+                raise ValueError
             out.append(Fraction(t))
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"not a rational number: {t!r}") from None

@@ -12,7 +12,7 @@ between components of a closed walk is a unit-cost flow, so a shortest path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BadShape, BadTheta, CertificateError, NonGenerating, NotInM
@@ -20,15 +20,13 @@ from .flow import min_cost_flow
 from .intlinalg import row_hnf
 
 
-@dataclass(frozen=True)
-class AbelianGroupData:
+class AbelianGroupData(namedtuple("AbelianGroupData", "orders weights")):
     """Validated product group Z/r_1 x ... x Z/r_k with an n-column weight matrix.
 
     A character is a tuple of residues, one modulo each cycle order.
     """
 
-    orders: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -97,13 +95,10 @@ def build_group(orders, weights) -> AbelianGroupData:
     return AbelianGroupData(orders, reduced)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(namedtuple("Arrow", "tail head label")):
     """Arrow of label i from vertex rho * rho_i to vertex rho (indices into the vertex list)."""
 
-    tail: int
-    head: int
-    label: int
+    __slots__ = ()
 
 
 class McKayQuiver:
@@ -165,17 +160,14 @@ def build_quiver(group: AbelianGroupData) -> McKayQuiver:
     return q
 
 
-@dataclass(frozen=True)
-class IncidenceData:
+class IncidenceData(namedtuple("IncidenceData", "b c d")):
     """Vertex and label incidence matrices of the quiver, as tuples of rows.
 
     b has one row per vertex (+1 at the head, -1 at the tail of each arrow),
     d has one row per coordinate label, and c stacks b over d.
     """
 
-    b: tuple[tuple[int, ...], ...]
-    c: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def incidence_matrices(quiver: McKayQuiver) -> IncidenceData:

@@ -9,7 +9,7 @@ distinguished representation attached to (theta, w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -36,16 +36,14 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class GitParameter:
+class GitParameter(namedtuple("GitParameter", "theta integral")):
     """A rational stability parameter summing to zero over the vertices.
 
     integral is the primitive integer vector on the ray of theta, which all
     polyhedral computations use; the fan does not depend on positive scaling.
     """
 
-    theta: tuple
-    integral: tuple
+    __slots__ = ()
 
 
 def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
@@ -56,13 +54,10 @@ def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
     return GitParameter(theta=th, integral=tuple(integral_theta(quiver, _clear_denominators(th))))
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaPolyhedron:
+class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h v")):
     """Both descriptions of the polyhedron of types of flows routing theta."""
 
-    quiver: McKayQuiver
-    h: HPolyhedron
-    v: VPolyhedron
+    __slots__ = ()
 
 
 def lifted_flow_polyhedron(quiver: McKayQuiver, integral_theta) -> HPolyhedron:
@@ -99,7 +94,8 @@ def _theta_polyhedron_oracle(quiver, param):
     is the orthant, so it is the cost of an exact min-cost flow routing
     theta; either the facet is supporting (minimum equals the offset) or the
     optimal flow projects to a point beyond it, which is added.  A certified
-    facet is valid on the polyhedron, so it is never solved again.
+    facet is valid on the polyhedron, so it is never solved again.  Every
+    vertex of the final description must be the image of a solved flow.
     """
     n = quiver.n
     u0 = theta_decompose(quiver, param.integral)
@@ -123,7 +119,11 @@ def _theta_polyhedron_oracle(quiver, param):
             else:
                 certified.add(row)
         if not grew:
-            return h, h_to_v(h)
+            v = h_to_v(h)
+            for vert in v.vertices:
+                if vert not in pts:
+                    raise CertificateError(f"vertex {vert} is not the image of a solved flow")
+            return h, v
 
 
 def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> ThetaPolyhedron:
@@ -148,8 +148,7 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     return ThetaPolyhedron(quiver=quiver, h=h, v=v)
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):
     """Affine chart data at one vertex of the type polyhedron.
 
     generators are the nonzero lattice directions q with vertex + q still in
@@ -159,22 +158,17 @@ class ChartReport:
     chart saturated up to the bound.
     """
 
-    vertex: tuple
-    bound: int
-    generators: tuple
-    missing: tuple
+    __slots__ = ()
 
     @property
     def saturated_up_to_bound(self) -> bool:
         return not self.missing
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaFan:
+class ThetaFan(namedtuple("ThetaFan", "fan charts", defaults=(None,))):
     """Inner-normal fan of the type polyhedron, with optional chart reports."""
 
-    fan: Fan
-    charts: tuple | None = None
+    __slots__ = ()
 
 
 def _l1_ball(n, bound):
@@ -260,8 +254,7 @@ def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:
     return stability_parameter(quiver, (1 - quiver.r,) + (1,) * (quiver.r - 1))
 
 
-@dataclass(frozen=True, eq=False)
-class DistinguishedRep:
+class DistinguishedRep(namedtuple("DistinguishedRep", "w b tight point value mode")):
     """The representation attached to (theta, w): arrows with vanishing slack.
 
     b has one 0/1 entry per arrow; tight lists the arrow indices with b = 1.
@@ -269,12 +262,7 @@ class DistinguishedRep:
     optimal objective theta . v.
     """
 
-    w: tuple
-    b: tuple
-    tight: frozenset
-    point: tuple
-    value: Fraction
-    mode: str
+    __slots__ = ()
 
 
 def _check_relations(quiver: McKayQuiver, b) -> None:

@@ -13,7 +13,7 @@ canonically sorted, making every conversion independent of input row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import le
@@ -57,8 +57,7 @@ def _clear_denominators(vec) -> Vec:
     return _primitive(_homogeneous(vec)[:-1])
 
 
-@dataclass(frozen=True)
-class HPolyhedron:
+class HPolyhedron(namedtuple("HPolyhedron", "dim inequalities equations")):
     """Solution set of inequalities a.x >= b and equations e.x == f.
 
     Rows are (coefficient tuple, right-hand side) pairs with exact rational
@@ -66,18 +65,15 @@ class HPolyhedron:
     in canonical sorted order with primitive integer entries.
     """
 
-    dim: int
-    inequalities: tuple
-    equations: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for coeffs, _ in tuple(self.inequalities) + tuple(self.equations):
-            if len(coeffs) != self.dim:
-                raise MismatchedDescriptions("row length does not match dimension")
+    def __new__(cls, dim, inequalities, equations=()):
+        if any(len(coeffs) != dim for coeffs, _ in (*inequalities, *equations)):
+            raise MismatchedDescriptions("row length does not match dimension")
+        return super().__new__(cls, dim, inequalities, equations)
 
 
-@dataclass(frozen=True)
-class VPolyhedron:
+class VPolyhedron(namedtuple("VPolyhedron", "dim vertices rays", defaults=((),))):
     """Convex hull of vertices plus the cone of rays.
 
     The empty polyhedron is the instance with no vertices; any nonempty
@@ -86,24 +82,20 @@ class VPolyhedron:
     integer vectors.
     """
 
-    dim: int
-    vertices: tuple
-    rays: tuple = ()
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "rays indices")):
     """Polyhedral cone spanned by primitive integer rays.
 
     indices point into the ray list of the fan that produced the cone.
     """
 
-    rays: tuple
-    indices: tuple
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -411,8 +403,7 @@ def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
     return out
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "rays cones vertices rec_rays facet_ray_zero")):
     """Inner-normal fan of a full-dimensional pointed polyhedron, by its maximal cones.
 
     Rays are the facet normals, indexed exactly like the inequalities of the
@@ -421,11 +412,7 @@ class Fan:
     indices of the recession rays rec_rays on which facet i's normal vanishes.
     """
 
-    rays: tuple
-    cones: tuple
-    vertices: tuple
-    rec_rays: tuple
-    facet_ray_zero: tuple
+    __slots__ = ()
 
 
 def _fan_cone(rays, indices) -> Cone:

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import golden
+import mckay_moduli
 from mckay_moduli import build_group, build_quiver, moduli_fan, theta_polyhedron
 
 # Default battery of actions exercised by the property suites.  Entries are
@@ -24,6 +28,14 @@ def binomial_pairs(vectors):
     return [
         (tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in vectors
     ]
+
+
+def src_env():
+    """The environment with the package's source directory first on PYTHONPATH."""
+    src = str(Path(mckay_moduli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def suite_quivers():

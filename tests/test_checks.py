@@ -1,5 +1,4 @@
 import ast
-import os
 import random
 import subprocess
 import sys
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SUITE_GROUPS
+from conftest import SUITE_GROUPS, src_env
 from flow_oracle import flow_images_up_to
 import mckay_moduli
 from mckay_moduli import build_group, build_quiver, groups
@@ -112,11 +111,9 @@ print(verdicts["theta-routing"], __debug__)
 
 
 def test_check_verdicts_survive_optimize_flag():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(_SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [sys.executable, "-O", "-c", _ZERO_FLOW_SCRIPT],
-        env=env, capture_output=True, text=True, check=True,
+        env=src_env(), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False False"
 

@@ -93,6 +93,25 @@ def test_bad_theta_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fan", "--group", "1/11(1,2,8)", "--theta", "1,1,1,1,-7,-9,1,1,1,8,\u0661"),
+        ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "1,\u0662,1"),
+    ],
+    ids=["theta", "w"],
+)
+def test_non_ascii_digit_in_rational_is_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "not a rational number" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "1/2", "0.5"])
+def test_ascii_rationals_keep_their_meaning(value):
+    assert cli._rational_csv(f" {value} ,1") == (Fraction(value), 1)
+
+
 def test_negative_w_exit_code(capsys):
     rc, _, err = run_cli(
         capsys, "rep", "--group", "1/3(1,1,1)", "--theta", "-2,1,1", "--w", "-1,0,0"

@@ -1,9 +1,7 @@
 import heapq
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import suite_quivers
+from conftest import src_env, suite_quivers
 from flow_oracle import min_cost_flow_ssp
 from mckay_moduli import (
     BadTheta,
@@ -165,15 +163,6 @@ def test_kernel_rejects_bad_input():
         min_cost_flow(q, half, [1] * q.num_arrows)
 
 
-def _src_env():
-    import mckay_moduli
-
-    src = str(Path(mckay_moduli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
 _TAMPER_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver
 from mckay_moduli.flow import check_certificate, min_cost_flow
@@ -189,7 +178,7 @@ except CertificateError:
 
 
 def test_certificate_checks_survive_optimize_flag():
-    env = _src_env()
+    env = src_env()
     out = subprocess.run(
         [sys.executable, "-O", "-c", _TAMPER_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
@@ -217,8 +206,11 @@ def test_certificate_checks_survive_optimize_flag():
 
 
 def test_cli_does_not_load_the_lp_reference():
-    script = "import sys, mckay_moduli.cli; print('mckay_moduli.lp' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True
+    script = (
+        "import sys, mckay_moduli.cli; "
+        "print('mckay_moduli.lp' in sys.modules, 'dataclasses' in sys.modules)"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False False"

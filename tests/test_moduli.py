@@ -1,4 +1,5 @@
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS, suite_quivers
+from conftest import SUITE_GROUPS, src_env, suite_quivers
 from fan_oracle import face_cones
 from mckay_moduli import (
     BadShape,
@@ -461,6 +462,32 @@ def test_two_path_agreement_on_random_parameters():
 def test_theta_polyhedron_rejects_unknown_method():
     with pytest.raises(UnknownMethod, match="simplex"):
         theta_polyhedron(w1_quiver(), golden.W1_THETA, method="simplex")
+
+
+# v_to_h loses its lexicographically largest facet in every oracle round.
+# Unchecked, G-Hilb on 1/7(1,2,4) then comes back with 5 facets and 5
+# vertices instead of 6 and 7, two of them never solved.
+_DROP_ROW_SCRIPT = """
+from mckay_moduli import CertificateError, HPolyhedron, build_group, build_quiver, moduli
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+v_to_h = moduli.v_to_h
+moduli.v_to_h = lambda v: HPolyhedron(v.dim, v_to_h(v).inequalities[:-1])
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+try:
+    theta_polyhedron(q, ghilb_parameter(q))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_oracle_rejects_a_vertex_no_flow_reached():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ROW_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.startswith("raised False vertex (")
+    assert "is not the image of a solved flow" in out.stdout
 
 
 def _golden_v(vertices, n):

@@ -1,0 +1,72 @@
+"""The pipeline's records are named tuples: immutable values, equal and hashed by their fields."""
+
+from functools import cache
+
+import pytest
+
+from mckay_moduli import (
+    build_group,
+    build_quiver,
+    distinguished_rep,
+    incidence_matrices,
+    locate_cone,
+    moduli_fan,
+    stability_parameter,
+    theta_polyhedron,
+)
+
+THETA = (-2, 1, 1)
+W = (1, 2, 2)
+
+
+@cache
+def _records():
+    """One instance of each record, from a run of the pipeline on 1/3(1,1,1)."""
+    group = build_group([3], [[1, 1, 1]])
+    quiver = build_quiver(group)
+    tp = theta_polyhedron(quiver, THETA)
+    tf = moduli_fan(tp, charts_bound=2)
+    return {
+        "AbelianGroupData": group,
+        "Arrow": quiver.arrows[0],
+        "IncidenceData": incidence_matrices(quiver),
+        "GitParameter": stability_parameter(quiver, THETA),
+        "ThetaPolyhedron": tp,
+        "ChartReport": tf.charts[0],
+        "ThetaFan": tf,
+        "DistinguishedRep": distinguished_rep(quiver, THETA, W),
+        "HPolyhedron": tp.h,
+        "VPolyhedron": tp.v,
+        "Cone": locate_cone(tf.fan, W),
+        "Fan": tf.fan,
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "AbelianGroupData",
+        "Arrow",
+        "IncidenceData",
+        "GitParameter",
+        "ThetaPolyhedron",
+        "ChartReport",
+        "ThetaFan",
+        "DistinguishedRep",
+        "HPolyhedron",
+        "VPolyhedron",
+        "Cone",
+        "Fan",
+    ],
+)
+def test_record_is_a_frozen_value(name):
+    record = _records()[name]
+    assert type(record).__name__ == name and isinstance(record, tuple)
+    twin = type(record)(**record._asdict())
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
