@@ -24,11 +24,13 @@ from .groups import (
     integral_theta,
     theta_decompose,
 )
+from .intlinalg import int_rank
 from .polyhedra import (
     Fan,
     HPolyhedron,
     VPolyhedron,
     _clear_denominators,
+    _dot,
     h_to_v,
     normal_fan,
     project,
@@ -95,7 +97,8 @@ def _theta_polyhedron_oracle(quiver, param):
     theta; either the facet is supporting (minimum equals the offset) or the
     optimal flow projects to a point beyond it, which is added.  A certified
     facet is valid on the polyhedron, so it is never solved again.  Every
-    vertex of the final description must be the image of a solved flow.
+    vertex of the final description must be the image of a solved flow, and
+    every row must be a facet: tight on generators of rank n.
     """
     n = quiver.n
     u0 = theta_decompose(quiver, param.integral)
@@ -123,6 +126,11 @@ def _theta_polyhedron_oracle(quiver, param):
             for vert in v.vertices:
                 if vert not in pts:
                     raise CertificateError(f"vertex {vert} is not the image of a solved flow")
+            for coeffs, rhs in h.inequalities:
+                face = [vert + (1,) for vert in v.vertices if _dot(coeffs, vert) == rhs]
+                face += [unit + (0,) for unit, c in zip(units, coeffs) if c == 0]
+                if int_rank(face) != n:
+                    raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")
             return h, v
 
 
@@ -186,47 +194,42 @@ def _invariant_ball(group: AbelianGroupData, bound: int) -> list:
     return [q for q in _l1_ball(group.n, bound) if group.deg(q) == trivial]
 
 
-def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, ball: list) -> ChartReport:
-    quiver = tp.quiver
+def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, table: list) -> ChartReport:
+    """Chart at vertex vidx, read off table: each nonzero q of the ball with its facet values."""
     vert = tp.v.vertices[vidx]
     if any(x.denominator != 1 for x in vert):
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
-    # The cone's rays are positive multiples of its tight inequality rows,
-    # and only the signs of dot products with them are read.
-    cone_rows = fan.cones[vidx].rays
+    slack = [_dot(coeffs, m) - rhs for coeffs, rhs in tp.h.inequalities]
+    cone = fan.cones[vidx].indices
     gens = []
     extra = []
-    for q in ball:
-        if not any(q):
+    for q, vals in table:
+        at = tuple(vals[i] for i in cone)
+        if min(at) < 0:
             continue
-        if any(sum(a * x for a, x in zip(row, q)) < 0 for row in cone_rows):
-            continue
-        point = tuple(mi + qi for mi, qi in zip(m, q))
-        inside = all(
-            sum(a * x for a, x in zip(coeffs, point)) >= rhs
-            for coeffs, rhs in tp.h.inequalities
-        )
-        (gens if inside else extra).append(q)
+        inside = all(x >= -s for x, s in zip(vals, slack))
+        (gens if inside else extra).append((q, at))
 
-    gen_set = sorted(gens)
-    memo = {(0,) * quiver.n: True}
+    gens.sort()
+    memo = {(0,) * tp.quiver.n: True}
 
-    def reachable(q):
+    def reachable(q, at):
+        # at holds q's values on the facets tight at m: q - g is in the
+        # tangent cone exactly when no difference of values is negative.
         if q in memo:
             return memo[q]
         memo[q] = False
-        for gvec in gen_set:
-            diff = tuple(a - b for a, b in zip(q, gvec))
-            if all(sum(a * x for a, x in zip(row, diff)) >= 0 for row in cone_rows):
-                if reachable(diff):
-                    memo[q] = True
-                    break
+        for gvec, gat in gens:
+            diff = tuple(a - b for a, b in zip(at, gat))
+            if min(diff) >= 0 and reachable(tuple(a - b for a, b in zip(q, gvec)), diff):
+                memo[q] = True
+                break
         return memo[q]
 
-    missing = tuple(q for q in sorted(extra) if not reachable(q))
+    missing = tuple(q for q, at in sorted(extra) if not reachable(q, at))
     return ChartReport(
-        vertex=m, bound=bound, generators=tuple(gen_set), missing=missing
+        vertex=m, bound=bound, generators=tuple(q for q, _ in gens), missing=missing
     )
 
 
@@ -240,9 +243,13 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
     fan = normal_fan(tp.h, tp.v)
     charts = None
     if charts_bound is not None:
-        ball = _invariant_ball(tp.quiver.group, charts_bound)
+        table = [
+            (q, [_dot(coeffs, q) for coeffs, _ in tp.h.inequalities])
+            for q in _invariant_ball(tp.quiver.group, charts_bound)
+            if any(q)
+        ]
         charts = tuple(
-            _chart_report(tp, fan, i, charts_bound, ball) for i in range(len(tp.v.vertices))
+            _chart_report(tp, fan, i, charts_bound, table) for i in range(len(tp.v.vertices))
         )
     return ThetaFan(fan=fan, charts=charts)
 

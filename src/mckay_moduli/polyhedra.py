@@ -374,18 +374,14 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
 def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
     """Per-vertex sets of inequality indices met with equality.
 
-    Also verifies that every generator of v satisfies h, raising
-    MismatchedDescriptions otherwise.
+    h must be full-dimensional, given without equations.  Also verifies
+    that every generator of v satisfies h, raising MismatchedDescriptions
+    otherwise.
     """
+    if h.equations:
+        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
     if h.dim != v.dim:
         raise MismatchedDescriptions("dimension mismatch")
-    for coeffs, rhs in h.equations:
-        for vert in v.vertices:
-            if _dot(coeffs, vert) != rhs:
-                raise MismatchedDescriptions("vertex violates an equation")
-        for ray in v.rays:
-            if _dot(coeffs, ray) != 0:
-                raise MismatchedDescriptions("ray violates an equation")
     out = []
     for vert in v.vertices:
         tight = set()
@@ -403,13 +399,12 @@ def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
     return out
 
 
-class Fan(namedtuple("Fan", "rays cones vertices rec_rays facet_ray_zero")):
+class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):
     """Inner-normal fan of a full-dimensional pointed polyhedron, by its maximal cones.
 
     Rays are the facet normals, indexed exactly like the inequalities of the
     source H-description.  cones[j] is the maximal cone of vertices[j],
-    spanned by the facets tight there.  facet_ray_zero[i] is the set of
-    indices of the recession rays rec_rays on which facet i's normal vanishes.
+    spanned by the facets tight there; rec_rays are the recession rays.
     """
 
     __slots__ = ()
@@ -429,23 +424,16 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     """
     if v.is_empty:
         raise PolyhedronError("normal fan needs a nonempty polyhedron")
-    if h.equations:
-        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
     inc = vertex_facet_incidence(h, v)
     for tight in inc:
         if int_rank([tuple(h.inequalities[i][0]) for i in tight]) != h.dim:
             raise MismatchedDescriptions("vertex is not a basic point of the H-description")
     rays = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
-    facet_ray_zero = tuple(
-        frozenset(k for k, ray in enumerate(v.rays) if _dot(coeffs, ray) == 0)
-        for coeffs, _ in h.inequalities
-    )
     return Fan(
         rays=rays,
         cones=tuple(_fan_cone(rays, tight) for tight in inc),
         vertices=v.vertices,
         rec_rays=v.rays,
-        facet_ray_zero=facet_ray_zero,
     )
 
 
@@ -469,5 +457,5 @@ def locate_cone(fan: Fan, w) -> Cone:
     tight = frozenset.intersection(
         *(frozenset(fan.cones[j].indices) for j, x in enumerate(vals) if x == mn)
     )
-    zero_rays = frozenset(k for k, ray in enumerate(fan.rec_rays) if _dot(w, ray) == 0)
-    return _fan_cone(fan.rays, (i for i in tight if zero_rays <= fan.facet_ray_zero[i]))
+    zero = [ray for ray in fan.rec_rays if _dot(w, ray) == 0]
+    return _fan_cone(fan.rays, (i for i in tight if not any(_dot(fan.rays[i], z) for z in zero)))

@@ -30,6 +30,12 @@ def binomial_pairs(vectors):
     ]
 
 
+def generic_theta(rng, r):
+    """theta = 1 (mod r) with entries in {1 - r, 1, 1 + r} off vertex 0, as the benchmark draws it."""
+    rest = [1 + r * rng.choice((-1, 0, 1)) for _ in range(r - 1)]
+    return [-sum(rest)] + rest
+
+
 def src_env():
     """The environment with the package's source directory first on PYTHONPATH."""
     src = str(Path(mckay_moduli.__file__).resolve().parent.parent)

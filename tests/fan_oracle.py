@@ -1,4 +1,4 @@
-"""Reference face lattice of a normal fan, by intersection closure.
+"""Reference face lattice and chart reports of a normal fan.
 
 The package stores a fan as its maximal cones and builds the cone of a
 vector w when asked (polyhedra.locate_cone).  face_cones enumerates every
@@ -6,9 +6,13 @@ cone of the fan the way the package once did: each nonempty face of the
 polyhedron is an intersection of facets, identified by its (vertex set,
 recession-ray set), and its inner-normal cone is spanned by the normals of
 every facet containing it.  The tests check locate_cone against it.
+
+chart_report builds one vertex's chart the way the package once did, with
+every dot product taken afresh per vertex and per difference; the tests
+check moduli_fan's table-driven charts against it.
 """
 
-from mckay_moduli import Cone, vertex_facet_incidence
+from mckay_moduli import CertificateError, ChartReport, Cone, vertex_facet_incidence
 from mckay_moduli.polyhedra import _clear_denominators, _dot
 
 
@@ -52,3 +56,40 @@ def face_cones(h, v) -> dict:
         idx = tuple(sorted(full))
         cones[full] = Cone(rays=tuple(rays[i] for i in idx), indices=idx)
     return cones
+
+
+def chart_report(tp, fan, vidx, bound, ball) -> ChartReport:
+    """The chart at vertex vidx of tp, from the invariant lattice ball (zero included)."""
+    vert = tp.v.vertices[vidx]
+    if any(x.denominator != 1 for x in vert):
+        raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
+    m = tuple(int(x) for x in vert)
+    cone_rows = fan.cones[vidx].rays
+    gens = []
+    extra = []
+    for q in ball:
+        if not any(q):
+            continue
+        if any(_dot(row, q) < 0 for row in cone_rows):
+            continue
+        point = tuple(mi + qi for mi, qi in zip(m, q))
+        inside = all(_dot(coeffs, point) >= rhs for coeffs, rhs in tp.h.inequalities)
+        (gens if inside else extra).append(q)
+
+    gen_set = sorted(gens)
+    memo = {(0,) * tp.quiver.n: True}
+
+    def reachable(q):
+        if q in memo:
+            return memo[q]
+        memo[q] = False
+        for gvec in gen_set:
+            diff = tuple(a - b for a, b in zip(q, gvec))
+            if all(_dot(row, diff) >= 0 for row in cone_rows):
+                if reachable(diff):
+                    memo[q] = True
+                    break
+        return memo[q]
+
+    missing = tuple(q for q in sorted(extra) if not reachable(q))
+    return ChartReport(vertex=m, bound=bound, generators=tuple(gen_set), missing=missing)

@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS, src_env, suite_quivers
-from fan_oracle import face_cones
+from conftest import SUITE_GROUPS, generic_theta, src_env, suite_quivers
+from fan_oracle import chart_report, face_cones
 from mckay_moduli import (
     BadShape,
     BadTheta,
@@ -36,9 +37,9 @@ from mckay_moduli import polyhedra
 from mckay_moduli.cli import main
 from mckay_moduli.flow import min_cost_flow
 from mckay_moduli.groups import AbelianGroupData, integral_theta
-from mckay_moduli.intlinalg import mat_vec
+from mckay_moduli.intlinalg import mat_vec, row_hnf
 from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
-from mckay_moduli.moduli import _check_relations, _l1_ball
+from mckay_moduli.moduli import _check_relations, _invariant_ball, _l1_ball
 
 
 def quiver(orders, weights):
@@ -545,3 +546,96 @@ def test_charts_sweep_the_lattice_ball_once(monkeypatch, capsys):
     assert main(base + ["--charts", "6"]) == 0
     capsys.readouterr()
     assert len(calls) - without == sum(1 for _ in _l1_ball(3, 6))
+
+
+# v_to_h appends the sum of its first two rows in every oracle round: a
+# valid but redundant row.  Unchecked, G-Hilb on 1/7(1,2,4) then comes back
+# with 7 rows, (0, 1, 1) >= 0 among them.
+_ADD_ROW_SCRIPT = """
+from mckay_moduli import CertificateError, HPolyhedron, build_group, build_quiver, moduli
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+v_to_h = moduli.v_to_h
+
+def add_row(v):
+    rows = v_to_h(v).inequalities
+    (c0, r0), (c1, r1) = rows[:2]
+    return HPolyhedron(v.dim, rows + ((tuple(a + b for a, b in zip(c0, c1)), r0 + r1),))
+
+moduli.v_to_h = add_row
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+try:
+    theta_polyhedron(q, ghilb_parameter(q))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_oracle_rejects_a_redundant_row():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _ADD_ROW_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "raised False row (0, 1, 1) >= 0 is not a facet\n"
+
+
+# (orders, weights, theta or None for G-Hilb, bound, {vertex: missing} of the
+# charts that are not saturated up to the bound)
+CHART_CASES = [
+    ([7], [[1, 2, 4]], None, 14, {}),
+    ([13], [[1, 3, 9]], None, 12, {}),
+    ([3], [[1, 1, 1]], (-2, 1, 1), 10, {}),
+    ([2, 2], [[1, 0, 1], [0, 1, 1]], None, 8, {}),
+    ([8], [[1, 3, 5, 7]], (-4, -1, -4, 2, -5, 0, 3, 9), 5, {(0, 3, 14, 1): ((0, 2, 0, -2),)}),
+]
+
+
+@pytest.mark.parametrize("orders,weights,theta,bound,unsaturated", CHART_CASES)
+def test_charts_match_the_per_vertex_reference(orders, weights, theta, bound, unsaturated):
+    q = quiver(orders, weights)
+    tp = theta_polyhedron(q, ghilb_parameter(q) if theta is None else theta)
+    tf = moduli_fan(tp, charts_bound=bound)
+    ball = _invariant_ball(q.group, bound)
+    expected = tuple(chart_report(tp, tf.fan, i, bound, ball) for i in range(len(tp.v.vertices)))
+    assert tf.charts == expected
+    assert {ch.vertex: ch.missing for ch in tf.charts if ch.missing} == unsaturated
+
+
+def _primitive_in_n(ray, r, basis):
+    """Coordinates of ray in the basis of r * N, made primitive: ray's primitive vector in N."""
+    c = []
+    for j, col in enumerate(zip(*basis)):
+        rest = r * ray[j] - sum(ci * b for ci, b in zip(c, col))
+        assert rest % col[j] == 0
+        c.append(rest // col[j])
+    g = math.gcd(*c)
+    return [x // g for x in c]
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize(
+    "r,weights,generic",
+    [(61, [1, 11, 49], False), (127, [1, 19, 107], False), (127, [1, 19, 107], True)],
+)
+def test_fan_meets_the_mckay_invariants_at_the_frontier(r, weights, generic):
+    """The fan of a generic theta on C^3 / (1/r(a)) is a crepant resolution's.
+
+    r maximal cones, each simplicial; one ray per coordinate and per junior
+    element; every cone unimodular in N = Z^3 + Z a / r.
+    """
+    q = quiver([r], [weights])
+    theta = generic_theta(random.Random(1), r) if generic else ghilb_parameter(q)
+    fan = moduli_fan(theta_polyhedron(q, theta)).fan
+    junior = sum(1 for k in range(1, r) if sum(k * a % r for a in weights) == r)
+    assert junior == {61: 30, 127: 63}[r]
+    assert len(fan.cones) == r
+    assert len(fan.rays) == 3 + junior
+    basis = row_hnf([tuple(r if i == j else 0 for j in range(3)) for i in range(3)] + [weights])
+    assert len(basis) == 3
+    for cone in fan.cones:
+        assert len(cone.rays) == 3
+        assert abs(_det3([_primitive_in_n(ray, r, basis) for ray in cone.rays])) == 1

@@ -94,6 +94,12 @@ ANCHORS = [
         ("fan", "--group", "2x2:1,0,1;0,1,1", "--ghilb", "--lifted"),
         "92b0fae0c49f7072578c54f8c1de7a9bfa9421fc6ab3d7c6269208c836e83bcc",
     ),
+    # A chart that is not saturated: Y_theta need not be normal.  The chart at
+    # vertex (0, 3, 14, 1) misses (0, 2, 0, -2).
+    (
+        ("fan", "--group", "1/8(1,3,5,7)", "--theta", "-4,-1,-4,2,-5,0,3,9", "--charts", "5"),
+        "da198be1372201f76b8c0f3e43bd2ffe220c753474811aa9e40db4b910d7a5f6",
+    ),
 ]
 
 

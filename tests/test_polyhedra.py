@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
+from conftest import generic_theta
 from dd_oracle import cone_double_description_dense, pointed_dd_scan
 from fan_oracle import face_cones
 
@@ -437,12 +438,6 @@ def test_greedy_basis_matches_rank_scan(case):
     assert past_base == expected
 
 
-def _generic_theta(rng, r):
-    """theta = 1 (mod r) with entries in {1 - r, 1, 1 + r} off vertex 0, as the benchmark draws it."""
-    rest = [1 + r * rng.choice((-1, 0, 1)) for _ in range(r - 1)]
-    return [-sum(rest)] + rest
-
-
 def _lifted_dd_calls(monkeypatch, r, weights, theta=None):
     """The (rows, d) arguments _pointed_dd receives while h_to_v runs on a lifted cone."""
     from mckay_moduli import (
@@ -476,8 +471,8 @@ def _lifted_dd_calls(monkeypatch, r, weights, theta=None):
     [
         (7, [1, 2, 4], None),
         (8, [1, 2, 5], None),
-        (7, [1, 2, 4], _generic_theta(random.Random(1), 7)),
-        (7, [1, 2, 4], _generic_theta(random.Random(2), 7)),
+        (7, [1, 2, 4], generic_theta(random.Random(1), 7)),
+        (7, [1, 2, 4], generic_theta(random.Random(2), 7)),
     ],
 )
 def test_pointed_dd_matches_scan_reference_on_lifted_cones(monkeypatch, r, weights, theta):
@@ -502,6 +497,26 @@ def test_vertex_facet_incidence_rejects_outside_point():
     fake = VPolyhedron(dim=2, vertices=((2, 2),))
     with pytest.raises(MismatchedDescriptions):
         vertex_facet_incidence(SQUARE, fake)
+
+
+def test_vertex_facet_incidence_rejects_outside_ray():
+    fake = VPolyhedron(dim=2, vertices=((0, 0),), rays=((1, 0),))
+    with pytest.raises(MismatchedDescriptions, match="ray violates an inequality"):
+        vertex_facet_incidence(SQUARE, fake)
+
+
+def test_vertex_facet_incidence_rejects_equations():
+    line = HPolyhedron(dim=2, inequalities=(((0, 1), 0),), equations=(((1, 0), 0),))
+    v = VPolyhedron(dim=2, vertices=((0, 0),), rays=((0, 1),))
+    with pytest.raises(PolyhedronError, match="full-dimensional"):
+        vertex_facet_incidence(line, v)
+
+
+def test_normal_fan_rejects_a_vertex_that_is_not_basic():
+    v = h_to_v(SQUARE)
+    midpoint = VPolyhedron(dim=2, vertices=v.vertices + ((Fraction(1, 2), 0),), rays=v.rays)
+    with pytest.raises(MismatchedDescriptions, match="not a basic point"):
+        normal_fan(SQUARE, midpoint)
 
 
 def test_h_polyhedron_validates_row_lengths():
