@@ -151,11 +151,10 @@ def build_quiver(group: AbelianGroupData) -> McKayQuiver:
     """Construct the quiver of characters and check strong connectivity."""
     q = McKayQuiver(group)
     succ = [[] for _ in range(q.r)]
-    pred = [[] for _ in range(q.r)]
     for a in q.arrows:
         succ[a.tail].append(a.head)
-        pred[a.head].append(a.tail)
-    if any(len(_reachable(adj, 0)) != q.r for adj in (succ, pred)):
+    # Every vertex has n arrows in and n out, so reaching all from 0 suffices.
+    if len(_reachable(succ, 0)) != q.r:
         raise NonGenerating("quiver of characters is not strongly connected")
     return q
 
@@ -318,24 +317,15 @@ def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
         circuit.reverse()
         return [(k, sign) for (_, k, sign, _) in circuit]
 
-    # Node-level components of the support graph, each Eulerian.
-    adj = [[] for _ in range(quiver.r)]
-    for src, lst in out_edges.items():
-        for dst, _, _ in lst:
-            adj[src].append(dst)
-            adj[dst].append(src)
-    comp_starts = []
-    unseen = set(out_edges)
-    while unseen:
-        start = min(unseen)
-        comp_starts.append(start)
-        unseen -= _reachable(adj, start)
-
-    if not comp_starts:
+    # The support is balanced, so a circuit uses up its start's whole component.
+    starts = sorted(out_edges)
+    if not starts:
         return []
-    base = comp_starts[0]
+    base = starts[0]
     walk = euler_circuit(base)
-    for start in comp_starts[1:]:
+    for start in starts[1:]:
+        if not out_edges[start]:
+            continue
         # A unit-cost flow of one unit from base to start is a shortest path.
         theta = [0] * quiver.r
         theta[base] -= 1

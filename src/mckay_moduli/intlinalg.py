@@ -114,5 +114,6 @@ def independent_rows(rows) -> list[int]:
 
 
 def mat_vec(rows, v) -> list:
-    """Matrix-vector product over exact scalars."""
-    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+    """Matrix-vector product over exact scalars, summed over the nonzero entries of v."""
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nonzero) for row in rows]

@@ -298,15 +298,15 @@ def _face_tight_arrows(quiver: McKayQuiver, cost, u, y) -> frozenset:
     return frozenset(k for k, a in enumerate(arrows) if zero[k] and a.tail in reach[a.head])
 
 
-def _greatest_potential(quiver: McKayQuiver, cost, tight) -> list:
-    """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 on tight.
+def _greatest_potential(quiver: McKayQuiver, cost, u) -> list:
+    """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 where u_k != 0.
 
     These are difference constraints, so V is the shortest-path distance
     from vertex 0 over arcs head -> tail of length cost_k for every arrow
-    and tail -> head of length -cost_k for every tight arrow (Bellman-Ford).
+    and tail -> head of length -cost_k where u_k != 0 (Bellman-Ford).
     """
     arcs = [(a.head, a.tail, cost[k]) for k, a in enumerate(quiver.arrows)]
-    arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if k in tight]
+    arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if u[k]]
     dist = [0] + [None] * (quiver.r - 1)
     for _ in range(quiver.r):
         relaxed = False
@@ -344,13 +344,15 @@ def distinguished_rep(
     scale = lcm(*(x.denominator for x in wq))
     cost = [int(wq[a.label - 1] * scale) for a in quiver.arrows]
     u, y, flow_value = min_cost_flow(quiver, param.integral, cost)
-    tight = _face_tight_arrows(quiver, cost, u, y)
-    dist = _greatest_potential(quiver, cost, tight)
+    # Complementary slackness: the optimal potentials are tight on u's support.
+    dist = _greatest_potential(quiver, cost, u)
     if sum(t * d for t, d in zip(param.integral, dist)) != -flow_value:
         raise CertificateError("the greatest potential is not optimal")
     if single_optimizer:
         slack = [cost[k] + dist[a.head] - dist[a.tail] for k, a in enumerate(quiver.arrows)]
         tight = frozenset(k for k, s in enumerate(slack) if s == 0)
+    else:
+        tight = _face_tight_arrows(quiver, cost, u, y)
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)

@@ -118,6 +118,30 @@ def test_check_verdicts_survive_optimize_flag():
     assert out.stdout.strip() == "False False"
 
 
+# arrow 0 of 1/7(1,2,4) gets the head (head + 1) mod 7, so the vertex
+# incidence matrix no longer matches the translations cycle_from_type follows
+_REDIRECT_ARROW_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver
+from mckay_moduli.checks import verify_cycle_types
+
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+a = q.arrows[0]
+q.arrows = (a._replace(head=(a.head + 1) % 7),) + q.arrows[1:]
+try:
+    verify_cycle_types(q, bound=4)
+except CertificateError as exc:
+    print(exc, __debug__)
+"""
+
+
+def test_cycle_types_catches_a_redirected_arrow_under_optimize_flag():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _REDIRECT_ARROW_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "cycle vector leaves the kernel False"
+
+
 def test_no_assert_statements_outside_the_lp_reference():
     offenders = []
     for path in sorted(_SRC.glob("*.py")):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -18,6 +19,7 @@ from mckay_moduli import (
     kernel_generators_cij,
     theta_decompose,
 )
+from mckay_moduli.groups import AbelianGroupData
 from mckay_moduli.intlinalg import kernel_basis, mat_vec, row_hnf
 
 
@@ -70,6 +72,13 @@ def test_build_group_rejects_non_generating_weights():
         build_group([4], [[2]])
     with pytest.raises(NonGenerating):
         build_group([2, 2], [[1], [1]])
+
+
+def test_build_quiver_rejects_a_group_that_does_not_generate():
+    # a hand-built group skips build_group's check; from 0 the weight 2
+    # reaches only 0 and 2 of Z/4
+    with pytest.raises(NonGenerating, match="not strongly connected"):
+        build_quiver(AbelianGroupData((4,), ((2, 2),)))
 
 
 def test_group_operations():
@@ -328,6 +337,28 @@ def test_closed_walk_links_components_by_a_shortest_path():
     assert all(s == 1 for _, s in connector)
     assert ends[4][0] == 0 and ends[3 + length][1] == 5
     assert walk[8 + length :] == [(k, -s) for k, s in reversed(connector)]
+
+
+def test_closed_walk_links_three_components():
+    # each circuit uses up its start's component, and the later circuits
+    # start at the smallest vertex that still has edges
+    q = build_quiver(build_group([13], [[1, 3, 9]]))
+    gens = kernel_generators_cij(q)
+    u = [a + b + c for a, b, c in zip(gens[0], gens[18], gens[38])]
+    walk = closed_walk_from_kernel(q, u)
+    net = [0] * q.num_arrows
+    for k, s in walk:
+        net[k] += s
+    assert net == u
+    ends = []
+    for k, s in walk:
+        a = q.arrows[k]
+        ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
+    assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
+    assert ends[-1][1] == ends[0][0]
+    assert len(walk) == 24
+    digest = sha256(repr(walk).encode()).hexdigest()
+    assert digest == "b9a97cfc72459dae62b7773a6cf4ec4ce27f7578b96aeb54265236f2da4190c4"
 
 
 def test_closed_walk_rejects_non_kernel():

@@ -33,7 +33,7 @@ from mckay_moduli import (
     stability_parameter,
     theta_polyhedron,
 )
-from mckay_moduli import polyhedra
+from mckay_moduli import moduli, polyhedra
 from mckay_moduli.cli import main
 from mckay_moduli.flow import min_cost_flow
 from mckay_moduli.groups import AbelianGroupData, integral_theta
@@ -311,6 +311,23 @@ def test_distinguished_rep_face_subset_of_single():
         single = distinguished_rep(q, golden.W1_THETA, w, single_optimizer=True)
         assert face.tight <= single.tight
         assert face.value == single.value
+
+
+def test_single_optimizer_runs_no_face_search(monkeypatch):
+    real = moduli._face_tight_arrows
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "_face_tight_arrows", counting)
+    q = quiver([13], [[1, 3, 9]])
+    theta = ghilb_parameter(q).theta
+    distinguished_rep(q, theta, (13, 7, 1), single_optimizer=True)
+    assert len(calls) == 0
+    distinguished_rep(q, theta, (13, 7, 1))
+    assert len(calls) == 1
 
 
 REP_QUIVERS = [q for _, q in suite_quivers()] + [quiver([7], [[1, 2, 4]])]
