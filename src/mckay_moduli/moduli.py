@@ -32,8 +32,8 @@ from .polyhedra import (
     _clear_denominators,
     _dot,
     h_to_v,
+    image_descriptions,
     normal_fan,
-    project,
     v_to_h,
 )
 
@@ -82,11 +82,9 @@ def _image_point(quiver: McKayQuiver, u):
 
 
 def _theta_polyhedron_lifted(quiver, param):
-    lifted = lifted_flow_polyhedron(quiver, param.integral)
-    vlift = h_to_v(lifted)
-    inc = incidence_matrices(quiver)
-    v = project(vlift, inc.d)
-    return v_to_h(v), v
+    """Map the extreme rays of the homogenized flow cone through the type map d."""
+    d = incidence_matrices(quiver).d
+    return image_descriptions(lifted_flow_polyhedron(quiver, param.integral), d)
 
 
 def _theta_polyhedron_oracle(quiver, param):
@@ -139,8 +137,9 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
 
     method "oracle" (default) certifies facets with exact min-cost flows
     over the flow polyhedron and never enumerates its vertices; method
-    "lifted" enumerates the flow polyhedron first and projects, which is
-    exponentially larger but follows the defining construction directly.
+    "lifted" enumerates the extreme rays of the homogenized flow cone and
+    maps each into type space, which is exponentially larger but follows
+    the defining construction directly.
     Both give identical canonical descriptions.
     """
     param = stability_parameter(quiver, theta)

@@ -242,35 +242,58 @@ def _unit_rows(d):
     return [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
 
 
-def cone_double_description(ineq_rows, eq_rows, dim):
+def cone_double_description(ineq_rows, eq_rows, dim, image=None):
     """Extreme rays of the pointed cone {x : ineq . x >= 0, eq . x == 0}.
 
     Input rows are integer vectors of length dim.  The inequality rows must
     span the dual of the equations' kernel, so the cone has no lineality;
     PolyhedronError is raised otherwise.  Rays come back primitive and
-    lexicographically sorted, so the output is canonical.
+    lexicographically sorted, so the output is canonical.  With image, an
+    integer matrix given by rows of length dim, each ray x is replaced by
+    image . x made primitive; zero images are dropped and duplicates merged.
     """
-    if not eq_rows:
-        return sorted(_pointed_dd(ineq_rows, dim))
-    sub = kernel_basis(eq_rows)
+    sub = kernel_basis(eq_rows) if eq_rows else _unit_rows(dim)
     if not sub:
         return []
-    rays2 = _pointed_dd([tuple(_dot(row, s) for s in sub) for row in ineq_rows], len(sub))
+    if eq_rows:
+        ineq_rows = [tuple(_dot(row, s) for s in sub) for row in ineq_rows]
 
-    # A kernel ray y maps back to the sum of y[j] * sub[j] over its nonzero
-    # entries, adding only the nonzeros (i, s) of each sub row: both the
-    # kernel rays and sub are sparse on lifted cones.
-    row_terms = [[(i, s) for i, s in enumerate(srow) if s] for srow in sub]
+    # A kernel ray y maps to the sum of y[j] * maps[j] over its nonzero entries,
+    # maps[j] = image . sub[j] (or sub[j]), adding only the nonzeros of maps[j].
+    maps = sub if image is None else [tuple(_dot(row, s) for row in image) for s in sub]
+    row_terms = [[(i, c) for i, c in enumerate(mrow) if c] for mrow in maps]
 
     def back(y_kernel) -> Vec:
-        amb = [0] * dim
+        amb = [0] * len(maps[0])
         for y, terms in zip(y_kernel, row_terms):
             if y:
-                for i, s in terms:
-                    amb[i] += y * s
-        return _primitive(tuple(amb))
+                for i, c in terms:
+                    amb[i] += y * c
+        return _primitive(amb)
 
-    return sorted(back(y) for y in rays2)
+    return sorted({img for y in _pointed_dd(ineq_rows, len(sub)) if any(img := back(y))})
+
+
+def _cone_rows(h: HPolyhedron):
+    """Inequality and equation rows of the cone over h, with the row t >= 0 first."""
+    ineq_rows = [(0,) * h.dim + (1,)]
+    ineq_rows += [_clear_denominators(tuple(a) + (-b,)) for a, b in h.inequalities]
+    return ineq_rows, [_clear_denominators(tuple(a) + (-b,)) for a, b in h.equations]
+
+
+def _dehomogenize(gens):
+    """Sorted points z[:-1] / t and rays z[:-1] of primitive generators z = (..., t) of a cone."""
+    verts, vrays = [], []
+    for z in gens:
+        t = z[-1]
+        if t < 0:
+            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
+        if t > 0:
+            # z is primitive, so the vertex z[:-1] / t is integral exactly when t == 1.
+            verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
+        else:
+            vrays.append(z[:-1])
+    return sorted(verts), sorted(vrays)
 
 
 def h_to_v(h: HPolyhedron) -> VPolyhedron:
@@ -281,25 +304,8 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     even when the polyhedron is empty.  The empty polyhedron comes back as
     the VPolyhedron with no generators.
     """
-    d = h.dim
-    ineq_rows = [(0,) * d + (1,)]
-    for coeffs, rhs in h.inequalities:
-        ineq_rows.append(_clear_denominators(tuple(coeffs) + (-rhs,)))
-    eq_rows = [_clear_denominators(tuple(coeffs) + (-rhs,)) for coeffs, rhs in h.equations]
-    verts = []
-    vrays = []
-    for z in cone_double_description(ineq_rows, eq_rows, d + 1):
-        t = z[-1]
-        if t < 0:
-            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
-        if t > 0:
-            # z is primitive, so the vertex z[:-1] / t is integral exactly when t == 1.
-            verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
-        else:
-            vrays.append(_primitive(z[:-1]))
-    if not verts:
-        return VPolyhedron(dim=d, vertices=(), rays=())
-    return VPolyhedron(dim=d, vertices=tuple(sorted(verts)), rays=tuple(sorted(vrays)))
+    verts, vrays = _dehomogenize(cone_double_description(*_cone_rows(h), h.dim + 1))
+    return VPolyhedron(dim=h.dim, vertices=tuple(verts), rays=tuple(vrays) if verts else ())
 
 
 def v_to_h(v: VPolyhedron) -> HPolyhedron:
@@ -327,14 +333,31 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     return HPolyhedron(dim=d, inequalities=tuple(inequalities))
 
 
+def _hull(dim, gens) -> tuple[HPolyhedron, VPolyhedron]:
+    """Both canonical descriptions of the polyhedron with distinct generators gens (..., t).
+
+    When every unit vector is among the rays, the orthant lies in the
+    recession cone, so a point that dominates another coordinatewise is
+    redundant; such points are dropped before the double description.
+    """
+    pts, rys = _dehomogenize(gens)
+    if set(_unit_rows(dim)) <= set(rys):
+        # Lexicographic sweep: a point's dominators all precede it, and each
+        # dropped point is dominated by one already on the Pareto front.
+        front = []
+        for pt in pts:
+            if not any(all(map(le, f, pt)) for f in front):
+                front.append(pt)
+        pts = front
+    h = v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys)))
+    return h, h_to_v(h)
+
+
 def project(v: VPolyhedron, rows) -> VPolyhedron:
     """Image of a V-description under an integer linear map given by rows.
 
     Duplicate and interior generators are pruned: the result is the canonical
-    minimal V-description of the image.  When every unit vector is among the
-    image rays, the orthant lies in the image's recession cone, so an image
-    point that dominates another coordinatewise is redundant; such points are
-    dropped before the double description.
+    minimal V-description of the image.
     """
     m = len(rows)
     if v.is_empty:
@@ -347,28 +370,24 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     # Each vertex becomes integer numerators over a common denominator, so
     # the images are integer dot products; (image, den) made primitive is
     # canonical, and Fractions are built only for distinct non-integral images.
-    images = set()
+    gens = set()
     for vert in v.vertices:
         if all(type(x) is int for x in vert):
-            img = image(vert) + (1,)
+            gens.add(image(vert) + (1,))
         else:
             hom = _homogeneous(vert)
-            img = image(hom) + (hom[-1],)
-        images.add(img if img[-1] == 1 else _primitive(img))
-    pts = sorted(
-        img[:-1] if img[-1] == 1 else tuple(Fraction(x, img[-1]) for x in img[:-1])
-        for img in images
-    )
-    rys = sorted({pr for ray in v.rays if any(pr := _primitive(image(ray)))})
-    if set(_unit_rows(m)) <= set(rys):
-        # Lexicographic sweep: a point's dominators all precede it, and each
-        # dropped point is dominated by one already on the Pareto front.
-        front = []
-        for pt in pts:
-            if not any(all(map(le, f, pt)) for f in front):
-                front.append(pt)
-        pts = front
-    return h_to_v(v_to_h(VPolyhedron(dim=m, vertices=tuple(pts), rays=tuple(rys))))
+            gens.add(_primitive(image(hom) + (hom[-1],)))
+    gens.update(_primitive(img + (0,)) for ray in v.rays if any(img := image(ray)))
+    return _hull(m, gens)[1]
+
+
+def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, VPolyhedron]:
+    """v_to_h(p) and p for p = project(h_to_v(h), rows), h nonempty, without h_to_v(h).
+
+    The extreme rays of the cone over h go straight through [rows | 0; 0 | 1].
+    """
+    lift = [tuple(row) + (0,) for row in rows] + [(0,) * h.dim + (1,)]
+    return _hull(len(rows), cone_double_description(*_cone_rows(h), h.dim + 1, lift))
 
 
 def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
@@ -30,8 +30,10 @@ from mckay_moduli import (
     locate_cone,
     moduli_fan,
     lifted_flow_polyhedron,
+    project,
     stability_parameter,
     theta_polyhedron,
+    v_to_h,
 )
 from mckay_moduli import moduli, polyhedra
 from mckay_moduli.cli import main
@@ -546,6 +548,106 @@ def test_lifted_path_builds_no_vertex_fractions(monkeypatch):
     assert callers == set()
     assert len(tp.v.vertices) == 7
     assert all(type(x) is int for vert in tp.v.vertices for x in vert)
+
+
+def test_lifted_path_builds_no_arrow_space_v_description(monkeypatch):
+    real_h_to_v, real_project = polyhedra.h_to_v, polyhedra.project
+    seen = []
+
+    def h_to_v_recorder(h):
+        seen.append(("h_to_v", h.dim))
+        return real_h_to_v(h)
+
+    def project_recorder(v, rows):
+        seen.append(("project", v.dim))
+        return real_project(v, rows)
+
+    for module in (moduli, polyhedra):
+        monkeypatch.setattr(module, "h_to_v", h_to_v_recorder)
+        monkeypatch.setattr(module, "project", project_recorder, raising=False)
+    q = quiver([7], [[1, 2, 4]])
+    tp = theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+    assert len(tp.v.vertices) == 7
+    assert seen and set(seen) == {("h_to_v", q.n)}
+
+
+@pytest.mark.parametrize("theta", [None, (8, 8, -6, -6, -6, 1, 1)])
+def test_lifted_path_runs_no_flow_code(monkeypatch, theta):
+    def refuse(*args):
+        raise AssertionError("the lifted path ran flow code")
+
+    monkeypatch.setattr(moduli, "min_cost_flow", refuse)
+    monkeypatch.setattr(moduli, "theta_decompose", refuse)
+    q = quiver([7], [[1, 2, 4]])
+    param = ghilb_parameter(q) if theta is None else theta
+    lifted = theta_polyhedron(q, param, method="lifted")
+    with pytest.raises(AssertionError, match="flow code"):
+        theta_polyhedron(q, param)
+    monkeypatch.undo()
+    assert lifted == theta_polyhedron(q, param)
+
+
+Q7 = quiver([7], [[1, 2, 4]])
+Q22 = quiver([2, 2], [[1, 0, 1], [0, 1, 1]])
+LIFTED_QUIVERS = [q for _, q in suite_quivers()] + [Q7, Q22]
+
+
+@st.composite
+def lifted_cases(draw):
+    q = draw(st.sampled_from(LIFTED_QUIVERS))
+    head = draw(st.lists(st.integers(-3, 3), min_size=q.r - 1, max_size=q.r - 1)
+                .filter(lambda h: abs(sum(h)) <= 3))
+    return q, tuple(head) + (-sum(head),)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lifted_cases())
+@example((Q7, (0,) * 7))
+@example((Q22, (0, 0, 0, 0)))
+@example((Q22, (-3, 1, 1, 1)))
+def test_lifted_path_matches_the_projected_flow_polyhedron(case):
+    """The rays mapped straight into type space give what projecting the flow vertices gives."""
+    q, theta = case
+    tp = theta_polyhedron(q, theta, method="lifted")
+    flow = lifted_flow_polyhedron(q, stability_parameter(q, theta).integral)
+    v = project(h_to_v(flow), incidence_matrices(q).d)
+    assert tp.v == v
+    assert tp.h == v_to_h(v)
+
+
+# _pointed_dd negates one ray with t > 0 of the homogenized flow cone; rows[0]
+# is the row t >= 0 in kernel coordinates, so it reads each ray's t.
+_NEGATE_RAY_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver, polyhedra
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+pointed_dd = polyhedra._pointed_dd
+calls = []
+
+def negate_one(rows, d):
+    rays = pointed_dd(rows, d)
+    if not calls:
+        k = next(i for i, y in enumerate(rays) if sum(a * b for a, b in zip(rows[0], y)) > 0)
+        rays[k] = tuple(-x for x in rays[k])
+    calls.append(d)
+    return rays
+
+polyhedra._pointed_dd = negate_one
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+try:
+    theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_lifted_path_rejects_a_ray_below_the_hyperplane_at_infinity():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NEGATE_RAY_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.startswith("raised False homogenizing coordinate of ray (")
+    assert out.stdout.endswith(") is negative\n")
 
 
 def test_charts_sweep_the_lattice_ball_once(monkeypatch, capsys):
