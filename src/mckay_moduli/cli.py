@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -352,20 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(path: str, text: str) -> None:
     # Only a path that cannot be opened is malformed input; a failure while
-    # writing an opened file (disk full, I/O error) is not.
+    # writing an opened file (disk full, I/O error) is not, and exits 1.
     try:
         fh = open(path, "w")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
-    with fh:
-        fh.write(text)
-
-
-def _emit(args, text: str) -> None:
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _merge_vector_flags(argv):
@@ -406,6 +403,12 @@ def main(argv=None) -> int:
     except ModuliError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # A write failed; stdout's unwritten text would fail again at exit.
+        if exc.filename is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:
@@ -425,7 +428,7 @@ def _dispatch(args) -> int:
             else:
                 ok = False
                 print(f"FAIL {name}: {detail}")
-        print(("all checks passed" if ok else "some checks FAILED"))
+        print(("all checks passed" if ok else "some checks FAILED"), flush=True)
         return 0 if ok else 1
 
     as_text = args.format == "text"
@@ -476,7 +479,11 @@ def _dispatch(args) -> int:
                 text = _rep_text(rep, cone)
             else:
                 doc["rep"] = _rep_block(rep, cone)
-    _emit(args, text if as_text else _dump(doc))
+    text = text if as_text else _dump(doc)
+    if args.output:
+        _write(args.output, text)
+    else:
+        print(text, end="", flush=True)
     return 0
 
 

@@ -277,32 +277,14 @@ def _check_relations(quiver: McKayQuiver, b) -> None:
             raise CertificateError(f"arrow relation fails at vertex {quiver.arrows[p1].head}")
 
 
-def _face_tight_arrows(quiver: McKayQuiver, cost, u, y) -> frozenset:
-    """Arrows carrying flow in some min-cost flow, given one optimal (u, y).
-
-    Optimal flows are the feasible flows on arrows of zero reduced cost, so
-    arrow k carries flow in one exactly when its reduced cost is 0 and
-    head(k) reaches tail(k) in the residual graph: zero-reduced-cost arrows
-    forward, arrows carrying flow backward.
-    """
-    arrows = quiver.arrows
-    zero = [cost[k] == y[a.head] - y[a.tail] for k, a in enumerate(arrows)]
-    residual = [[] for _ in range(quiver.r)]
-    for k, a in enumerate(arrows):
-        if zero[k]:
-            residual[a.tail].append(a.head)
-        if u[k]:
-            residual[a.head].append(a.tail)
-    reach = [_reachable(residual, v) for v in range(quiver.r)]
-    return frozenset(k for k, a in enumerate(arrows) if zero[k] and a.tail in reach[a.head])
-
-
-def _greatest_potential(quiver: McKayQuiver, cost, u) -> list:
+def _potential_and_face(quiver: McKayQuiver, cost, u, single_optimizer: bool):
     """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 where u_k != 0.
 
     These are difference constraints, so V is the shortest-path distance
     from vertex 0 over arcs head -> tail of length cost_k for every arrow
     and tail -> head of length -cost_k where u_k != 0 (Bellman-Ford).
+    Also returns the arrows of zero slack at V; unless single_optimizer,
+    only those whose ends share a strongly connected piece of the arcs tight at V.
     """
     arcs = [(a.head, a.tail, cost[k]) for k, a in enumerate(quiver.arrows)]
     arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if u[k]]
@@ -317,7 +299,21 @@ def _greatest_potential(quiver: McKayQuiver, cost, u) -> list:
             break
     if None in dist or any(dist[x] + c < dist[z] for x, z, c in arcs):
         raise CertificateError("the optimal face has no greatest potential")
-    return dist
+    piece = [None] * quiver.r
+    if not single_optimizer:
+        succ, pred = [[] for _ in piece], [[] for _ in piece]
+        for x, z, c in arcs:
+            if dist[x] + c == dist[z]:
+                succ[x].append(z)
+                pred[z].append(x)
+        for v in range(quiver.r):
+            if piece[v] is None:
+                for z in _reachable(succ, v) & _reachable(pred, v):
+                    piece[z] = v
+    return dist, frozenset(
+        k for k, a in enumerate(quiver.arrows)
+        if cost[k] + dist[a.head] == dist[a.tail] and piece[a.head] == piece[a.tail]
+    )
 
 
 def distinguished_rep(
@@ -330,9 +326,11 @@ def distinguished_rep(
     theta at arrow cost w_label, so one exact min-cost flow solves both.  By
     default an arrow is marked nonzero when its slack vanishes on the whole
     optimal face, which by strict complementarity (Goldman and Tucker, 1956)
-    means some optimal flow uses it.  point is the greatest optimal
-    potential; with single_optimizer=True the arrows of zero slack at point
-    are marked, which can add arrows on degenerate fibers.
+    means some optimal flow uses it: its slack is zero at point, the
+    greatest optimal potential, and its ends share a strongly connected
+    piece of the zero-slack arrows and the reversed arrows carrying flow.
+    With single_optimizer=True every arrow of zero slack at point is
+    marked, which can add arrows on degenerate fibers.
     """
     param = stability_parameter(quiver, theta)
     wq = tuple(Fraction(x) for x in w)
@@ -342,16 +340,11 @@ def distinguished_rep(
         raise NegativeW("weight vector entries must be nonnegative")
     scale = lcm(*(x.denominator for x in wq))
     cost = [int(wq[a.label - 1] * scale) for a in quiver.arrows]
-    u, y, flow_value = min_cost_flow(quiver, param.integral, cost)
+    u, _, flow_value = min_cost_flow(quiver, param.integral, cost)
     # Complementary slackness: the optimal potentials are tight on u's support.
-    dist = _greatest_potential(quiver, cost, u)
+    dist, tight = _potential_and_face(quiver, cost, u, single_optimizer)
     if sum(t * d for t, d in zip(param.integral, dist)) != -flow_value:
         raise CertificateError("the greatest potential is not optimal")
-    if single_optimizer:
-        slack = [cost[k] + dist[a.head] - dist[a.tail] for k, a in enumerate(quiver.arrows)]
-        tight = frozenset(k for k, s in enumerate(slack) if s == 0)
-    else:
-        tight = _face_tight_arrows(quiver, cost, u, y)
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)

@@ -11,7 +11,9 @@ with no polyhedral computation at all.  These oracles certify the double
 description output on lifted flow polyhedra; flow_images_up_to enumerates
 the types of all small flows by brute force.  min_cost_flow_ssp is the
 successive-shortest-paths kernel that mckay_moduli.flow used before its
-primal-dual phases, kept as their reference.
+primal-dual phases, kept as their reference.  face_tight_arrows is the
+per-vertex residual search that distinguished_rep used before it read the
+face off the strongly connected pieces of its potential's tight arcs.
 """
 
 import heapq
@@ -19,6 +21,7 @@ from fractions import Fraction
 
 from mckay_moduli.errors import BadTheta, CertificateError, NotOptimal
 from mckay_moduli.flow import check_certificate
+from mckay_moduli.groups import _reachable
 
 
 def _flow_balance(quiver, u):
@@ -291,3 +294,26 @@ def min_cost_flow_ssp(quiver, theta, cost):
     value = sum(c * f for c, f in zip(cost, u))
     check_certificate(quiver, theta, cost, u, y, value)
     return tuple(u), tuple(y), value
+
+
+def face_tight_arrows(quiver, cost, u, y):
+    """Return (face, pieces): the arrows some min-cost flow uses, given one optimal (u, y).
+
+    Optimal flows are the feasible flows on arrows of zero reduced cost, so
+    arrow k carries flow in one exactly when its reduced cost is 0 and
+    head(k) reaches tail(k) in the residual graph: zero-reduced-cost arrows
+    forward, arrows carrying flow backward.  pieces counts the strongly
+    connected components of that graph: two vertices share one exactly
+    when they reach the same set.
+    """
+    arrows = quiver.arrows
+    zero = [cost[k] == y[a.head] - y[a.tail] for k, a in enumerate(arrows)]
+    residual = [[] for _ in range(quiver.r)]
+    for k, a in enumerate(arrows):
+        if zero[k]:
+            residual[a.tail].append(a.head)
+        if u[k]:
+            residual[a.head].append(a.tail)
+    reach = [_reachable(residual, v) for v in range(quiver.r)]
+    face = frozenset(k for k, a in enumerate(arrows) if zero[k] and a.tail in reach[a.head])
+    return face, len({frozenset(s) for s in reach})

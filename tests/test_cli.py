@@ -1,11 +1,15 @@
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import golden
+from conftest import src_env
 from mckay_moduli import cli
 from mckay_moduli.cli import main, parse_group_spec
 from mckay_moduli.errors import (
@@ -424,13 +428,40 @@ def test_unwritable_path_exits_2_with_one_line(capsys, tmp_path, argv, target):
     assert err.count("\n") == 1
 
 
-def test_write_failure_after_open_is_not_malformed_input(monkeypatch, tmp_path):
-    # A full disk is not bad input: the error propagates instead of exiting 2.
+def test_write_failure_after_open_is_not_malformed_input(capsys, monkeypatch, tmp_path):
+    # A full disk is not bad input: it exits 1, not 2.
     class FullFile(io.StringIO):
         def write(self, text):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(cli, "open", lambda path, mode: FullFile(), raising=False)
-    with pytest.raises(OSError) as info:
-        main(["quiver", "--group", "1/7(1,2)", "--output", str(tmp_path / "x.json")])
-    assert info.value.errno == errno.ENOSPC
+    path = str(tmp_path / "x.json")
+    rc, out, err = run_cli(capsys, "quiver", "--group", "1/7(1,2)", "--output", path)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: cannot write {path}: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (("quiver", "--group", "1/7(1,2)", "--output", "/dev/full"), "/dev/full"),
+        (("quiver", "--group", "1/7(1,2)"), "stdout"),
+        (("fan", "--group", "1/7(1,2,4)", "--ghilb", "--svg", "/dev/full"), "/dev/full"),
+        (("check", "--group", "1/2(1)"), "stdout"),
+    ],
+    ids=["output", "stdout", "svg", "check-stdout"],
+)
+def test_full_device_exits_1_with_one_line(argv, target):
+    # Buffered stdout keeps text that Python would flush, and fail on, at exit.
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "mckay_moduli.cli", *argv],
+            env=env, stdout=full if target == "stdout" else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+    assert out.returncode == 1
+    assert out.stderr == f"error: cannot write {target}: No space left on device\n"

@@ -191,6 +191,7 @@ def test_certificate_checks_survive_optimize_flag():
         ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--lifted"],
         ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "6"],
         ["rep", "--group", "1/11(1,2,8)", "--theta", theta, "--w", w],
+        ["rep", "--group", "1/13(1,3,9)", "--ghilb", "-w", "13,7,1"],
         ["rep", "--group", "1/13(1,3,9)", "--ghilb", "-w", "13,7,1", "--single-optimizer"],
         # generic theta with five sources: each of its solves takes 3-4 phases
         ["fan", "--group", "1/13(1,3,9)", "--theta", "-38,-12,14,14,-12,1,14,1,14,14,-12,14,-12"],

@@ -316,20 +316,101 @@ def test_distinguished_rep_face_subset_of_single():
 
 
 def test_single_optimizer_runs_no_face_search(monkeypatch):
-    real = moduli._face_tight_arrows
+    real = moduli._reachable
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(moduli, "_face_tight_arrows", counting)
+    monkeypatch.setattr(moduli, "_reachable", counting)
     q = quiver([13], [[1, 3, 9]])
     theta = ghilb_parameter(q).theta
     distinguished_rep(q, theta, (13, 7, 1), single_optimizer=True)
     assert len(calls) == 0
+    # One strongly connected piece: one forward and one backward search,
+    # not one search per vertex.
     distinguished_rep(q, theta, (13, 7, 1))
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+# Each mutant hands distinguished_rep a certificate that must fail, on
+# G-Hilb 1/7(1,2) at w = (1, 1); python -O must not turn the checks off.
+_REP_TAMPER_HEAD = """
+from mckay_moduli import CertificateError, build_group, build_quiver, moduli
+from mckay_moduli import distinguished_rep, ghilb_parameter
+
+kernel, potential_and_face = moduli.min_cost_flow, moduli._potential_and_face
+q = build_quiver(build_group([7], [[1, 2]]))
+"""
+_REP_TAMPER_TAIL = """
+try:
+    distinguished_rep(q, ghilb_parameter(q), (1, 1))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+REP_MUTANTS = {
+    # one more unit around the label-1 cycles: feasible, of positive cost
+    "flow-not-optimal": ("""
+def tampered(quiver, theta, cost):
+    u, y, value = kernel(quiver, theta, cost)
+    u = [x + (a.label == 1) for x, a in zip(u, quiver.arrows)]
+    return u, y, sum(c * x for c, x in zip(cost, u))
+moduli.min_cost_flow = tampered
+""", "the optimal face has no greatest potential"),
+    "wrong-flow-value": ("""
+def tampered(quiver, theta, cost):
+    u, y, value = kernel(quiver, theta, cost)
+    return u, y, value + 1
+moduli.min_cost_flow = tampered
+""", "the greatest potential is not optimal"),
+    # the two arrows that test_broken_arrow_relation_raises marks: one side
+    # of a commutation square without the other
+    "broken-square": ("""
+via_1 = q.vertex_index[q.group.mul(q.vertices[0], q.group.generator(1))]
+def tampered(*args):
+    return potential_and_face(*args)[0], frozenset({q.arrow_index(0, 1), q.arrow_index(via_1, 2)})
+moduli._potential_and_face = tampered
+""", "arrow relation fails at vertex "),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(REP_MUTANTS))
+def test_rep_certificate_checks_survive_optimize_flag(mutant):
+    code, message = REP_MUTANTS[mutant]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _REP_TAMPER_HEAD + code + _REP_TAMPER_TAIL],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.startswith("raised False " + message)
+
+
+FACE_QUIVERS = [
+    quiver([7], [[1, 2, 4]]),
+    quiver([13], [[1, 3, 9]]),
+    quiver([11], [[1, 2, 8]]),
+    quiver([2, 2], [[1, 0, 1], [0, 1, 1]]),
+]
+
+
+def test_face_matches_the_per_vertex_search():
+    # Sparse theta leaves the optimal flow small, so the tight arcs often
+    # split into several strongly connected pieces.
+    rng = random.Random(22)
+    split = 0
+    for _ in range(200):
+        q = rng.choice(FACE_QUIVERS)
+        theta = [0] * q.r
+        for v in rng.sample(range(1, q.r), 2):
+            theta[v] = rng.randrange(-4, 5)
+        theta[0] = -sum(theta)
+        w = tuple(rng.randrange(0, 4) for _ in range(q.n))
+        cost = [w[a.label - 1] for a in q.arrows]
+        u, y, _ = min_cost_flow(q, stability_parameter(q, theta).integral, cost)
+        face, pieces = flow_oracle.face_tight_arrows(q, cost, u, y)
+        assert distinguished_rep(q, theta, w).tight == face
+        split += pieces >= 2
+    assert split >= 20
 
 
 REP_QUIVERS = [q for _, q in suite_quivers()] + [quiver([7], [[1, 2, 4]])]
