@@ -31,10 +31,11 @@ from .polyhedra import (
     VPolyhedron,
     _clear_denominators,
     _dot,
-    h_to_v,
+    _pointed_dd,
     image_descriptions,
     normal_fan,
     v_to_h,
+    vertex_facet_incidence,
 )
 
 
@@ -81,12 +82,6 @@ def _image_point(quiver: McKayQuiver, u):
     return tuple(out)
 
 
-def _theta_polyhedron_lifted(quiver, param):
-    """Map the extreme rays of the homogenized flow cone through the type map d."""
-    d = incidence_matrices(quiver).d
-    return image_descriptions(lifted_flow_polyhedron(quiver, param.integral), d)
-
-
 def _theta_polyhedron_oracle(quiver, param):
     """Grow an inner approximation by points until every tentative facet is certified.
 
@@ -94,9 +89,8 @@ def _theta_polyhedron_oracle(quiver, param):
     is the orthant, so it is the cost of an exact min-cost flow routing
     theta; either the facet is supporting (minimum equals the offset) or the
     optimal flow projects to a point beyond it, which is added.  A certified
-    facet is valid on the polyhedron, so it is never solved again.  Every
-    vertex of the final description must be the image of a solved flow, and
-    every row must be a facet: tight on generators of rank n.
+    facet is valid on the polyhedron, so it is never solved again.  Returns
+    the certified H-description and the sorted images of the solved flows.
     """
     n = quiver.n
     u0 = theta_decompose(quiver, param.integral)
@@ -120,16 +114,37 @@ def _theta_polyhedron_oracle(quiver, param):
             else:
                 certified.add(row)
         if not grew:
-            v = h_to_v(h)
-            for vert in v.vertices:
-                if vert not in pts:
-                    raise CertificateError(f"vertex {vert} is not the image of a solved flow")
-            for coeffs, rhs in h.inequalities:
-                face = [vert + (1,) for vert in v.vertices if _dot(coeffs, vert) == rhs]
-                face += [unit + (0,) for unit, c in zip(units, coeffs) if c == 0]
-                if int_rank(face) != n:
-                    raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")
-            return h, v
+            return h, sorted(pts)
+
+
+def _closed_vertices(h: HPolyhedron, pts, n: int) -> VPolyhedron:
+    """The sorted points pts that are vertices of h, with the unit rays, proved to be all of them.
+
+    Every point and unit must satisfy h; a vertex has tight rows of rank n.
+    Check (b): every row is tight on vertices and units of rank n.  Check
+    (c): each edge at each vertex ends at another vertex or is a unit, so
+    the vertices are closed under the edge graph, which is connected
+    (Balinski 1961); they are all the vertices, and the recession cone is
+    the orthant.
+    """
+    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    rows = [coeffs for coeffs, _ in h.inequalities]
+    inc = vertex_facet_incidence(h, VPolyhedron(n, tuple(pts), units))
+    at = [(p, t) for p, t in zip(pts, inc) if len(t) >= n and int_rank([rows[i] for i in t]) == n]
+    on_row = [set() for _ in rows]
+    for j, (_, tight) in enumerate(at):
+        for i in tight:
+            on_row[i].add(j)
+    for (coeffs, rhs), on in zip(h.inequalities, on_row):
+        face = [at[j][0] + (1,) for j in on] + [e + (0,) for e in units if _dot(coeffs, e) == 0]
+        if int_rank(face) != n:
+            raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")
+    for j, (p, tight) in enumerate(at):
+        for e in sorted(_pointed_dd([rows[i] for i in tight], n)):
+            zero = [on_row[i] for i in tight if _dot(rows[i], e) == 0]
+            if e not in units and set.intersection(*zero) <= {j}:
+                raise CertificateError(f"edge {e} at vertex {p} ends at no returned vertex")
+    return VPolyhedron(n, tuple(p for p, _ in at), tuple(sorted(units)))
 
 
 def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> ThetaPolyhedron:
@@ -139,20 +154,18 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     over the flow polyhedron and never enumerates its vertices; method
     "lifted" enumerates the extreme rays of the homogenized flow cone and
     maps each into type space, which is exponentially larger but follows
-    the defining construction directly.
-    Both give identical canonical descriptions.
+    the defining construction directly.  Both close on the points they hold
+    and give identical canonical descriptions.
     """
     param = stability_parameter(quiver, theta)
     if method == "lifted":
-        h, v = _theta_polyhedron_lifted(quiver, param)
+        d = incidence_matrices(quiver).d
+        h, pts = image_descriptions(lifted_flow_polyhedron(quiver, param.integral), d)
     elif method == "oracle":
-        h, v = _theta_polyhedron_oracle(quiver, param)
+        h, pts = _theta_polyhedron_oracle(quiver, param)
     else:
         raise UnknownMethod(f"unknown method {method!r}")
-    units = [tuple(1 if t == i else 0 for t in range(quiver.n)) for i in range(quiver.n)]
-    if list(v.rays) != sorted(units):
-        raise CertificateError("recession cone is not the nonnegative orthant")
-    return ThetaPolyhedron(quiver=quiver, h=h, v=v)
+    return ThetaPolyhedron(quiver=quiver, h=h, v=_closed_vertices(h, pts, quiver.n))
 
 
 class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):

@@ -333,8 +333,8 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     return HPolyhedron(dim=d, inequalities=tuple(inequalities))
 
 
-def _hull(dim, gens) -> tuple[HPolyhedron, VPolyhedron]:
-    """Both canonical descriptions of the polyhedron with distinct generators gens (..., t).
+def _hull(dim, gens) -> tuple[HPolyhedron, list]:
+    """Canonical H-description and points of the polyhedron with distinct generators gens (..., t).
 
     When every unit vector is among the rays, the orthant lies in the
     recession cone, so a point that dominates another coordinatewise is
@@ -349,8 +349,7 @@ def _hull(dim, gens) -> tuple[HPolyhedron, VPolyhedron]:
             if not any(all(map(le, f, pt)) for f in front):
                 front.append(pt)
         pts = front
-    h = v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys)))
-    return h, h_to_v(h)
+    return v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys))), pts
 
 
 def project(v: VPolyhedron, rows) -> VPolyhedron:
@@ -378,11 +377,11 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
             hom = _homogeneous(vert)
             gens.add(_primitive(image(hom) + (hom[-1],)))
     gens.update(_primitive(img + (0,)) for ray in v.rays if any(img := image(ray)))
-    return _hull(m, gens)[1]
+    return h_to_v(_hull(m, gens)[0])
 
 
-def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, VPolyhedron]:
-    """v_to_h(p) and p for p = project(h_to_v(h), rows), h nonempty, without h_to_v(h).
+def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, list]:
+    """v_to_h(p) and _hull's points of p = project(h_to_v(h), rows), h nonempty, without h_to_v(h).
 
     The extreme rays of the cone over h go straight through [rows | 0; 0 | 1].
     """

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from mckay_moduli import (
     BadTheta,
     CertificateError,
     HPolyhedron,
+    MismatchedDescriptions,
     NegativeW,
     TrivialGroup,
     UnknownMethod,
@@ -567,7 +569,9 @@ def test_theta_polyhedron_rejects_unknown_method():
 
 # v_to_h loses its lexicographically largest facet in every oracle round.
 # Unchecked, G-Hilb on 1/7(1,2,4) then comes back with 5 facets and 5
-# vertices instead of 6 and 7, two of them never solved.
+# vertices instead of 6 and 7, two of them never solved.  The closing reads
+# vertices off the solved points only, so the row (1, 2, 4) >= 21 meets just
+# two of them, (9, 0, 3) and (21, 0, 0), and is not a facet.
 _DROP_ROW_SCRIPT = """
 from mckay_moduli import CertificateError, HPolyhedron, build_group, build_quiver, moduli
 from mckay_moduli import ghilb_parameter, theta_polyhedron
@@ -587,8 +591,111 @@ def test_oracle_rejects_a_vertex_no_flow_reached():
         [sys.executable, "-O", "-c", _DROP_ROW_SCRIPT],
         env=src_env(), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.startswith("raised False vertex (")
-    assert "is not the image of a solved flow" in out.stdout
+    assert out.stdout == "raised False row (1, 2, 4) >= 21 is not a facet\n"
+
+
+# The closing loses the lexicographically largest of the points it is given,
+# as a vertex enumeration that drops one vertex would.  Unchecked, G-Hilb on
+# 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.
+_DROP_MAX_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver, moduli
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+closed = moduli._closed_vertices
+moduli._closed_vertices = lambda h, pts, n: closed(h, [p for p in pts if p != max(pts)], n)
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+for method in ("oracle", "lifted"):
+    try:
+        theta_polyhedron(q, ghilb_parameter(q), method=method)
+    except CertificateError as exc:
+        print("raised", __debug__, exc)
+"""
+
+
+def test_both_methods_reject_a_dropped_vertex():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_MAX_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    line = "raised False edge (2, -1, 0) at vertex (3, 9, 0) ends at no returned vertex\n"
+    assert out.stdout == line * 2
+
+
+# The closing runs once as the method calls it, then once per vertex on the
+# same H-description and points with that vertex taken out; every such run
+# must raise.  Prints each vertex whose loss went unnoticed.
+_DROP_EACH_SCRIPT = """
+import sys
+from mckay_moduli import CertificateError, build_group, build_quiver, moduli
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+order, weights, method = int(sys.argv[1]), [int(x) for x in sys.argv[2].split(",")], sys.argv[3]
+closed = moduli._closed_vertices
+held = []
+moduli._closed_vertices = lambda *args: held.append(args) or closed(*args)
+q = build_quiver(build_group([order], [weights]))
+tp = theta_polyhedron(q, ghilb_parameter(q), method=method)
+h, pts, n = held[0]
+for vert in tp.v.vertices:
+    try:
+        closed(h, [p for p in pts if p != vert], n)
+        print("passed", vert)
+    except CertificateError:
+        pass
+print("raised", __debug__, len(tp.v.vertices))
+"""
+
+STRESS = pytest.mark.skipif(not os.environ.get("MCKAY_STRESS"), reason="set MCKAY_STRESS=1")
+
+
+@pytest.mark.parametrize("order,weights,method,count", [
+    (7, "1,2,4", "oracle", 7),
+    (13, "1,3,9", "oracle", 13),
+    (7, "1,2,4", "lifted", 7),
+    pytest.param(41, "1,5,12,23", "oracle", 281, marks=STRESS),
+])
+def test_closing_rejects_each_dropped_vertex(order, weights, method, count):
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_EACH_SCRIPT, str(order), weights, method],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == f"raised False {count}\n"
+
+
+def test_closing_rejects_a_recession_cone_beyond_the_orthant():
+    h = HPolyhedron(dim=2, inequalities=(((1, 1), 2), ((0, 1), 1)))
+    with pytest.raises(CertificateError, match=r"^row \(1, 1\) >= 2 is not a facet$"):
+        moduli._closed_vertices(h, [(1, 1)], 2)
+
+
+def test_closing_rejects_a_point_outside_the_rows():
+    orthant = HPolyhedron(dim=2, inequalities=(((0, 1), 0), ((1, 0), 0)))
+    with pytest.raises(MismatchedDescriptions):
+        moduli._closed_vertices(orthant, [(-1, 3), (0, 0)], 2)
+
+
+# Anchor fans and seeded generic parameters, with the lifted path where its
+# double description stays small (it takes ~20 s on 1/13(1,3,9)).
+REFERENCE_CASES = [
+    ([7], [[1, 2, 4]], None, ("oracle", "lifted")),
+    ([13], [[1, 3, 9]], None, ("oracle",)),
+    ([13], [[1, 3, 9]], tuple(int(x) for x in golden.GENERIC_13.split(",")), ("oracle",)),
+    ([11], [[1, 2, 8]], golden.EXAMPLE_THETA, ("oracle", "lifted")),
+    ([61], [[1, 11, 49]], None, ("oracle",)),
+] + [
+    (orders, weights, generic_theta(random.Random(seed), math.prod(orders)), ("oracle", "lifted"))
+    for _, orders, weights in SUITE_GROUPS + [("2x2:1,0,1;0,1,1", [2, 2], [[1, 0, 1], [0, 1, 1]])]
+    if math.prod(orders) * len(weights[0]) <= 16
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("orders,weights,theta,methods", REFERENCE_CASES)
+def test_closing_matches_the_vertex_enumeration(orders, weights, theta, methods):
+    q = quiver(orders, weights)
+    for method in methods:
+        tp = theta_polyhedron(q, ghilb_parameter(q) if theta is None else theta, method=method)
+        assert tp.v == h_to_v(tp.h)
 
 
 def _golden_v(vertices, n):
@@ -644,12 +751,12 @@ def test_lifted_path_builds_no_arrow_space_v_description(monkeypatch):
         return real_project(v, rows)
 
     for module in (moduli, polyhedra):
-        monkeypatch.setattr(module, "h_to_v", h_to_v_recorder)
+        monkeypatch.setattr(module, "h_to_v", h_to_v_recorder, raising=False)
         monkeypatch.setattr(module, "project", project_recorder, raising=False)
     q = quiver([7], [[1, 2, 4]])
     tp = theta_polyhedron(q, ghilb_parameter(q), method="lifted")
     assert len(tp.v.vertices) == 7
-    assert seen and set(seen) == {("h_to_v", q.n)}
+    assert seen == []
 
 
 @pytest.mark.parametrize("theta", [None, (8, 8, -6, -6, -6, 1, 1)])
