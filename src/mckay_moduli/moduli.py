@@ -24,18 +24,15 @@ from .groups import (
     integral_theta,
     theta_decompose,
 )
-from .intlinalg import int_rank
 from .polyhedra import (
-    Fan,
     HPolyhedron,
     VPolyhedron,
     _clear_denominators,
     _dot,
-    _pointed_dd,
+    _unit_rows,
     image_descriptions,
     normal_fan,
     v_to_h,
-    vertex_facet_incidence,
 )
 
 
@@ -57,10 +54,14 @@ def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
     return GitParameter(theta=th, integral=tuple(integral_theta(quiver, _clear_denominators(th))))
 
 
-class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h v")):
-    """Both descriptions of the polyhedron of types of flows routing theta."""
+class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h fan")):
+    """The polyhedron of types of flows routing theta: its facets and its certified fan."""
 
     __slots__ = ()
+
+    @property
+    def v(self) -> VPolyhedron:
+        return VPolyhedron(self.quiver.n, self.fan.vertices, self.fan.rec_rays)
 
 
 def lifted_flow_polyhedron(quiver: McKayQuiver, integral_theta) -> HPolyhedron:
@@ -95,7 +96,7 @@ def _theta_polyhedron_oracle(quiver, param):
     n = quiver.n
     u0 = theta_decompose(quiver, param.integral)
     pts = {_image_point(quiver, u0)}
-    units = tuple(tuple(1 if t == i else 0 for t in range(n)) for i in range(n))
+    units = tuple(_unit_rows(n))
     certified = set()
     while True:
         h = v_to_h(VPolyhedron(dim=n, vertices=tuple(sorted(pts)), rays=units))
@@ -117,36 +118,6 @@ def _theta_polyhedron_oracle(quiver, param):
             return h, sorted(pts)
 
 
-def _closed_vertices(h: HPolyhedron, pts, n: int) -> VPolyhedron:
-    """The sorted points pts that are vertices of h, with the unit rays, proved to be all of them.
-
-    Every point and unit must satisfy h; a vertex has tight rows of rank n.
-    Check (b): every row is tight on vertices and units of rank n.  Check
-    (c): each edge at each vertex ends at another vertex or is a unit, so
-    the vertices are closed under the edge graph, which is connected
-    (Balinski 1961); they are all the vertices, and the recession cone is
-    the orthant.
-    """
-    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
-    rows = [coeffs for coeffs, _ in h.inequalities]
-    inc = vertex_facet_incidence(h, VPolyhedron(n, tuple(pts), units))
-    at = [(p, t) for p, t in zip(pts, inc) if len(t) >= n and int_rank([rows[i] for i in t]) == n]
-    on_row = [set() for _ in rows]
-    for j, (_, tight) in enumerate(at):
-        for i in tight:
-            on_row[i].add(j)
-    for (coeffs, rhs), on in zip(h.inequalities, on_row):
-        face = [at[j][0] + (1,) for j in on] + [e + (0,) for e in units if _dot(coeffs, e) == 0]
-        if int_rank(face) != n:
-            raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")
-    for j, (p, tight) in enumerate(at):
-        for e in sorted(_pointed_dd([rows[i] for i in tight], n)):
-            zero = [on_row[i] for i in tight if _dot(rows[i], e) == 0]
-            if e not in units and set.intersection(*zero) <= {j}:
-                raise CertificateError(f"edge {e} at vertex {p} ends at no returned vertex")
-    return VPolyhedron(n, tuple(p for p, _ in at), tuple(sorted(units)))
-
-
 def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> ThetaPolyhedron:
     """Compute the type polyhedron of a stability parameter.
 
@@ -154,8 +125,8 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     over the flow polyhedron and never enumerates its vertices; method
     "lifted" enumerates the extreme rays of the homogenized flow cone and
     maps each into type space, which is exponentially larger but follows
-    the defining construction directly.  Both close on the points they hold
-    and give identical canonical descriptions.
+    the defining construction directly.  Both close on the points they hold,
+    with normal_fan's certificate, and give identical canonical descriptions.
     """
     param = stability_parameter(quiver, theta)
     if method == "lifted":
@@ -165,7 +136,8 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
         h, pts = _theta_polyhedron_oracle(quiver, param)
     else:
         raise UnknownMethod(f"unknown method {method!r}")
-    return ThetaPolyhedron(quiver=quiver, h=h, v=_closed_vertices(h, pts, quiver.n))
+    units = tuple(sorted(_unit_rows(quiver.n)))
+    return ThetaPolyhedron(quiver, h, normal_fan(h, VPolyhedron(quiver.n, tuple(pts), units)))
 
 
 class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):
@@ -206,14 +178,14 @@ def _invariant_ball(group: AbelianGroupData, bound: int) -> list:
     return [q for q in _l1_ball(group.n, bound) if group.deg(q) == trivial]
 
 
-def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, table: list) -> ChartReport:
+def _chart_report(tp: ThetaPolyhedron, vidx: int, bound: int, table: list) -> ChartReport:
     """Chart at vertex vidx, read off table: each nonzero q of the ball with its facet values."""
-    vert = tp.v.vertices[vidx]
+    vert = tp.fan.vertices[vidx]
     if any(x.denominator != 1 for x in vert):
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
     slack = [_dot(coeffs, m) - rhs for coeffs, rhs in tp.h.inequalities]
-    cone = fan.cones[vidx].indices
+    cone = tp.fan.cones[vidx].indices
     gens = []
     extra = []
     for q, vals in table:
@@ -227,17 +199,28 @@ def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, table: l
     memo = {(0,) * tp.quiver.n: True}
 
     def reachable(q, at):
-        # at holds q's values on the facets tight at m: q - g is in the
-        # tangent cone exactly when no difference of values is negative.
+        # Depth first over q -> q - g.  at holds q's values on the facets tight
+        # at m: q - g is in the tangent cone exactly when no difference of
+        # values is negative.  Each stacked point is one step from the one below.
         if q in memo:
             return memo[q]
-        memo[q] = False
-        for gvec, gat in gens:
-            diff = tuple(a - b for a, b in zip(at, gat))
-            if min(diff) >= 0 and reachable(tuple(a - b for a, b in zip(q, gvec)), diff):
-                memo[q] = True
-                break
-        return memo[q]
+        stack = [(q, at, iter(gens))]
+        while stack:
+            p, vals, todo = stack[-1]
+            for gvec, gat in todo:
+                diff = tuple(a - b for a, b in zip(vals, gat))
+                if min(diff) >= 0:
+                    nxt = tuple(a - b for a, b in zip(p, gvec))
+                    if nxt not in memo:
+                        stack.append((nxt, diff, iter(gens)))
+                        break
+                    if memo[nxt]:
+                        memo.update((s[0], True) for s in stack)
+                        return True
+            else:
+                memo[p] = False
+                stack.pop()
+        return False
 
     missing = tuple(q for q, at in sorted(extra) if not reachable(q, at))
     return ChartReport(
@@ -246,13 +229,12 @@ def _chart_report(tp: ThetaPolyhedron, fan: Fan, vidx: int, bound: int, table: l
 
 
 def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan:
-    """Inner-normal fan of the type polyhedron, optionally with chart reports.
+    """Inner-normal fan of the type polyhedron (tp.fan), optionally with chart reports.
 
     Ray indices match the inequality order of the H-description; each vertex
     marks one maximal cone.  When charts_bound is given, every maximal cone
     gets a ChartReport with generators and a bounded saturation verdict.
     """
-    fan = normal_fan(tp.h, tp.v)
     charts = None
     if charts_bound is not None:
         table = [
@@ -261,9 +243,9 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
             if any(q)
         ]
         charts = tuple(
-            _chart_report(tp, fan, i, charts_bound, table) for i in range(len(tp.v.vertices))
+            _chart_report(tp, i, charts_bound, table) for i in range(len(tp.fan.cones))
         )
-    return ThetaFan(fan=fan, charts=charts)
+    return ThetaFan(fan=tp.fan, charts=charts)
 
 
 def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:

@@ -434,25 +434,40 @@ def _fan_cone(rays, indices) -> Cone:
 
 
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
-    """Fan of inner-normal cones of a polyhedron: one maximal cone per vertex.
+    """Fan of inner-normal cones of a polyhedron, one maximal cone per vertex, certified.
 
-    Requires matching descriptions of a nonempty full-dimensional polyhedron
-    (no equations).  Every vertex must be a basic point of h, so its tight
-    facets span a full-dimensional cone.
+    h is full-dimensional without equations; every point and ray of v must
+    satisfy it.  The points whose tight rows have rank dim are the vertices;
+    the others are dropped.  Check (b): every row is tight on vertices and
+    rays of rank dim, so it is a facet.  Check (c): each edge at each vertex
+    ends at another vertex or is a ray of v, so the vertices are closed
+    under the edge graph, which is connected (Balinski 1961); they are all
+    the vertices, and the rays span the recession cone.  Either check
+    raises CertificateError.
     """
-    if v.is_empty:
-        raise PolyhedronError("normal fan needs a nonempty polyhedron")
-    inc = vertex_facet_incidence(h, v)
-    for tight in inc:
-        if int_rank([tuple(h.inequalities[i][0]) for i in tight]) != h.dim:
-            raise MismatchedDescriptions("vertex is not a basic point of the H-description")
-    rays = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
-    return Fan(
-        rays=rays,
-        cones=tuple(_fan_cone(rays, tight) for tight in inc),
-        vertices=v.vertices,
-        rec_rays=v.rays,
-    )
+    n = h.dim
+    rows = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
+    inc = zip(v.vertices, vertex_facet_incidence(h, v))
+    at = [(p, t) for p, t in inc if len(t) >= n and int_rank([rows[i] for i in t]) == n]
+    if not at:
+        raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
+    on_row = [set() for _ in rows]
+    for j, (_, tight) in enumerate(at):
+        for i in tight:
+            on_row[i].add(j)
+    for (coeffs, rhs), row, on in zip(h.inequalities, rows, on_row):
+        face = [_homogeneous(at[j][0]) for j in on]
+        face += [e + (0,) for e in v.rays if _dot(row, e) == 0]
+        if int_rank(face) != n:
+            raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")
+    for p, tight in at:
+        for e in sorted(_pointed_dd([rows[i] for i in tight], n)):
+            zero = [on_row[i] for i in tight if _dot(rows[i], e) == 0]
+            ends = set.intersection(*zero) if zero else range(len(at))
+            if e not in v.rays and all(at[j][0] == p for j in ends):
+                raise CertificateError(f"edge {e} at vertex {p} ends at no returned vertex")
+    cones = tuple(_fan_cone(rows, tight) for _, tight in at)
+    return Fan(rows, cones, tuple(p for p, _ in at), v.rays)
 
 
 def locate_cone(fan: Fan, w) -> Cone:

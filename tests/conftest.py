@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,29 @@ def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+# Rebuilds (h, v) from their reprs and runs the fan certificate on them.
+_NORMAL_FAN_SCRIPT = """
+import sys
+from fractions import Fraction
+from mckay_moduli import HPolyhedron, ModuliError, VPolyhedron, moduli
+
+try:
+    moduli.normal_fan(eval(sys.argv[1]), eval(sys.argv[2]))
+    print("returned", __debug__)
+except ModuliError as exc:
+    print("raised", __debug__, type(exc).__name__, exc)
+"""
+
+
+def normal_fan_under_optimize(h, v):
+    """What normal_fan(h, v) does under python -O, as 'raised False <error> <message>'."""
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NORMAL_FAN_SCRIPT, repr(h), repr(v)],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    return out.stdout.rstrip("\n")
 
 
 def suite_quivers():

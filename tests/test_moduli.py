@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS, generic_theta, src_env, suite_quivers
+from conftest import SUITE_GROUPS, generic_theta, normal_fan_under_optimize, src_env, suite_quivers
 from fan_oracle import chart_report, face_cones
 from mckay_moduli import (
     BadShape,
     BadTheta,
     CertificateError,
     HPolyhedron,
-    MismatchedDescriptions,
     NegativeW,
     TrivialGroup,
     UnknownMethod,
@@ -594,15 +593,19 @@ def test_oracle_rejects_a_vertex_no_flow_reached():
     assert out.stdout == "raised False row (1, 2, 4) >= 21 is not a facet\n"
 
 
-# The closing loses the lexicographically largest of the points it is given,
-# as a vertex enumeration that drops one vertex would.  Unchecked, G-Hilb on
-# 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.
+# The closing (normal_fan) loses the lexicographically largest of the points
+# it is given, as a vertex enumeration that drops one vertex would.  Unchecked,
+# G-Hilb on 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.
 _DROP_MAX_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver, moduli
 from mckay_moduli import ghilb_parameter, theta_polyhedron
 
-closed = moduli._closed_vertices
-moduli._closed_vertices = lambda h, pts, n: closed(h, [p for p in pts if p != max(pts)], n)
+fan = moduli.normal_fan
+
+def drop_max(h, v):
+    return fan(h, v._replace(vertices=tuple(p for p in v.vertices if p != max(v.vertices))))
+
+moduli.normal_fan = drop_max
 q = build_quiver(build_group([7], [[1, 2, 4]]))
 for method in ("oracle", "lifted"):
     try:
@@ -621,24 +624,24 @@ def test_both_methods_reject_a_dropped_vertex():
     assert out.stdout == line * 2
 
 
-# The closing runs once as the method calls it, then once per vertex on the
-# same H-description and points with that vertex taken out; every such run
-# must raise.  Prints each vertex whose loss went unnoticed.
+# The closing (normal_fan) runs once as the method calls it, then once per
+# vertex on the same H-description and points with that vertex taken out;
+# every such run must raise.  Prints each vertex whose loss went unnoticed.
 _DROP_EACH_SCRIPT = """
 import sys
 from mckay_moduli import CertificateError, build_group, build_quiver, moduli
 from mckay_moduli import ghilb_parameter, theta_polyhedron
 
 order, weights, method = int(sys.argv[1]), [int(x) for x in sys.argv[2].split(",")], sys.argv[3]
-closed = moduli._closed_vertices
+fan = moduli.normal_fan
 held = []
-moduli._closed_vertices = lambda *args: held.append(args) or closed(*args)
+moduli.normal_fan = lambda *args: held.append(args) or fan(*args)
 q = build_quiver(build_group([order], [weights]))
 tp = theta_polyhedron(q, ghilb_parameter(q), method=method)
-h, pts, n = held[0]
+h, v = held[0]
 for vert in tp.v.vertices:
     try:
-        closed(h, [p for p in pts if p != vert], n)
+        fan(h, v._replace(vertices=tuple(p for p in v.vertices if p != vert)))
         print("passed", vert)
     except CertificateError:
         pass
@@ -662,16 +665,23 @@ def test_closing_rejects_each_dropped_vertex(order, weights, method, count):
     assert out.stdout == f"raised False {count}\n"
 
 
+UNITS_2 = ((0, 1), (1, 0))
+
+
 def test_closing_rejects_a_recession_cone_beyond_the_orthant():
     h = HPolyhedron(dim=2, inequalities=(((1, 1), 2), ((0, 1), 1)))
-    with pytest.raises(CertificateError, match=r"^row \(1, 1\) >= 2 is not a facet$"):
-        moduli._closed_vertices(h, [(1, 1)], 2)
+    v = VPolyhedron(dim=2, vertices=((1, 1),), rays=UNITS_2)
+    assert normal_fan_under_optimize(h, v) == (
+        "raised False CertificateError row (1, 1) >= 2 is not a facet"
+    )
 
 
 def test_closing_rejects_a_point_outside_the_rows():
     orthant = HPolyhedron(dim=2, inequalities=(((0, 1), 0), ((1, 0), 0)))
-    with pytest.raises(MismatchedDescriptions):
-        moduli._closed_vertices(orthant, [(-1, 3), (0, 0)], 2)
+    v = VPolyhedron(dim=2, vertices=((-1, 3), (0, 0)), rays=UNITS_2)
+    assert normal_fan_under_optimize(orthant, v) == (
+        "raised False MismatchedDescriptions vertex violates an inequality"
+    )
 
 
 # Anchor fans and seeded generic parameters, with the lifted path where its
@@ -853,6 +863,45 @@ def test_charts_sweep_the_lattice_ball_once(monkeypatch, capsys):
     assert main(base + ["--charts", "6"]) == 0
     capsys.readouterr()
     assert len(calls) - without == sum(1 for _ in _l1_ball(3, 6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "4"],
+    ["rep", "--group", "1/11(1,2,8)", "--theta", "1,1,1,1,-7,-9,1,1,1,8,1", "-w", "10,7,6"],
+])
+def test_one_incidence_pass_per_command(monkeypatch, capsys, argv):
+    real = polyhedra.vertex_facet_incidence
+    calls = []
+
+    def counting(h, v):
+        calls.append(v)
+        return real(h, v)
+
+    # Every module that binds the function gets the counting one.
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mckay_moduli") and getattr(mod, "vertex_facet_incidence", 0) is real:
+            monkeypatch.setattr(mod, "vertex_facet_incidence", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_chart_search_needs_no_recursion_depth():
+    # A recursive search over q -> q - g needs about 0.66 * bound frames on
+    # G-Hilb 1/3(1,2), 58 at bound 80.
+    q = quiver([3], [[1, 2]])
+    tp = theta_polyhedron(q, ghilb_parameter(q))
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        tf = moduli_fan(tp, charts_bound=80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tf.charts) == 3
+    assert all(ch.saturated_up_to_bound for ch in tf.charts)
 
 
 # v_to_h appends the sum of its first two rows in every oracle round: a

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import generic_theta
+from conftest import generic_theta, normal_fan_under_optimize
 from dd_oracle import cone_double_description_dense, pointed_dd_scan
 from fan_oracle import face_cones
 
@@ -515,8 +515,74 @@ def test_vertex_facet_incidence_rejects_equations():
 def test_normal_fan_rejects_a_vertex_that_is_not_basic():
     v = h_to_v(SQUARE)
     midpoint = VPolyhedron(dim=2, vertices=v.vertices + ((Fraction(1, 2), 0),), rays=v.rays)
-    with pytest.raises(MismatchedDescriptions, match="not a basic point"):
-        normal_fan(SQUARE, midpoint)
+    assert normal_fan(SQUARE, midpoint) == normal_fan(SQUARE, v)
+
+
+CUBE = HPolyhedron(
+    dim=3,
+    inequalities=(
+        ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+        ((-1, 0, 0), -1), ((0, -1, 0), -1), ((0, 0, -1), -1),
+    ),
+)
+
+
+# In the plane a dropped vertex leaves both its edges with one vertex, so
+# check (b) catches it; in the cube each facet keeps three vertices and
+# check (c) catches it.
+@pytest.mark.parametrize("h,vert,message", [
+    (SQUARE, (0, 0), "row (1, 0) >= 0 is not a facet"),
+    (SQUARE, (1, 1), "row (-1, 0) >= -1 is not a facet"),
+    (CUBE, (1, 1, 1), "edge (1, 0, 0) at vertex (0, 1, 1) ends at no returned vertex"),
+    (CUBE, (0, 0, 0), "edge (0, 0, -1) at vertex (0, 0, 1) ends at no returned vertex"),
+])
+def test_normal_fan_rejects_a_dropped_vertex(h, vert, message):
+    v = h_to_v(h)
+    short = v._replace(vertices=tuple(p for p in v.vertices if p != vert))
+    assert normal_fan_under_optimize(h, short) == f"raised False CertificateError {message}"
+
+
+def test_normal_fan_of_a_fractional_triangle():
+    h = HPolyhedron(dim=2, inequalities=(((1, 0), 0), ((0, 1), 0), ((-2, -2), -1)))
+    fan = normal_fan(h, h_to_v(h))
+    assert fan.vertices == ((0, 0), (0, Fraction(1, 2)), (Fraction(1, 2), 0))
+    assert [cone.indices for cone in fan.cones] == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_normal_fan_of_a_segment():
+    # In dimension 1 an edge lies on no tight row, so it may end at any vertex.
+    h = HPolyhedron(dim=1, inequalities=(((1,), 0), ((-1,), -1)))
+    fan = normal_fan(h, h_to_v(h))
+    assert fan.vertices == ((0,), (1,))
+    assert [cone.indices for cone in fan.cones] == [(0,), (1,)]
+
+
+def test_normal_fan_rejects_a_dropped_vertex_behind_duplicates():
+    # Each neighbour of the dropped vertex is listed twice, so each edge
+    # towards it meets a copy of its own start.
+    v = h_to_v(CUBE)
+    near = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    short = v._replace(vertices=tuple(p for p in v.vertices if p != (1, 1, 1)) + near)
+    message = "edge (1, 0, 0) at vertex (0, 1, 1) ends at no returned vertex"
+    assert normal_fan_under_optimize(CUBE, short) == f"raised False CertificateError {message}"
+
+
+def test_normal_fan_rejects_a_redundant_row():
+    h = SQUARE._replace(inequalities=SQUARE.inequalities + (((1, 0), -1),))
+    assert normal_fan_under_optimize(h, h_to_v(SQUARE)) == (
+        "raised False CertificateError row (1, 0) >= -1 is not a facet"
+    )
+
+
+@pytest.mark.parametrize("ray,message", [
+    ((1, 0), "row (0, 1) >= 1 is not a facet"),
+    ((0, 1), "row (1, 0) >= 1 is not a facet"),
+])
+def test_normal_fan_rejects_a_missing_ray(ray, message):
+    h = HPolyhedron(dim=2, inequalities=(((1, 0), 1), ((0, 1), 1)))
+    v = h_to_v(h)
+    short = v._replace(rays=tuple(e for e in v.rays if e != ray))
+    assert normal_fan_under_optimize(h, short) == f"raised False CertificateError {message}"
 
 
 def test_h_polyhedron_validates_row_lengths():

@@ -51,6 +51,9 @@ def test_traced_run_matches_plain_run(tmp_path, job):
         # The fan is stored as its maximal cones: 7 for G-Hilb on 1/7(1,2,4).
         maximal = json.loads(plain.stdout)["fan"]["maximal_cones"]
         assert agg["polyhedra.normal_fan.cones"] == len(maximal) == 7
+    if job == "rep":
+        # rep locates w in the fan of the type polyhedron, which has 11 vertices.
+        assert agg["polyhedra.normal_fan.cones"] == 11
     if job == "check":
         # The tracer rebinds functions only in the modules that exist once
         # mckay_moduli.cli is imported, so the checks layer is traced only
