@@ -30,6 +30,7 @@ from .polyhedra import locate_cone
 # ASCII digits only: str.isdigit and an unflagged \d accept "²" and "٣".
 _INT = re.compile(r"[+-]?\d+", re.ASCII)
 _ORDER = re.compile(r"\d+", re.ASCII)
+_RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
 
 SCHEMA = "mckay-moduli/1"
 
@@ -111,8 +112,8 @@ def _rational_csv(text: str):
     for tok in text.split(","):
         t = tok.strip()
         try:
-            # Fraction also reads any Unicode decimal digit, such as "١".
-            if not t.isascii():
+            # Fraction also reads "1e1", "1_0" and any Unicode digit, such as "١".
+            if not _RATIONAL.fullmatch(t):
                 raise ValueError
             out.append(Fraction(t))
         except (ValueError, ZeroDivisionError):
@@ -473,8 +474,7 @@ def _dispatch(args) -> int:
         else:
             # The flow validates w, so a malformed w exits before any geometry.
             rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
-            tf = moduli_fan(theta_polyhedron(quiver, param, method="oracle"))
-            cone = locate_cone(tf.fan, rep.w)
+            cone = locate_cone(theta_polyhedron(quiver, param, method="oracle").fan, rep.w)
             if as_text:
                 text = _rep_text(rep, cone)
             else:

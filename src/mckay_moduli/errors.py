@@ -33,10 +33,6 @@ class TrivialGroup(InputError):
     """The requested construction needs a nontrivial group."""
 
 
-class MismatchedDescriptions(ModuliError):
-    """An H-description and a V-description do not describe the same set."""
-
-
 class OutsideSupport(InputError):
     """A query vector lies outside the support of the fan."""
 

@@ -21,7 +21,6 @@ from operator import le
 from .errors import (
     BadShape,
     CertificateError,
-    MismatchedDescriptions,
     OutsideSupport,
     PolyhedronError,
 )
@@ -69,7 +68,7 @@ class HPolyhedron(namedtuple("HPolyhedron", "dim inequalities equations")):
 
     def __new__(cls, dim, inequalities, equations=()):
         if any(len(coeffs) != dim for coeffs, _ in (*inequalities, *equations)):
-            raise MismatchedDescriptions("row length does not match dimension")
+            raise PolyhedronError("row length does not match dimension")
         return super().__new__(cls, dim, inequalities, equations)
 
 
@@ -389,34 +388,6 @@ def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, list]:
     return _hull(len(rows), cone_double_description(*_cone_rows(h), h.dim + 1, lift))
 
 
-def vertex_facet_incidence(h: HPolyhedron, v: VPolyhedron) -> list[frozenset]:
-    """Per-vertex sets of inequality indices met with equality.
-
-    h must be full-dimensional, given without equations.  Also verifies
-    that every generator of v satisfies h, raising MismatchedDescriptions
-    otherwise.
-    """
-    if h.equations:
-        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
-    if h.dim != v.dim:
-        raise MismatchedDescriptions("dimension mismatch")
-    out = []
-    for vert in v.vertices:
-        tight = set()
-        for idx, (coeffs, rhs) in enumerate(h.inequalities):
-            s = _dot(coeffs, vert) - rhs
-            if s < 0:
-                raise MismatchedDescriptions("vertex violates an inequality")
-            if s == 0:
-                tight.add(idx)
-        out.append(frozenset(tight))
-    for ray in v.rays:
-        for coeffs, _ in h.inequalities:
-            if _dot(coeffs, ray) < 0:
-                raise MismatchedDescriptions("ray violates an inequality")
-    return out
-
-
 class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):
     """Inner-normal fan of a full-dimensional pointed polyhedron, by its maximal cones.
 
@@ -436,19 +407,31 @@ def _fan_cone(rays, indices) -> Cone:
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     """Fan of inner-normal cones of a polyhedron, one maximal cone per vertex, certified.
 
-    h is full-dimensional without equations; every point and ray of v must
-    satisfy it.  The points whose tight rows have rank dim are the vertices;
-    the others are dropped.  Check (b): every row is tight on vertices and
-    rays of rank dim, so it is a facet.  Check (c): each edge at each vertex
-    ends at another vertex or is a ray of v, so the vertices are closed
-    under the edge graph, which is connected (Balinski 1961); they are all
-    the vertices, and the rays span the recession cone.  Either check
-    raises CertificateError.
+    h is full-dimensional without equations.  Check (a): every point and
+    ray of v satisfies every row.  The points whose tight rows have rank dim
+    are the vertices; the others are dropped.  Check (b): every row is tight
+    on vertices and rays of rank dim, so it is a facet.  Check (c): each
+    edge at each vertex ends at another vertex or is a ray of v, so the
+    vertices are closed under the edge graph, which is connected (Balinski
+    1961); they are all the vertices, and the rays span the recession cone.
+    Each check raises CertificateError.
     """
+    if h.equations:
+        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
+    if h.dim != v.dim:
+        raise PolyhedronError("dimension mismatch")
     n = h.dim
     rows = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
-    inc = zip(v.vertices, vertex_facet_incidence(h, v))
-    at = [(p, t) for p, t in inc if len(t) >= n and int_rank([rows[i] for i in t]) == n]
+    at = []
+    for p in v.vertices:
+        slack = [_dot(coeffs, p) - rhs for coeffs, rhs in h.inequalities]
+        if any(s < 0 for s in slack):
+            raise CertificateError("vertex violates an inequality")
+        tight = [i for i, s in enumerate(slack) if not s]
+        if len(tight) >= n and int_rank([rows[i] for i in tight]) == n:
+            at.append((p, tight))
+    if any(_dot(row, e) < 0 for e in v.rays for row in rows):
+        raise CertificateError("ray violates an inequality")
     if not at:
         raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
     on_row = [set() for _ in rows]

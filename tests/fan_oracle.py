@@ -12,7 +12,7 @@ every dot product taken afresh per vertex and per difference; the tests
 check moduli_fan's table-driven charts against it.
 """
 
-from mckay_moduli import CertificateError, ChartReport, Cone, vertex_facet_incidence
+from mckay_moduli import CertificateError, ChartReport, Cone
 from mckay_moduli.polyhedra import _clear_denominators, _dot
 
 
@@ -22,12 +22,14 @@ def face_cones(h, v) -> dict:
     h and v describe one nonempty pointed full-dimensional polyhedron; the
     zero cone, the normal cone of the whole polyhedron, is always present.
     """
-    inc = vertex_facet_incidence(h, v)
     rays = [_clear_denominators(coeffs) for coeffs, _ in h.inequalities]
     nfac = len(rays)
     nv = len(v.vertices)
     nr = len(v.rays)
-    facet_verts = [frozenset(j for j in range(nv) if i in inc[j]) for i in range(nfac)]
+    facet_verts = [
+        frozenset(j for j in range(nv) if _dot(coeffs, v.vertices[j]) == rhs)
+        for coeffs, rhs in h.inequalities
+    ]
     facet_ray_zero = [
         frozenset(k for k in range(nr) if _dot(h.inequalities[i][0], v.rays[k]) == 0)
         for i in range(nfac)

@@ -34,7 +34,6 @@ from mckay_moduli import (
     moduli_fan,
     project,
     theta_polyhedron,
-    vertex_facet_incidence,
 )
 from mckay_moduli.checks import (
     random_parameter,
@@ -73,10 +72,13 @@ def tight_labels(tp):
         label_of[(tuple(int(c) for c in coeffs), int(rhs))]
         for coeffs, rhs in tp.h.inequalities
     ]
-    inc = vertex_facet_incidence(tp.h, tp.v)
     return {
-        tuple(int(x) for x in vert): frozenset(row_label[i] for i in tight)
-        for vert, tight in zip(tp.v.vertices, inc)
+        tuple(int(x) for x in vert): frozenset(
+            label
+            for label, (coeffs, rhs) in zip(row_label, tp.h.inequalities)
+            if sum(c * x for c, x in zip(coeffs, vert)) == rhs
+        )
+        for vert in tp.v.vertices
     }
 
 

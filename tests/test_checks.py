@@ -142,6 +142,75 @@ def test_cycle_types_catches_a_redirected_arrow_under_optimize_flag():
     assert out.stdout.strip() == "cycle vector leaves the kernel False"
 
 
+# kernel_generators_cij on 1/7(1,2,4) is tampered two ways: every vector
+# doubled (an index-2^k sublattice), or the unit vector of arrow 0, which c
+# does not kill, appended.  Dropping one vector is no tamper: the vectors
+# are dependent, so the lattice they span does not change.
+_KERNEL_TAMPER_SCRIPT = """
+import sys
+from mckay_moduli import CertificateError, build_group, build_quiver, checks
+
+real = checks.kernel_generators_cij
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+unit = tuple(int(k == 0) for k in range(q.num_arrows))
+tamper = {
+    "double": lambda gens: [tuple(2 * x for x in g) for g in gens],
+    "unit": lambda gens: list(gens) + [unit],
+}[sys.argv[1]]
+checks.kernel_generators_cij = lambda quiver: tamper(real(quiver))
+try:
+    checks.verify_kernel_lattice(q)
+except CertificateError as exc:
+    print(exc, __debug__)
+"""
+
+
+@pytest.mark.parametrize("tamper", ["double", "unit"])
+def test_kernel_lattice_catches_tampered_generators_under_optimize_flag(tamper):
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _KERNEL_TAMPER_SCRIPT, tamper],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "kernel lattices differ False"
+
+
+# The oracle's points on 1/7(1,2) gain (-1, -1), which lies below the type
+# polyhedron's rows: construction-agreement fails with the closing's verdict
+# and every other check still reports.
+_OUTSIDE_POINT_SCRIPT = """
+from mckay_moduli import cli, moduli
+
+oracle = moduli._theta_polyhedron_oracle
+
+
+def tampered(quiver, param):
+    h, pts = oracle(quiver, param)
+    return h, sorted(pts + [(-1, -1)])
+
+
+moduli._theta_polyhedron_oracle = tampered
+print("exit", cli.main(["check", "--group", "1/7(1,2)"]), __debug__)
+"""
+
+
+def test_check_reports_a_point_outside_the_rows_under_optimize_flag():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OUTSIDE_POINT_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stderr == ""
+    assert out.stdout.splitlines() == [
+        "ok   kernel-lattice",
+        "ok   theta-routing",
+        "ok   closed-walks",
+        "ok   cycle-types",
+        "ok   flow-vertex-integrality",
+        "FAIL construction-agreement: vertex violates an inequality",
+        "some checks FAILED",
+        "exit 1 False",
+    ]
+
+
 def test_no_assert_statements_outside_the_lp_reference():
     offenders = []
     for path in sorted(_SRC.glob("*.py")):

@@ -111,9 +111,21 @@ def test_non_ascii_digit_in_rational_is_usage_error(capsys, argv):
     assert "not a rational number" in err
 
 
-@pytest.mark.parametrize("value", ["-3", "1/2", "0.5"])
+@pytest.mark.parametrize("value", ["-3", "1/2", "0.5", "+1", ".5", "1."])
 def test_ascii_rationals_keep_their_meaning(value):
     assert cli._rational_csv(f" {value} ,1") == (Fraction(value), 1)
+
+
+# Fraction reads exponents and digit separators; the documented grammar does not.
+@pytest.mark.parametrize("value", ["1e1", "2.5E-1", "1_0"])
+@pytest.mark.parametrize("argv", [
+    ("fan", "--group", "1/2(1)", "--theta", "{},-10"),
+    ("rep", "--group", "1/2(1)", "--ghilb", "-w", "{}"),
+], ids=["theta", "w"])
+def test_exponents_and_separators_are_usage_errors(capsys, argv, value):
+    rc, out, err = run_cli(capsys, *argv[:-1], argv[-1].format(value))
+    assert rc == 2 and out == ""
+    assert f"not a rational number: {value!r}" in err
 
 
 def test_negative_w_exit_code(capsys):
@@ -370,6 +382,12 @@ def test_input_error_classes():
         "OutsideSupport",
         "TrivialGroup",
     }
+
+
+def test_internal_error_classes():
+    # One failure type per kind: a failed certificate is always a CertificateError.
+    names = {cls.__name__ for cls in ModuliError.__subclasses__()} - {"InputError"}
+    assert names == {"CertificateError", "NotOptimal", "PolyhedronError", "UnknownMethod"}
 
 
 @pytest.mark.parametrize(

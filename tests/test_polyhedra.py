@@ -13,8 +13,8 @@ from fan_oracle import face_cones
 
 from mckay_moduli import (
     BadShape,
+    CertificateError,
     HPolyhedron,
-    MismatchedDescriptions,
     OutsideSupport,
     PolyhedronError,
     VPolyhedron,
@@ -27,7 +27,6 @@ from mckay_moduli import (
     project,
     theta_polyhedron,
     v_to_h,
-    vertex_facet_incidence,
 )
 from mckay_moduli import polyhedra
 from mckay_moduli.intlinalg import independent_rows, int_rank, kernel_basis
@@ -483,33 +482,39 @@ def test_pointed_dd_matches_scan_reference_on_lifted_cones(monkeypatch, r, weigh
         assert min(tight) == d - 1 < max(tight)
 
 
+# normal_fan reads each vertex's tight rows off its slacks, and checks the
+# points and rays of v against every row on the way.
 def test_vertex_facet_incidence_square():
-    v = h_to_v(SQUARE)
-    inc = vertex_facet_incidence(SQUARE, v)
-    by_vertex = {tuple(p): s for p, s in zip(v.vertices, inc)}
-    assert by_vertex[(0, 0)] == frozenset({0, 1})
-    assert by_vertex[(1, 0)] == frozenset({1, 2})
-    assert by_vertex[(0, 1)] == frozenset({0, 3})
-    assert by_vertex[(1, 1)] == frozenset({2, 3})
+    fan = normal_fan(SQUARE, h_to_v(SQUARE))
+    by_vertex = {tuple(p): c.indices for p, c in zip(fan.vertices, fan.cones)}
+    assert by_vertex[(0, 0)] == (0, 1)
+    assert by_vertex[(1, 0)] == (1, 2)
+    assert by_vertex[(0, 1)] == (0, 3)
+    assert by_vertex[(1, 1)] == (2, 3)
 
 
 def test_vertex_facet_incidence_rejects_outside_point():
     fake = VPolyhedron(dim=2, vertices=((2, 2),))
-    with pytest.raises(MismatchedDescriptions):
-        vertex_facet_incidence(SQUARE, fake)
+    with pytest.raises(CertificateError, match="vertex violates an inequality"):
+        normal_fan(SQUARE, fake)
 
 
 def test_vertex_facet_incidence_rejects_outside_ray():
     fake = VPolyhedron(dim=2, vertices=((0, 0),), rays=((1, 0),))
-    with pytest.raises(MismatchedDescriptions, match="ray violates an inequality"):
-        vertex_facet_incidence(SQUARE, fake)
+    with pytest.raises(CertificateError, match="ray violates an inequality"):
+        normal_fan(SQUARE, fake)
 
 
 def test_vertex_facet_incidence_rejects_equations():
     line = HPolyhedron(dim=2, inequalities=(((0, 1), 0),), equations=(((1, 0), 0),))
     v = VPolyhedron(dim=2, vertices=((0, 0),), rays=((0, 1),))
     with pytest.raises(PolyhedronError, match="full-dimensional"):
-        vertex_facet_incidence(line, v)
+        normal_fan(line, v)
+
+
+def test_normal_fan_rejects_another_dimension():
+    with pytest.raises(PolyhedronError, match="dimension mismatch"):
+        normal_fan(SQUARE, VPolyhedron(dim=3, vertices=((0, 0, 0),)))
 
 
 def test_normal_fan_rejects_a_vertex_that_is_not_basic():
@@ -586,7 +591,7 @@ def test_normal_fan_rejects_a_missing_ray(ray, message):
 
 
 def test_h_polyhedron_validates_row_lengths():
-    with pytest.raises(MismatchedDescriptions):
+    with pytest.raises(PolyhedronError, match="row length does not match dimension"):
         HPolyhedron(dim=2, inequalities=(((1,), 0),))
 
 
@@ -668,8 +673,9 @@ def test_locate_cone_rejects_wrong_length():
 def test_fan_cone_lookup():
     v = h_to_v(SQUARE)
     fan = normal_fan(SQUARE, v)
-    for cone, tight in zip(fan.cones, vertex_facet_incidence(SQUARE, v), strict=True):
-        assert cone.indices == tuple(sorted(tight))
+    for cone, (x, y) in zip(fan.cones, v.vertices, strict=True):
+        tight = [i for i, ((a, b), c) in enumerate(SQUARE.inequalities) if a * x + b * y == c]
+        assert cone.indices == tuple(tight)
         assert cone.rays == tuple(fan.rays[i] for i in cone.indices)
 
 
