@@ -7,19 +7,12 @@ representations off that polyhedron with exact rational arithmetic throughout.
 """
 
 from .errors import (
-    BadShape,
-    BadTheta,
     CertificateError,
     GroupSpecError,
     InputError,
     ModuliError,
-    NegativeW,
-    NonGenerating,
-    NotInM,
     NotOptimal,
-    OutsideSupport,
     PolyhedronError,
-    TrivialGroup,
     UnknownMethod,
 )
 from .groups import (
@@ -64,8 +57,6 @@ from .polyhedra import (
 __all__ = [
     "AbelianGroupData",
     "Arrow",
-    "BadShape",
-    "BadTheta",
     "CertificateError",
     "ChartReport",
     "Cone",
@@ -78,15 +69,10 @@ __all__ = [
     "InputError",
     "McKayQuiver",
     "ModuliError",
-    "NegativeW",
-    "NonGenerating",
-    "NotInM",
     "NotOptimal",
-    "OutsideSupport",
     "PolyhedronError",
     "ThetaFan",
     "ThetaPolyhedron",
-    "TrivialGroup",
     "UnknownMethod",
     "VPolyhedron",
     "build_group",

@@ -11,6 +11,7 @@ integrality, and agreement of the two type-polyhedron constructions.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from .errors import CertificateError
 from .groups import (
@@ -59,19 +60,27 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 20, seed: int = 1) ->
 
     Odd trials (when n > 1) add two random commutation vectors, the second
     drawn from those whose vertex sets miss the first's whenever there are
-    any, so that the walk's connector runs too.
+    any, so that the walk's connector runs too; when no two of them are
+    vertex-disjoint, they add a vertex-disjoint pair of kernel basis vectors.
     """
     rng = random.Random(seed)
     inc = incidence_matrices(quiver)
     basis = kernel_basis(inc.b)
     squares = kernel_generators_cij(quiver)
     arrows = quiver.arrows
-    touched = [
-        {v for k, x in enumerate(sq) if x for v in (arrows[k].tail, arrows[k].head)}
-        for sq in squares
-    ]
+
+    def vertex_sets(vectors):
+        return [{v for k, x in enumerate(vec) if x for v in arrows[k][:2]} for vec in vectors]
+
+    touched = vertex_sets(squares)
+    pairs = []
+    if not any(a.isdisjoint(b) for a, b in combinations(touched, 2)):
+        spans = combinations(zip(basis, vertex_sets(basis)), 2)
+        pairs = [(x, y) for (x, a), (y, b) in spans if a.isdisjoint(b)]
     for t in range(trials):
-        if t % 2 and squares:
+        if t % 2 and pairs:
+            u = [a + b for a, b in zip(*rng.choice(pairs))]
+        elif t % 2 and squares:
             i = rng.randrange(len(squares))
             apart = [j for j, vs in enumerate(touched) if vs.isdisjoint(touched[i])]
             j = rng.choice(apart) if apart else rng.randrange(len(squares))

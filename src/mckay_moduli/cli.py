@@ -204,9 +204,8 @@ _PALETTE = [
 ]
 
 
-def render_fan_svg(tf, title: str) -> str:
-    """Barycentric cross-section (the plane x+y+z = 1) of a fan in Q^3."""
-    fan = tf.fan
+def render_fan_svg(fan, title: str) -> str:
+    """Barycentric cross-section (the plane x+y+z = 1) of a document's fan block in Q^3."""
     corners = ((60.0, 540.0), (580.0, 540.0), (320.0, 90.0))
 
     def bary(ray):
@@ -217,15 +216,15 @@ def render_fan_svg(tf, title: str) -> str:
             sum(w * c[1] for w, c in zip(wx, corners)),
         )
 
-    pts = [bary(r) for r in fan.rays]
+    pts = [bary(r) for r in fan["rays"]]
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 640 620" '
         'font-family="monospace" font-size="11">',
         f'<title>{title}</title>',
         '<rect width="640" height="620" fill="white"/>',
     ]
-    for idx, cone in enumerate(fan.cones):
-        cpts = [pts[i] for i in cone.indices]
+    for idx, (cone, marker) in enumerate(zip(fan["maximal_cones"], fan["markers"])):
+        cpts = [pts[i] for i in cone]
         cx = sum(p[0] for p in cpts) / len(cpts)
         cy = sum(p[1] for p in cpts) / len(cpts)
         ordered = sorted(cpts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
@@ -234,10 +233,9 @@ def render_fan_svg(tf, title: str) -> str:
         parts.append(
             f'<polygon points="{path}" fill="{color}" stroke="#555" stroke-width="0.8"/>'
         )
-        marker = ",".join(str(int(x)) for x in fan.vertices[idx])
         parts.append(
             f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" fill="#333">'
-            f"({marker})</text>"
+            f"({','.join(str(int(Fraction(x))) for x in marker)})</text>"
         )
     for i, p in enumerate(pts):
         parts.append(
@@ -247,7 +245,7 @@ def render_fan_svg(tf, title: str) -> str:
             f'<text x="{p[0] + 5:.2f}" y="{p[1] - 5:.2f}" fill="#111">{i}</text>'
         )
     parts.append('<text x="20" y="20" fill="#111">legend</text>')
-    for i, ray in enumerate(fan.rays):
+    for i, ray in enumerate(fan["rays"]):
         coords = ",".join(str(x) for x in ray)
         parts.append(
             f'<text x="20" y="{34 + 14 * i}" fill="#111">{i}: ({coords})</text>'
@@ -257,44 +255,48 @@ def render_fan_svg(tf, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _quiver_text(group, quiver, inc) -> str:
-    lines = [f"group: orders {group.orders}, {quiver.r} characters, {quiver.n} coordinates"]
-    for i, v in enumerate(quiver.vertices):
-        lines.append(f"vertex {i}: {v}")
-    for k, a in enumerate(quiver.arrows):
-        lines.append(f"arrow {k}: {a.tail} -> {a.head} (label {a.label})")
-    for name, mat in (("B", inc.b), ("C", inc.c), ("D", inc.d)):
+def _quiver_text(doc) -> str:
+    group, quiver = doc["group"], doc["quiver"]
+    lines = [
+        f"group: orders {tuple(group['orders'])}, {len(quiver['vertices'])} characters, "
+        f"{len(group['weights'][0])} coordinates"
+    ]
+    for i, v in enumerate(quiver["vertices"]):
+        lines.append(f"vertex {i}: {tuple(v)}")
+    for k, a in enumerate(quiver["arrows"]):
+        lines.append(f"arrow {k}: {a['tail']} -> {a['head']} (label {a['label']})")
+    for name in "BCD":
         lines.append(f"{name}:")
-        for row in mat:
+        for row in quiver[name.lower()]:
             lines.append("  " + " ".join(f"{x:3d}" for x in row))
     return "\n".join(lines) + "\n"
 
 
-def _fan_text(tf) -> str:
-    fan = tf.fan
+def _fan_text(doc) -> str:
+    fan = doc["fan"]
     lines = []
-    for i, r in enumerate(fan.rays):
+    for i, r in enumerate(fan["rays"]):
         lines.append(f"ray {i}: {tuple(r)}")
-    for cone, vert in zip(fan.cones, fan.vertices):
+    for cone, marker in zip(fan["maximal_cones"], fan["markers"]):
         lines.append(
-            f"maximal cone {list(cone.indices)} at vertex {tuple(int(x) for x in vert)}"
+            f"maximal cone {cone} at vertex {tuple(int(Fraction(x)) for x in marker)}"
         )
-    if tf.charts is not None:
-        for ch in tf.charts:
-            verdict = "saturated" if ch.saturated_up_to_bound else "NOT saturated"
-            lines.append(
-                f"chart at {ch.vertex}: {len(ch.generators)} generators, "
-                f"{verdict} up to bound {ch.bound}"
-            )
+    for ch in fan.get("charts", ()):
+        verdict = "saturated" if ch["saturated_up_to_bound"] else "NOT saturated"
+        lines.append(
+            f"chart at {tuple(ch['vertex'])}: {len(ch['generators'])} generators, "
+            f"{verdict} up to bound {ch['bound']}"
+        )
     return "\n".join(lines) + "\n"
 
 
-def _rep_text(rep, cone) -> str:
+def _rep_text(doc) -> str:
+    rep = doc["rep"]
     lines = [
-        "b = " + "".join(str(x) for x in rep.b),
-        f"tight set: {sorted(rep.tight)}",
-        f"optimal value: {rep.value}",
-        f"cone rays: {[tuple(r) for r in cone.rays]}",
+        "b = " + "".join(str(x) for x in rep["b"]),
+        f"tight set: {rep['tight_set']}",
+        f"optimal value: {Fraction(rep['value'])}",
+        f"cone rays: {[tuple(r) for r in rep['cone']['rays']]}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -432,23 +434,19 @@ def _dispatch(args) -> int:
         print(("all checks passed" if ok else "some checks FAILED"), flush=True)
         return 0 if ok else 1
 
-    as_text = args.format == "text"
     doc = {"schema": SCHEMA, "group": _group_block(args.group, group)}
     if args.cmd == "quiver":
         inc = incidence_matrices(quiver)
-        if as_text:
-            text = _quiver_text(group, quiver, inc)
-        else:
-            doc["quiver"] = {
-                "vertices": [list(v) for v in quiver.vertices],
-                "arrows": [
-                    {"tail": a.tail, "head": a.head, "label": a.label}
-                    for a in quiver.arrows
-                ],
-                "b": [list(r) for r in inc.b],
-                "c": [list(r) for r in inc.c],
-                "d": [list(r) for r in inc.d],
-            }
+        doc["quiver"] = {
+            "vertices": [list(v) for v in quiver.vertices],
+            "arrows": [
+                {"tail": a.tail, "head": a.head, "label": a.label} for a in quiver.arrows
+            ],
+            "b": [list(r) for r in inc.b],
+            "c": [list(r) for r in inc.c],
+            "d": [list(r) for r in inc.d],
+        }
+        view = _quiver_text
     else:
         param = ghilb_parameter(quiver) if args.ghilb else stability_parameter(quiver, args.theta)
         doc["theta"] = _qvec(param.theta)
@@ -462,24 +460,19 @@ def _dispatch(args) -> int:
                 )
                 return 3
             tp = theta_polyhedron(quiver, param, method="lifted" if args.lifted else "oracle")
-            tf = moduli_fan(tp, charts_bound=args.charts)
+            doc["p_theta"] = _ptheta_block(tp)
+            doc["fan"] = _fan_block(moduli_fan(tp, charts_bound=args.charts))
             if args.svg is not None:
                 title = f"{args.group.strip()} theta={','.join(doc['theta'])}"
-                _write(args.svg, render_fan_svg(tf, title))
-            if as_text:
-                text = _fan_text(tf)
-            else:
-                doc["p_theta"] = _ptheta_block(tp)
-                doc["fan"] = _fan_block(tf)
+                _write(args.svg, render_fan_svg(doc["fan"], title))
+            view = _fan_text
         else:
             # The flow validates w, so a malformed w exits before any geometry.
             rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
             cone = locate_cone(theta_polyhedron(quiver, param, method="oracle").fan, rep.w)
-            if as_text:
-                text = _rep_text(rep, cone)
-            else:
-                doc["rep"] = _rep_block(rep, cone)
-    text = text if as_text else _dump(doc)
+            doc["rep"] = _rep_block(rep, cone)
+            view = _rep_text
+    text = view(doc) if args.format == "text" else _dump(doc)
     if args.output:
         _write(args.output, text)
     else:

@@ -9,38 +9,6 @@ class InputError(ModuliError):
     """Malformed input; the command line reports it and exits 2."""
 
 
-class BadShape(InputError):
-    """Input matrix or vector has the wrong dimensions."""
-
-
-class NonGenerating(InputError):
-    """The given weight characters do not generate the character group."""
-
-
-class NotInM(InputError):
-    """An exponent vector does not lie in the weight-trivial sublattice."""
-
-
-class BadTheta(InputError):
-    """A stability parameter fails validation (shape, integrality, or sum)."""
-
-
-class NegativeW(InputError):
-    """A cone-locating parameter w has a negative entry."""
-
-
-class TrivialGroup(InputError):
-    """The requested construction needs a nontrivial group."""
-
-
-class OutsideSupport(InputError):
-    """A query vector lies outside the support of the fan."""
-
-
-class NotOptimal(ModuliError):
-    """A linear program expected to be solvable was infeasible or unbounded."""
-
-
 class GroupSpecError(InputError):
     """A group specification string failed to parse.
 
@@ -52,6 +20,10 @@ class GroupSpecError(InputError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class NotOptimal(ModuliError):
+    """A linear program expected to be solvable was infeasible or unbounded."""
 
 
 class CertificateError(ModuliError):

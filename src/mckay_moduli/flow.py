@@ -16,7 +16,7 @@ returned only after its certificate has been checked.
 
 import heapq
 
-from .errors import BadTheta, CertificateError, NotOptimal
+from .errors import CertificateError, InputError, NotOptimal
 
 
 def check_certificate(quiver, theta, cost, u, y, value) -> None:
@@ -57,7 +57,7 @@ def min_cost_flow(quiver, theta, cost):
     """
     arrows = quiver.arrows
     if len(theta) != quiver.r or any(int(t) != t for t in theta):
-        raise BadTheta("flow parameter must be integral, one entry per vertex")
+        raise InputError("flow parameter must be integral, one entry per vertex")
     if len(cost) != len(arrows) or any(int(c) != c or c < 0 for c in cost):
         raise CertificateError("flow costs must be nonnegative integers")
     cost = [int(c) for c in cost]

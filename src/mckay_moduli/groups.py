@@ -15,7 +15,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import BadShape, BadTheta, CertificateError, NonGenerating, NotInM
+from .errors import CertificateError, InputError
 from .flow import min_cost_flow
 from .intlinalg import row_hnf
 
@@ -53,7 +53,7 @@ class AbelianGroupData(namedtuple("AbelianGroupData", "orders weights")):
     def deg(self, m) -> tuple[int, ...]:
         """Character of the monomial with exponent vector m (length n)."""
         if len(m) != self.n:
-            raise BadShape(f"exponent vector has length {len(m)}, expected {self.n}")
+            raise InputError(f"exponent vector has length {len(m)}, expected {self.n}")
         return tuple(
             sum(w * e for w, e in zip(row, m)) % order
             for row, order in zip(self.weights, self.orders)
@@ -68,20 +68,20 @@ def build_group(orders, weights) -> AbelianGroupData:
         weights: k rows of n integer weights; column i is the character rho_i.
 
     Raises:
-        BadShape: on empty or ragged input.
-        NonGenerating: if the weight characters fail to generate the full
-            character group, so the quiver below would be disconnected.
+        InputError: on empty or ragged input, or if the weight characters
+            fail to generate the full character group, so the quiver below
+            would be disconnected.
     """
     orders = tuple(int(m) for m in orders)
     if not orders or any(m < 1 for m in orders):
-        raise BadShape("orders must be positive integers")
+        raise InputError("orders must be positive integers")
     k = len(orders)
     rows = [tuple(int(x) for x in row) for row in weights]
     if len(rows) != k:
-        raise BadShape(f"expected {k} weight rows, got {len(rows)}")
+        raise InputError(f"expected {k} weight rows, got {len(rows)}")
     n = len(rows[0]) if rows else 0
     if n == 0 or any(len(row) != n for row in rows):
-        raise BadShape("weight rows must be nonempty and of equal length")
+        raise InputError("weight rows must be nonempty and of equal length")
     reduced = tuple(
         tuple(rows[j][i] % orders[j] for i in range(n)) for j in range(k)
     )
@@ -91,7 +91,7 @@ def build_group(orders, weights) -> AbelianGroupData:
     ]
     identity = tuple(tuple(1 if t == j else 0 for t in range(k)) for j in range(k))
     if row_hnf(cols + scaled_units) != identity:
-        raise NonGenerating("weight characters do not generate the character group")
+        raise InputError("weight characters do not generate the character group")
     return AbelianGroupData(orders, reduced)
 
 
@@ -155,7 +155,7 @@ def build_quiver(group: AbelianGroupData) -> McKayQuiver:
         succ[a.tail].append(a.head)
     # Every vertex has n arrows in and n out, so reaching all from 0 suffices.
     if len(_reachable(succ, 0)) != q.r:
-        raise NonGenerating("quiver of characters is not strongly connected")
+        raise InputError("quiver of characters is not strongly connected")
     return q
 
 
@@ -218,12 +218,12 @@ def cycle_from_type(quiver: McKayQuiver, base, mtype) -> tuple[int, ...]:
     """The net arrow vector of the closed walk at a base vertex realizing an exponent type.
 
     Labels with positive entries are traversed forward, negative ones
-    backward; the type must have trivial degree or NotInM is raised.
+    backward; the type must have trivial degree or InputError is raised.
     """
     g = quiver.group
     mtype = tuple(int(x) for x in mtype)
     if g.deg(mtype) != g.trivial:
-        raise NotInM(f"type {mtype} has nontrivial degree")
+        raise InputError(f"type {mtype} has nontrivial degree")
     v = [0] * quiver.num_arrows
     cur = base
     for i in range(1, quiver.n + 1):
@@ -244,16 +244,16 @@ def cycle_from_type(quiver: McKayQuiver, base, mtype) -> tuple[int, ...]:
 def integral_theta(quiver: McKayQuiver, theta) -> list[int]:
     """theta as a list of ints, after checking it is integral and sums to zero.
 
-    Raises BadTheta unless theta has one entry per vertex, every entry is an
+    Raises InputError unless theta has one entry per vertex, every entry is an
     integer and the entries sum to zero.
     """
     th = [Fraction(x) for x in theta]
     if len(th) != quiver.r:
-        raise BadTheta(f"parameter has length {len(th)}, expected {quiver.r}")
+        raise InputError(f"parameter has length {len(th)}, expected {quiver.r}")
     if any(x.denominator != 1 for x in th):
-        raise BadTheta("parameter must be integral")
+        raise InputError("parameter must be integral")
     if sum(th) != 0:
-        raise BadTheta("parameter entries must sum to zero")
+        raise InputError("parameter entries must sum to zero")
     return [int(x) for x in th]
 
 
@@ -282,14 +282,14 @@ def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
     """
     u = [int(x) for x in u]
     if len(u) != quiver.num_arrows:
-        raise BadShape("arrow vector has the wrong length")
+        raise InputError("arrow vector has the wrong length")
     net = [0] * quiver.r
     for k, mult in enumerate(u):
         a = quiver.arrows[k]
         net[a.head] += mult
         net[a.tail] -= mult
     if any(net):
-        raise BadShape("vector is not in the kernel of the vertex incidence matrix")
+        raise InputError("vector is not in the kernel of the vertex incidence matrix")
 
     # Directed multigraph: negative multiplicities traverse the arrow backward.
     out_edges: dict[int, list[tuple[int, int, int]]] = {}

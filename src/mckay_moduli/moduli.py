@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import BadShape, CertificateError, NegativeW, TrivialGroup, UnknownMethod
+from .errors import CertificateError, InputError, UnknownMethod
 from .flow import min_cost_flow
 from .groups import (
     AbelianGroupData,
@@ -251,7 +251,7 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan
 def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:
     """The parameter (1 - r, 1, ..., 1) whose moduli space is the orbit Hilbert scheme."""
     if quiver.r == 1:
-        raise TrivialGroup("the trivial group admits no such parameter")
+        raise InputError("the trivial group admits no such parameter")
     return stability_parameter(quiver, (1 - quiver.r,) + (1,) * (quiver.r - 1))
 
 
@@ -330,9 +330,9 @@ def distinguished_rep(
     param = stability_parameter(quiver, theta)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != quiver.n:
-        raise BadShape(f"weight vector has length {len(wq)}, expected {quiver.n}")
+        raise InputError(f"weight vector has length {len(wq)}, expected {quiver.n}")
     if any(x < 0 for x in wq):
-        raise NegativeW("weight vector entries must be nonnegative")
+        raise InputError("weight vector entries must be nonnegative")
     scale = lcm(*(x.denominator for x in wq))
     cost = [int(wq[a.label - 1] * scale) for a in quiver.arrows]
     u, _, flow_value = min_cost_flow(quiver, param.integral, cost)

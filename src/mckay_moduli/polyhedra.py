@@ -18,12 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import le
 
-from .errors import (
-    BadShape,
-    CertificateError,
-    OutsideSupport,
-    PolyhedronError,
-)
+from .errors import CertificateError, InputError, PolyhedronError
 from .intlinalg import independent_rows, int_rank, kernel_basis
 
 Vec = tuple[int, ...]
@@ -458,16 +453,16 @@ def locate_cone(fan: Fan, w) -> Cone:
 
     This is the inner-normal cone of the face of the source polyhedron on
     which w is minimized: its rays are the facets tight at every minimizing
-    vertex and zero on every recession ray where w is zero.  OutsideSupport
+    vertex and zero on every recession ray where w is zero.  InputError
     is raised when the minimum does not exist.
     """
     w = tuple(Fraction(x) for x in w)
     dim = len(fan.vertices[0])
     if len(w) != dim:
-        raise BadShape(f"vector has length {len(w)}, expected {dim}")
+        raise InputError(f"vector has length {len(w)}, expected {dim}")
     for ray in fan.rec_rays:
         if _dot(w, ray) < 0:
-            raise OutsideSupport("vector is negative on a recession direction")
+            raise InputError("vector is negative on a recession direction")
     vals = [_dot(w, vert) for vert in fan.vertices]
     mn = min(vals)
     tight = frozenset.intersection(

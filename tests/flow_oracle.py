@@ -19,7 +19,7 @@ face off the strongly connected pieces of its potential's tight arcs.
 import heapq
 from fractions import Fraction
 
-from mckay_moduli.errors import BadTheta, CertificateError, NotOptimal
+from mckay_moduli.errors import CertificateError, InputError, NotOptimal
 from mckay_moduli.flow import check_certificate
 from mckay_moduli.groups import _reachable
 
@@ -237,7 +237,7 @@ def min_cost_flow_ssp(quiver, theta, cost):
     """
     arrows = quiver.arrows
     if len(theta) != quiver.r or any(int(t) != t for t in theta):
-        raise BadTheta("flow parameter must be integral, one entry per vertex")
+        raise InputError("flow parameter must be integral, one entry per vertex")
     if len(cost) != len(arrows) or any(int(c) != c or c < 0 for c in cost):
         raise CertificateError("flow costs must be nonnegative integers")
     cost = [int(c) for c in cost]

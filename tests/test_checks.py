@@ -58,21 +58,30 @@ def test_closed_walks_random_kernel_vectors():
     verify_closed_walks(q, trials=25, seed=3)
 
 
-def test_closed_walks_reach_the_connector(monkeypatch):
-    # the connector between components is the only unit-cost flow the walk
-    # decomposition solves
-    connector_flows = []
+def connector_flows(monkeypatch, orders, weights):
+    """The unit-cost flows, that is the connectors, solved by verify_closed_walks."""
+    flows = []
     kernel = groups.min_cost_flow
 
     def counting(quiver, theta, cost):
         if all(c == 1 for c in cost):
-            connector_flows.append(theta)
+            flows.append(theta)
         return kernel(quiver, theta, cost)
 
     monkeypatch.setattr(groups, "min_cost_flow", counting)
-    verify_closed_walks(build_quiver(build_group([13], [[1, 3, 9]])), trials=10, seed=1)
+    verify_closed_walks(build_quiver(build_group(orders, weights)), trials=10, seed=1)
+    return flows
+
+
+def test_closed_walks_reach_the_connector(monkeypatch):
     # each of the five odd trials adds two squares with disjoint vertex sets
-    assert len(connector_flows) == 5
+    assert len(connector_flows(monkeypatch, [13], [[1, 3, 9]])) == 5
+
+
+def test_closed_walks_reach_the_connector_without_disjoint_squares(monkeypatch):
+    # no two squares of 1/7(1,2) are vertex-disjoint, but three pairs of kernel
+    # basis vectors are, and each of the five odd trials adds one of those pairs
+    assert len(connector_flows(monkeypatch, [7], [[1, 2]])) == 5
 
 
 def test_random_parameter_sums_to_zero():

@@ -222,6 +222,19 @@ def test_fan_with_charts(capsys):
     assert all(ch["bound"] == 6 for ch in charts)
 
 
+def test_chart_missed_at_bound_5_is_saturated_at_bound_6(capsys):
+    # At bound 5 the chart at (0, 3, 14, 1) reports (0, 2, 0, -2) missing; the
+    # second summand of (0, 0, 3, -1) + (0, 2, -3, -1) has |q|_1 = 6.
+    rc, out, _ = run_cli(
+        capsys, "fan", "--group", "1/8(1,3,5,7)", "--theta", "-4,-1,-4,2,-5,0,3,9",
+        "--charts", "6",
+    )
+    assert rc == 0
+    (chart,) = [ch for ch in json.loads(out)["fan"]["charts"] if ch["vertex"] == [0, 3, 14, 1]]
+    assert chart["saturated_up_to_bound"] and chart["missing"] == []
+    assert [0, 0, 3, -1] in chart["generators"] and [0, 2, -3, -1] in chart["generators"]
+
+
 def test_fan_theta_zero_single_cone(capsys):
     rc, out, _ = run_cli(capsys, "fan", "--group", "1/2(1,1)", "--theta", "0,0")
     assert rc == 0
@@ -371,17 +384,8 @@ def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch, error):
 
 
 def test_input_error_classes():
-    names = {cls.__name__ for cls in InputError.__subclasses__()}
-    assert names == {
-        "BadShape",
-        "BadTheta",
-        "GroupSpecError",
-        "NegativeW",
-        "NonGenerating",
-        "NotInM",
-        "OutsideSupport",
-        "TrivialGroup",
-    }
+    # Malformed input is exactly an InputError; the one subclass carries a position.
+    assert InputError.__subclasses__() == [GroupSpecError]
 
 
 def test_internal_error_classes():
@@ -390,18 +394,45 @@ def test_internal_error_classes():
     assert names == {"CertificateError", "NotOptimal", "PolyhedronError", "UnknownMethod"}
 
 
-@pytest.mark.parametrize(
-    "error", [InputError] + InputError.__subclasses__(), ids=lambda cls: cls.__name__
-)
-def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, error):
-    def broken(group):
-        raise error("malformed input")
+# The ids name the kind of malformed input.
+MALFORMED = {
+    "InputError": (
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "-1"),
+        "chart bound must be nonnegative",
+    ),
+    "GroupSpecError": (
+        ("quiver", "--group", "1/7(1,x)"),
+        "expected an integer, got 'x' (at position 6)",
+    ),
+    "BadShape": (
+        ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "1,2"),
+        "weight vector has length 2, expected 3",
+    ),
+    "BadTheta": (
+        ("fan", "--group", "1/3(1,1,1)", "--theta", "1,1,1"),
+        "parameter entries must sum to zero",
+    ),
+    "NegativeW": (
+        ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "-1,2,3"),
+        "weight vector entries must be nonnegative",
+    ),
+    "NonGenerating": (
+        ("quiver", "--group", "1/4(2,2)"),
+        "weight characters do not generate the character group",
+    ),
+    "TrivialGroup": (
+        ("fan", "--group", "1/1(1)", "--ghilb"),
+        "the trivial group admits no such parameter",
+    ),
+}
 
-    monkeypatch.setattr(cli, "build_quiver", broken)
-    rc, out, err = run_cli(capsys, "quiver", "--group", "1/7(1,2)")
+
+@pytest.mark.parametrize("argv,message", MALFORMED.values(), ids=MALFORMED)
+def test_input_errors_exit_2_with_one_line(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == "error: malformed input\n"
+    assert err == f"error: {message}\n"
 
 
 def test_bare_moduli_error_is_internal(capsys, monkeypatch):

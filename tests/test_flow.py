@@ -12,8 +12,8 @@ import golden
 from conftest import src_env, suite_quivers
 from flow_oracle import min_cost_flow_ssp
 from mckay_moduli import (
-    BadTheta,
     CertificateError,
+    InputError,
     NotOptimal,
     build_group,
     build_quiver,
@@ -159,7 +159,9 @@ def test_kernel_rejects_bad_input():
     with pytest.raises(NotOptimal):
         min_cost_flow(q, (1,) + (0,) * (q.r - 1), [1] * q.num_arrows)
     half = (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (q.r - 2)
-    with pytest.raises(BadTheta):
+    with pytest.raises(
+        InputError, match="^flow parameter must be integral, one entry per vertex$"
+    ):
         min_cost_flow(q, half, [1] * q.num_arrows)
 
 

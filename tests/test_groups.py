@@ -7,10 +7,7 @@ import pytest
 import golden
 from conftest import binomial_pairs
 from mckay_moduli import (
-    BadShape,
-    BadTheta,
-    NonGenerating,
-    NotInM,
+    InputError,
     build_group,
     build_quiver,
     closed_walk_from_kernel,
@@ -55,29 +52,30 @@ def test_build_group_trivial():
 
 
 def test_build_group_rejects_bad_shapes():
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match="^orders must be positive integers$"):
         build_group([], [])
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match="^expected 1 weight rows, got 0$"):
         build_group([2], [])
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match="^expected 2 weight rows, got 1$"):
         build_group([2, 2], [[1, 0]])
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match="^orders must be positive integers$"):
         build_group([0], [[1]])
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match="^weight rows must be nonempty and of equal length$"):
         build_group([2], [[]])
 
 
 def test_build_group_rejects_non_generating_weights():
-    with pytest.raises(NonGenerating):
+    message = "^weight characters do not generate the character group$"
+    with pytest.raises(InputError, match=message):
         build_group([4], [[2]])
-    with pytest.raises(NonGenerating):
+    with pytest.raises(InputError, match=message):
         build_group([2, 2], [[1], [1]])
 
 
 def test_build_quiver_rejects_a_group_that_does_not_generate():
     # a hand-built group skips build_group's check; from 0 the weight 2
     # reaches only 0 and 2 of Z/4
-    with pytest.raises(NonGenerating, match="not strongly connected"):
+    with pytest.raises(InputError, match="^quiver of characters is not strongly connected$"):
         build_quiver(AbelianGroupData((4,), ((2, 2),)))
 
 
@@ -105,7 +103,7 @@ def test_deg_matches_product_of_generator_powers(orders, weights):
             power = tuple(x * e % order for x, order in zip(g.generator(i), g.orders))
             expected = g.mul(expected, power)
         assert g.deg(m) == expected
-    with pytest.raises(BadShape):
+    with pytest.raises(InputError, match=f"^exponent vector has length {g.n + 1}, expected {g.n}$"):
         g.deg((1,) * (g.n + 1))
 
 
@@ -242,9 +240,9 @@ def test_cycle_from_type_zero():
 
 def test_cycle_from_type_rejects_nontrivial_degree():
     q = quiver_7_12()
-    with pytest.raises(NotInM):
+    with pytest.raises(InputError, match=r"^type \(1, 0\) has nontrivial degree$"):
         cycle_from_type(q, q.vertices[0], (1, 0))
-    with pytest.raises(NotInM):
+    with pytest.raises(InputError, match=r"^type \(2, 1\) has nontrivial degree$"):
         cycle_from_type(q, q.vertices[0], (2, 1))
 
 
@@ -270,11 +268,11 @@ def test_theta_decompose_zero():
 
 def test_theta_decompose_validates():
     q = quiver_7_12()
-    with pytest.raises(BadTheta, match="sum to zero"):
+    with pytest.raises(InputError, match="^parameter entries must sum to zero$"):
         theta_decompose(q, (1, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(BadTheta, match="length"):
+    with pytest.raises(InputError, match="^parameter has length 2, expected 7$"):
         theta_decompose(q, (1, -1))
-    with pytest.raises(BadTheta, match="integral"):
+    with pytest.raises(InputError, match="^parameter must be integral$"):
         theta_decompose(q, (Fraction(1, 2), Fraction(-1, 2), 0, 0, 0, 0, 0))
 
 
@@ -364,5 +362,7 @@ def test_closed_walk_links_three_components():
 def test_closed_walk_rejects_non_kernel():
     q = quiver_7_12()
     bad = (1,) + (0,) * 13
-    with pytest.raises(Exception):
+    with pytest.raises(
+        InputError, match="^vector is not in the kernel of the vertex incidence matrix$"
+    ):
         closed_walk_from_kernel(q, bad)

@@ -94,11 +94,36 @@ ANCHORS = [
         ("fan", "--group", "2x2:1,0,1;0,1,1", "--ghilb", "--lifted"),
         "92b0fae0c49f7072578c54f8c1de7a9bfa9421fc6ab3d7c6269208c836e83bcc",
     ),
-    # A chart that is not saturated: Y_theta need not be normal.  The chart at
-    # vertex (0, 3, 14, 1) misses (0, 2, 0, -2).
+    # The chart at vertex (0, 3, 14, 1) reports (0, 2, 0, -2) missing, yet it is
+    # saturated: (0, 2, 0, -2) = (0, 0, 3, -1) + (0, 2, -3, -1), and the bound-5
+    # search cannot see the second summand, whose |q|_1 is 6.
     (
         ("fan", "--group", "1/8(1,3,5,7)", "--theta", "-4,-1,-4,2,-5,0,3,9", "--charts", "5"),
         "da198be1372201f76b8c0f3e43bd2ffe220c753474811aa9e40db4b910d7a5f6",
+    ),
+    # The text views of the degenerate and chart anchors, a non-cyclic quiver
+    # and a rational w.
+    (
+        ("fan", "--group", "1/3(1,1,1)", "--theta", "0,0,0", "--lifted", "--charts", "4",
+         "--format", "text"),
+        "16e407ec046c3ce0d34a8b77698f6db17046ed49d3b0082c7d10c86e59cf6bc5",
+    ),
+    (
+        ("rep", "--group", "1/3(1,1,1)", "--theta", "0,0,0", "-w", "0,0,0", "--format", "text"),
+        "90c4da8567680b1793b15c56c809817238fa7c4fa659bc54d4eb209d4927af6e",
+    ),
+    (
+        ("fan", "--group", "1/8(1,3,5,7)", "--theta", "-4,-1,-4,2,-5,0,3,9", "--charts", "5",
+         "--format", "text"),
+        "926405e9839d60445dcf54df23677c0ed0112c576fe888595641c0c460985525",
+    ),
+    (
+        ("quiver", "--group", "2x2:1,0;0,1", "--format", "text"),
+        "cbe1f1727838355774a633f7de4b746f99195998a2389410da3ce45edc75b4b3",
+    ),
+    (
+        GOLDEN_REP + ("-w", "1/2,1/3,1", "--format", "text"),
+        "e62ddc840a40aee39a60ab18f9f088e831b467d1e6aa86923727be606fdab002",
     ),
 ]
 

@@ -12,10 +12,9 @@ from dd_oracle import cone_double_description_dense, pointed_dd_scan
 from fan_oracle import face_cones
 
 from mckay_moduli import (
-    BadShape,
     CertificateError,
     HPolyhedron,
-    OutsideSupport,
+    InputError,
     PolyhedronError,
     VPolyhedron,
     build_group,
@@ -648,7 +647,7 @@ def test_locate_cone_unbounded_support():
     assert set(locate_cone(fan, (3, 2)).rays) == {(1, 0), (0, 1)}
     assert set(locate_cone(fan, (0, 1)).rays) == {(0, 1)}
     assert locate_cone(fan, (0, 0)).rays == ()
-    with pytest.raises(OutsideSupport):
+    with pytest.raises(InputError, match="^vector is negative on a recession direction$"):
         locate_cone(fan, (-1, 0))
 
 
@@ -666,7 +665,7 @@ def test_locate_cone_scaling_stability():
 def test_locate_cone_rejects_wrong_length():
     fan = normal_fan(SQUARE, h_to_v(SQUARE))
     for w in ((1,), (1, 1, -5)):
-        with pytest.raises(BadShape):
+        with pytest.raises(InputError, match=f"^vector has length {len(w)}, expected 2$"):
             locate_cone(fan, w)
 
 
