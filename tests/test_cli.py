@@ -19,6 +19,8 @@ from mckay_moduli.errors import (
     PolyhedronError,
     UnknownMethod,
 )
+from mckay_moduli.groups import build_quiver, cycle_from_type
+from mckay_moduli.polyhedra import HPolyhedron, h_to_v, locate_cone, normal_fan
 
 
 def run_cli(capsys, *argv):
@@ -427,8 +429,33 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("argv,message", MALFORMED.values(), ids=MALFORMED)
-def test_input_errors_exit_2_with_one_line(capsys, argv, message):
+
+# No command line reaches these two raise sites, but the CLI still owes them
+# exit 2: each is raised, with its real message, from inside the quiver command.
+def _not_in_m(group):
+    quiver = build_quiver(group)
+    cycle_from_type(quiver, quiver.vertices[0], (1, 0))
+
+
+def _outside_support(group):
+    quadrant = HPolyhedron(dim=2, inequalities=(((1, 0), 1), ((0, 1), 1)))
+    locate_cone(normal_fan(quadrant, h_to_v(quadrant)), (-1, 0))
+
+
+RAISED = {
+    "NotInM": (_not_in_m, "type (1, 0) has nontrivial degree"),
+    "OutsideSupport": (_outside_support, "vector is negative on a recession direction"),
+}
+
+INPUT_ERROR_CASES = [(argv, None, message) for argv, message in MALFORMED.values()] + [
+    (("quiver", "--group", "1/7(1,2)"), raiser, message) for raiser, message in RAISED.values()
+]
+
+
+@pytest.mark.parametrize("argv,raiser,message", INPUT_ERROR_CASES, ids=[*MALFORMED, *RAISED])
+def test_input_errors_exit_2_with_one_line(capsys, monkeypatch, argv, raiser, message):
+    if raiser is not None:
+        monkeypatch.setattr(cli, "build_quiver", raiser)
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert out == ""
