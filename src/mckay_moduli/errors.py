@@ -10,15 +10,10 @@ class InputError(ModuliError):
 
 
 class GroupSpecError(InputError):
-    """A group specification string failed to parse.
+    """A group specification string failed to parse at the offending token's position."""
 
-    Carries the character position of the offending token when known.
-    """
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
         self.position = position
 
 

@@ -11,7 +11,9 @@ the largest finite distance, which keeps every residual reduced cost
 nonnegative.  Every vertex with flow left to receive is then served along
 one BFS forest of residual arcs of zero reduced cost.  With a single source
 a solve is one phase.  Everything is plain int, and every result is
-returned only after its certificate has been checked.
+returned only after its certificate has been checked.  Only quiver.r and
+each arrow's tail and head are read, so any record with those fields is a
+network: distinguished_rep solves its shortest-path tree on one.
 """
 
 import heapq
@@ -113,26 +115,25 @@ def min_cost_flow(quiver, theta, cost):
             for k in out_arcs[x]:
                 z = heads[k]
                 if not seen[z] and cost[k] + y[x] == y[z]:
-                    seen[z], pred[z] = True, (k, 1)
+                    seen[z], pred[z] = True, (k, 1, x)
                     order.append(z)
             for k in in_arcs[x]:
                 z = tails[k]
                 if not seen[z] and u[k]:
-                    seen[z], pred[z] = True, (k, -1)
+                    seen[z], pred[z] = True, (k, -1, x)
                     order.append(z)
         for target in order:
             if excess[target] >= 0:
                 continue
             path = []
             x = target
-            while pred[x] is not None:
-                k, sign = pred[x]
-                path.append((k, sign))
-                x = tails[k] if sign > 0 else heads[k]
-            delta = min([excess[x], -excess[target]] + [u[k] for k, s in path if s < 0])
+            while (step := pred[x]) is not None:
+                path.append(step)
+                x = step[2]
+            delta = min([excess[x], -excess[target]] + [u[k] for k, s, _ in path if s < 0])
             if not delta:
                 continue
-            for k, sign in path:
+            for k, sign, _ in path:
                 u[k] += sign * delta
             excess[x] -= delta
             excess[target] += delta

@@ -188,14 +188,14 @@ def commutation_squares(quiver: McKayQuiver) -> list[tuple[int, int, int, int]]:
     p1 = (h, i), p2 = (tail of p1, j), m1 = (h, j) and m2 = (tail of m1, i):
     the paths p2 p1 and m2 m1 both run from h * rho_i * rho_j to h.
     """
-    n, arrows, index = quiver.n, quiver.arrows, quiver.arrow_index
+    n, arrows = quiver.n, quiver.arrows
     out = []
     for h in range(quiver.r):
-        for i in range(1, n + 1):
-            p1 = index(h, i)
-            for j in range(i + 1, n + 1):
-                m1 = index(h, j)
-                out.append((p1, index(arrows[p1].tail, j), m1, index(arrows[m1].tail, i)))
+        for i in range(n):
+            p1 = h * n + i
+            for j in range(i + 1, n):
+                m1 = h * n + j
+                out.append((p1, arrows[p1].tail * n + j, m1, arrows[m1].tail * n + i))
     return out
 
 

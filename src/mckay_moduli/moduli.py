@@ -272,28 +272,30 @@ def _check_relations(quiver: McKayQuiver, b) -> None:
             raise CertificateError(f"arrow relation fails at vertex {quiver.arrows[p1].head}")
 
 
-def _potential_and_face(quiver: McKayQuiver, cost, u, single_optimizer: bool):
+_Arc = namedtuple("_Arc", "tail head length")
+_Network = namedtuple("_Network", "r arrows")
+
+
+def _potential_and_face(quiver: McKayQuiver, cost, u, y, single_optimizer: bool):
     """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 where u_k != 0.
 
     These are difference constraints, so V is the shortest-path distance
     from vertex 0 over arcs head -> tail of length cost_k for every arrow
-    and tail -> head of length -cost_k where u_k != 0 (Bellman-Ford).
-    Also returns the arrows of zero slack at V; unless single_optimizer,
-    only those whose ends share a strongly connected piece of the arcs tight at V.
+    and tail -> head of length -cost_k where u_k != 0.  The flow's optimal
+    potentials y reduce the length c of each arc x -> z to c + y_z - y_x >= 0,
+    and the kernel's shortest-path tree from 0 on those gives V + y - y_0,
+    which its certificate proves greatest.  Also returns the arrows of zero
+    slack at V; unless single_optimizer, only those whose ends share a
+    strongly connected piece of the arcs tight at V.
     """
-    arcs = [(a.head, a.tail, cost[k]) for k, a in enumerate(quiver.arrows)]
-    arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if u[k]]
-    dist = [0] + [None] * (quiver.r - 1)
-    for _ in range(quiver.r):
-        relaxed = False
-        for x, z, c in arcs:
-            if dist[x] is not None and (dist[z] is None or dist[x] + c < dist[z]):
-                dist[z] = dist[x] + c
-                relaxed = True
-        if not relaxed:
-            break
-    if None in dist or any(dist[x] + c < dist[z] for x, z, c in arcs):
+    arcs = [_Arc(a.head, a.tail, c) for a, c in zip(quiver.arrows, cost)]
+    arcs += [_Arc(a.tail, a.head, -c) for a, c, f in zip(quiver.arrows, cost, u) if f]
+    reduced = [c + y[z] - y[x] for x, z, c in arcs]
+    if any(c < 0 for c in reduced):
         raise CertificateError("the optimal face has no greatest potential")
+    theta = (1 - quiver.r,) + (1,) * (quiver.r - 1)
+    _, tree, _ = min_cost_flow(_Network(quiver.r, arcs), theta, reduced)
+    dist = [t - tree[0] - p + y[0] for t, p in zip(tree, y)]
     piece = [None] * quiver.r
     if not single_optimizer:
         succ, pred = [[] for _ in piece], [[] for _ in piece]
@@ -318,7 +320,8 @@ def distinguished_rep(
 
     Minimizes theta . v over the potentials with v_0 = 0 and nonnegative
     arrow slacks w_label + v_head - v_tail.  Its LP dual is the flow routing
-    theta at arrow cost w_label, so one exact min-cost flow solves both.  By
+    theta at arrow cost w_label, so one exact min-cost flow solves both, and
+    a second, on the lengths its potentials reduce, gives the greatest.  By
     default an arrow is marked nonzero when its slack vanishes on the whole
     optimal face, which by strict complementarity (Goldman and Tucker, 1956)
     means some optimal flow uses it: its slack is zero at point, the
@@ -334,10 +337,11 @@ def distinguished_rep(
     if any(x < 0 for x in wq):
         raise InputError("weight vector entries must be nonnegative")
     scale = lcm(*(x.denominator for x in wq))
-    cost = [int(wq[a.label - 1] * scale) for a in quiver.arrows]
-    u, _, flow_value = min_cost_flow(quiver, param.integral, cost)
+    weights = [int(x * scale) for x in wq]
+    cost = [weights[a.label - 1] for a in quiver.arrows]
+    u, y, flow_value = min_cost_flow(quiver, param.integral, cost)
     # Complementary slackness: the optimal potentials are tight on u's support.
-    dist, tight = _potential_and_face(quiver, cost, u, single_optimizer)
+    dist, tight = _potential_and_face(quiver, cost, u, y, single_optimizer)
     if sum(t * d for t, d in zip(param.integral, dist)) != -flow_value:
         raise CertificateError("the greatest potential is not optimal")
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))

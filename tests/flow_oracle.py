@@ -13,7 +13,9 @@ the types of all small flows by brute force.  min_cost_flow_ssp is the
 successive-shortest-paths kernel that mckay_moduli.flow used before its
 primal-dual phases, kept as their reference.  face_tight_arrows is the
 per-vertex residual search that distinguished_rep used before it read the
-face off the strongly connected pieces of its potential's tight arcs.
+face off the strongly connected pieces of its potential's tight arcs, and
+greatest_potential the Bellman-Ford relaxation that found that potential
+before the kernel's shortest-path tree did.
 """
 
 import heapq
@@ -317,3 +319,26 @@ def face_tight_arrows(quiver, cost, u, y):
     reach = [_reachable(residual, v) for v in range(quiver.r)]
     face = frozenset(k for k, a in enumerate(arrows) if zero[k] and a.tail in reach[a.head])
     return face, len({frozenset(s) for s in reach})
+
+
+def greatest_potential(quiver, cost, u):
+    """Greatest V with V_0 = 0, cost_k + V_head - V_tail >= 0, and = 0 where u_k != 0.
+
+    These are difference constraints, so V is the shortest-path distance
+    from vertex 0 over arcs head -> tail of length cost_k for every arrow
+    and tail -> head of length -cost_k where u_k != 0 (Bellman-Ford).
+    """
+    arcs = [(a.head, a.tail, cost[k]) for k, a in enumerate(quiver.arrows)]
+    arcs += [(a.tail, a.head, -cost[k]) for k, a in enumerate(quiver.arrows) if u[k]]
+    dist = [0] + [None] * (quiver.r - 1)
+    for _ in range(quiver.r):
+        relaxed = False
+        for x, z, c in arcs:
+            if dist[x] is not None and (dist[z] is None or dist[x] + c < dist[z]):
+                dist[z] = dist[x] + c
+                relaxed = True
+        if not relaxed:
+            break
+    if None in dist or any(dist[x] + c < dist[z] for x, z, c in arcs):
+        raise CertificateError("the optimal face has no greatest potential")
+    return dist

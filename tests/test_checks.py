@@ -84,6 +84,13 @@ def test_closed_walks_reach_the_connector_without_disjoint_squares(monkeypatch):
     assert len(connector_flows(monkeypatch, [7], [[1, 2]])) == 5
 
 
+def test_closed_walks_reach_the_connector_on_two_disjoint_cycles(monkeypatch):
+    # no two squares or basis vectors of 2x2:1,0;0,1 are vertex-disjoint, but
+    # at seed 1 the odd trial 5 adds two squares whose shared arrows cancel,
+    # which leaves the two-cycles on {0, 1} and {2, 3} for the connector to join
+    assert len(connector_flows(monkeypatch, [2, 2], [[1, 0], [0, 1]])) == 1
+
+
 def test_random_parameter_sums_to_zero():
     q = build_quiver(build_group([5], [[1, 2]]))
     rng = random.Random(0)

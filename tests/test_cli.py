@@ -1,3 +1,4 @@
+import ast
 import errno
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -541,3 +543,39 @@ def test_full_device_exits_1_with_one_line(argv, target):
         )
     assert out.returncode == 1
     assert out.stderr == f"error: cannot write {target}: No space left on device\n"
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml promises Python 3.10; no file may use later syntax.
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quiver", "--group", "1/7(1,2)", "--format", "text"),
+        ("fan", "--group", "1/7(1,2,4)", "--ghilb", "--output", "{tmp}/fan.txt",
+         "--svg", "{tmp}/fan.svg", "--format", "text"),
+        ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "1,2,3"),
+        ("check", "--group", "1/5(1,3)"),
+    ],
+    ids=["quiver-text", "fan-files", "rep", "check"],
+)
+def test_module_entry_point_is_clean_in_dev_mode(tmp_path, argv):
+    # The real entry point, through interpreter shutdown, with every warning
+    # (resource, deprecation, encoding) an error.
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    out = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "mckay_moduli.cli", *argv],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    if argv[0] == "fan":
+        assert out.stdout == ""
+        assert (tmp_path / "fan.txt").read_text().startswith("ray 0:")
+        assert (tmp_path / "fan.svg").read_text().startswith("<svg")
+    else:
+        assert out.stdout

@@ -359,6 +359,16 @@ def tampered(quiver, theta, cost):
     return u, y, value + 1
 moduli.min_cost_flow = tampered
 """, "the greatest potential is not optimal"),
+    # the shortest-path tree's potential one lower at vertex 3, tampering
+    # only the call whose network is not the quiver
+    "potential-not-greatest": ("""
+def tampered(network, theta, cost):
+    u, y, value = kernel(network, theta, cost)
+    if network is not q:
+        y = tuple(p - (v == 3) for v, p in enumerate(y))
+    return u, y, value
+moduli.min_cost_flow = tampered
+""", "the greatest potential is not optimal"),
     # the two arrows that test_broken_arrow_relation_raises marks: one side
     # of a commutation square without the other
     "broken-square": ("""
@@ -432,6 +442,39 @@ def _potential_program(q, w, objective, extra=()):
     pin = (tuple(1 if t == 0 else 0 for t in range(q.r)), 0)
     feasible = HPolyhedron(dim=q.r, inequalities=tuple(rows), equations=(pin,) + extra)
     return LinearProgram(objective=objective, feasible=feasible)
+
+
+# In both examples the flow's own potentials are optimal but not greatest,
+# so only the shortest-path tree on the reduced arcs lifts them.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rep_programs())
+@example((REP_QUIVERS[0], (0, 0), (Fraction(1, 2),)))
+@example((REP_QUIVERS[-1], (0, 3, -4, 2, -2, 0, 1), (Fraction(5, 3), 1, 3)))
+def test_rep_point_matches_bellman_ford(program):
+    q, theta, w = program
+    scale = math.lcm(*(Fraction(x).denominator for x in w))
+    cost = [int(Fraction(w[a.label - 1]) * scale) for a in q.arrows]
+    u, _, _ = min_cost_flow(q, stability_parameter(q, theta).integral, cost)
+    expected = tuple(Fraction(d, scale) for d in flow_oracle.greatest_potential(q, cost, u))
+    assert distinguished_rep(q, theta, w).point == expected
+    assert distinguished_rep(q, theta, w, single_optimizer=True).point == expected
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_rep_makes_two_kernel_calls(monkeypatch, single):
+    networks = []
+
+    def counting(network, theta, cost):
+        networks.append(network)
+        return min_cost_flow(network, theta, cost)
+
+    monkeypatch.setattr(moduli, "min_cost_flow", counting)
+    q = quiver([13], [[1, 3, 9]])
+    distinguished_rep(q, ghilb_parameter(q), (13, 7, 1), single_optimizer=single)
+    # the flow on the quiver, then the shortest-path tree on its reduced arcs
+    assert len(networks) == 2
+    assert networks[0] is q and networks[1].r == q.r
+    assert len(networks[1].arrows) > q.num_arrows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
