@@ -33,7 +33,6 @@ from .moduli import (
     ChartReport,
     DistinguishedRep,
     GitParameter,
-    ThetaFan,
     ThetaPolyhedron,
     distinguished_rep,
     ghilb_parameter,
@@ -71,7 +70,6 @@ __all__ = [
     "ModuliError",
     "NotOptimal",
     "PolyhedronError",
-    "ThetaFan",
     "ThetaPolyhedron",
     "UnknownMethod",
     "VPolyhedron",

@@ -152,14 +152,14 @@ def _ptheta_block(tp):
     }
 
 
-def _fan_block(tf):
-    fan = tf.fan
+def _fan_block(tp):
+    fan = tp.fan
     block = {
         "rays": [list(r) for r in fan.rays],
         "maximal_cones": [list(c.indices) for c in fan.cones],
         "markers": [_qvec(v) for v in fan.vertices],
     }
-    if tf.charts is not None:
+    if tp.charts is not None:
         block["charts"] = [
             {
                 "vertex": [int(x) for x in ch.vertex],
@@ -168,7 +168,7 @@ def _fan_block(tf):
                 "missing": [list(q) for q in ch.missing],
                 "saturated_up_to_bound": ch.saturated_up_to_bound,
             }
-            for ch in tf.charts
+            for ch in tp.charts
         ]
     return block
 

@@ -65,36 +65,30 @@ def min_cost_flow(quiver, theta, cost):
     cost = [int(c) for c in cost]
     theta = [int(t) for t in theta]
     r = quiver.r
-    tails = [a.tail for a in arrows]
-    heads = [a.head for a in arrows]
     out_arcs = [[] for _ in range(r)]
     in_arcs = [[] for _ in range(r)]
     for k, a in enumerate(arrows):
-        out_arcs[a.tail].append(k)
-        in_arcs[a.head].append(k)
+        out_arcs[a.tail].append((k, a.head))
+        in_arcs[a.head].append((k, a.tail))
     u = [0] * len(arrows)
     y = [0] * r
     # excess > 0: flow still to leave the vertex; < 0: flow still to arrive
     excess = [-t for t in theta]
     while any(excess):
-        dist = [None] * r
+        dist = [0 if e > 0 else None for e in excess]
         heap = [(0, v) for v in range(r) if excess[v] > 0]
-        for _, v in heap:
-            dist[v] = 0
         while heap:
             d, x = heapq.heappop(heap)
             if d > dist[x]:
                 continue
             base = d + y[x]
-            for k in out_arcs[x]:
-                z = heads[k]
+            for k, z in out_arcs[x]:
                 nd = base + cost[k] - y[z]
                 if dist[z] is None or nd < dist[z]:
                     dist[z] = nd
                     heapq.heappush(heap, (nd, z))
-            for k in in_arcs[x]:
+            for k, z in in_arcs[x]:
                 if u[k]:
-                    z = tails[k]
                     nd = base - cost[k] - y[z]
                     if dist[z] is None or nd < dist[z]:
                         dist[z] = nd
@@ -112,31 +106,33 @@ def min_cost_flow(quiver, theta, cost):
         seen = [e > 0 for e in excess]
         order = [v for v in range(r) if seen[v]]
         for x in order:
-            for k in out_arcs[x]:
-                z = heads[k]
+            for k, z in out_arcs[x]:
                 if not seen[z] and cost[k] + y[x] == y[z]:
                     seen[z], pred[z] = True, (k, 1, x)
                     order.append(z)
-            for k in in_arcs[x]:
-                z = tails[k]
+            for k, z in in_arcs[x]:
                 if not seen[z] and u[k]:
                     seen[z], pred[z] = True, (k, -1, x)
                     order.append(z)
+        # Serve each deficit from its root: one walk up the forest finds the
+        # root and the least flow on a reverse arc, a second one augments.
         for target in order:
             if excess[target] >= 0:
                 continue
-            path = []
-            x = target
-            while (step := pred[x]) is not None:
-                path.append(step)
-                x = step[2]
-            delta = min([excess[x], -excess[target]] + [u[k] for k, s, _ in path if s < 0])
+            root, delta = target, -excess[target]
+            while (step := pred[root]) is not None:
+                k, sign, root = step
+                if sign < 0 and u[k] < delta:
+                    delta = u[k]
+            delta = min(delta, excess[root])
             if not delta:
                 continue
-            for k, sign, _ in path:
-                u[k] += sign * delta
-            excess[x] -= delta
+            excess[root] -= delta
             excess[target] += delta
+            x = target
+            while (step := pred[x]) is not None:
+                k, sign, x = step
+                u[k] += sign * delta
     value = sum(c * f for c, f in zip(cost, u))
     check_certificate(quiver, theta, cost, u, y, value)
     return tuple(u), tuple(y), value

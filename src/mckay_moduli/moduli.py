@@ -54,8 +54,12 @@ def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
     return GitParameter(theta=th, integral=tuple(integral_theta(quiver, _clear_denominators(th))))
 
 
-class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h fan")):
-    """The polyhedron of types of flows routing theta: its facets and its certified fan."""
+class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h fan charts", defaults=(None,))):
+    """The polyhedron of types of flows routing theta: its facets and its certified fan.
+
+    charts holds one ChartReport per maximal cone once moduli_fan has read
+    them off, and is None before.
+    """
 
     __slots__ = ()
 
@@ -157,12 +161,6 @@ class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):
         return not self.missing
 
 
-class ThetaFan(namedtuple("ThetaFan", "fan charts", defaults=(None,))):
-    """Inner-normal fan of the type polyhedron, with optional chart reports."""
-
-    __slots__ = ()
-
-
 def _l1_ball(n, bound):
     if n == 0:
         yield ()
@@ -228,24 +226,24 @@ def _chart_report(tp: ThetaPolyhedron, vidx: int, bound: int, table: list) -> Ch
     )
 
 
-def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaFan:
-    """Inner-normal fan of the type polyhedron (tp.fan), optionally with chart reports.
+def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaPolyhedron:
+    """The type polyhedron with its inner-normal fan (tp.fan), optionally with chart reports.
 
     Ray indices match the inequality order of the H-description; each vertex
     marks one maximal cone.  When charts_bound is given, every maximal cone
-    gets a ChartReport with generators and a bounded saturation verdict.
+    gets a ChartReport with generators and a bounded saturation verdict, in
+    the charts field of the returned copy of tp; otherwise tp comes back.
     """
-    charts = None
-    if charts_bound is not None:
-        table = [
-            (q, [_dot(coeffs, q) for coeffs, _ in tp.h.inequalities])
-            for q in _invariant_ball(tp.quiver.group, charts_bound)
-            if any(q)
-        ]
-        charts = tuple(
-            _chart_report(tp, i, charts_bound, table) for i in range(len(tp.fan.cones))
-        )
-    return ThetaFan(fan=tp.fan, charts=charts)
+    if charts_bound is None:
+        return tp
+    table = [
+        (q, [_dot(coeffs, q) for coeffs, _ in tp.h.inequalities])
+        for q in _invariant_ball(tp.quiver.group, charts_bound)
+        if any(q)
+    ]
+    return tp._replace(
+        charts=tuple(_chart_report(tp, i, charts_bound, table) for i in range(len(tp.fan.cones)))
+    )
 
 
 def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:

@@ -227,6 +227,23 @@ def test_check_reports_a_point_outside_the_rows_under_optimize_flag():
     ]
 
 
+def test_every_module_is_reachable_from_the_cli():
+    # Relative imports at any depth, function bodies included, from cli.py.
+    # lp.py is the test-only LP reference, which ROADMAP item 1 moves into tests/.
+    test_only = {"lp"}
+    reached, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((_SRC / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo.extend([node.module] if node.module else [a.name for a in node.names])
+    # The package's __init__ runs before any of its modules.
+    assert reached | {"__init__"} == {p.stem for p in _SRC.glob("*.py")} - test_only
+
+
 def test_no_assert_statements_outside_the_lp_reference():
     offenders = []
     for path in sorted(_SRC.glob("*.py")):

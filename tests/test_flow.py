@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import src_env, suite_quivers
+from conftest import generic_theta, src_env, suite_quivers
 from flow_oracle import min_cost_flow_ssp
 from mckay_moduli import (
     CertificateError,
@@ -17,9 +19,11 @@ from mckay_moduli import (
     NotOptimal,
     build_group,
     build_quiver,
+    distinguished_rep,
+    ghilb_parameter,
     incidence_matrices,
 )
-from mckay_moduli import flow
+from mckay_moduli import flow, moduli
 from mckay_moduli.flow import check_certificate, min_cost_flow
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LpOptimal, simplex_standard
@@ -106,6 +110,57 @@ def test_single_source_solve_is_one_phase(monkeypatch):
         pops.append(0)
         min_cost_flow(q, theta, cost)
     assert max(pops) <= q.r + q.num_arrows == 244
+
+
+PIN_GROUPS = [
+    ([7], [[1, 2, 4]]),
+    ([19], [[1, 7, 11]]),
+    ([2, 2], [[1, 0], [0, 1]]),
+    ([41], [[1, 5, 12, 23]]),
+    ([127], [[1, 19, 107]]),
+]
+
+
+def _pinned_programs():
+    """Seeded multi-source, G-Hilb and zero-cost programs on the PIN_GROUPS quivers."""
+    rng = random.Random(30)
+    for orders, weights in PIN_GROUPS:
+        q = build_quiver(build_group(orders, weights))
+        ghilb = (1 - q.r,) + (1,) * (q.r - 1)
+        for _ in range(10):
+            yield q, generic_theta(rng, q.r), [rng.randint(0, 6) for _ in q.arrows]
+        for _ in range(2):
+            w = [rng.randint(0, 6) for _ in range(q.n)]
+            yield q, ghilb, [w[a.label - 1] for a in q.arrows]
+        yield q, generic_theta(rng, q.r), [0] * q.num_arrows
+
+
+PINNED_POPS = 49128
+PINNED_SHA256 = "0af0f2fb7936a1928cf45586c3cb3070c4d9406aa41a15f801791872cbc06c28"
+
+
+def test_kernel_work_is_pinned(monkeypatch):
+    # Pins the flows, potentials and heap pops of a fixed set of solves.  A
+    # change that alters them says why in CHANGES.md and records new constants.
+    pops = [0]
+
+    def heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(flow, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+    solves = [min_cost_flow(*program) for program in _pinned_programs()]
+
+    def recording(network, theta, cost):
+        solves.append(min_cost_flow(network, theta, cost))
+        return solves[-1]
+
+    monkeypatch.setattr(moduli, "min_cost_flow", recording)
+    q = build_quiver(build_group([13], [[1, 3, 9]]))
+    distinguished_rep(q, ghilb_parameter(q), (13, 7, 1))
+    assert len(solves) == 67
+    assert pops[0] == PINNED_POPS
+    assert hashlib.sha256(repr(solves).encode()).hexdigest() == PINNED_SHA256
 
 
 @pytest.fixture(scope="module")

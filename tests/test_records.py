@@ -24,21 +24,19 @@ def _records():
     """One instance of each record, from a run of the pipeline on 1/3(1,1,1)."""
     group = build_group([3], [[1, 1, 1]])
     quiver = build_quiver(group)
-    tp = theta_polyhedron(quiver, THETA)
-    tf = moduli_fan(tp, charts_bound=2)
+    tp = moduli_fan(theta_polyhedron(quiver, THETA), charts_bound=2)
     return {
         "AbelianGroupData": group,
         "Arrow": quiver.arrows[0],
         "IncidenceData": incidence_matrices(quiver),
         "GitParameter": stability_parameter(quiver, THETA),
         "ThetaPolyhedron": tp,
-        "ChartReport": tf.charts[0],
-        "ThetaFan": tf,
+        "ChartReport": tp.charts[0],
         "DistinguishedRep": distinguished_rep(quiver, THETA, W),
         "HPolyhedron": tp.h,
         "VPolyhedron": tp.v,
-        "Cone": locate_cone(tf.fan, W),
-        "Fan": tf.fan,
+        "Cone": locate_cone(tp.fan, W),
+        "Fan": tp.fan,
     }
 
 
@@ -51,7 +49,6 @@ def _records():
         "GitParameter",
         "ThetaPolyhedron",
         "ChartReport",
-        "ThetaFan",
         "DistinguishedRep",
         "HPolyhedron",
         "VPolyhedron",
