@@ -11,9 +11,6 @@ from .errors import (
     GroupSpecError,
     InputError,
     ModuliError,
-    NotOptimal,
-    PolyhedronError,
-    UnknownMethod,
 )
 from .groups import (
     AbelianGroupData,
@@ -68,10 +65,7 @@ __all__ = [
     "InputError",
     "McKayQuiver",
     "ModuliError",
-    "NotOptimal",
-    "PolyhedronError",
     "ThetaPolyhedron",
-    "UnknownMethod",
     "VPolyhedron",
     "build_group",
     "build_quiver",

@@ -2,7 +2,7 @@
 
 
 class ModuliError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised bare, an internal failure."""
 
 
 class InputError(ModuliError):
@@ -17,17 +17,5 @@ class GroupSpecError(InputError):
         self.position = position
 
 
-class NotOptimal(ModuliError):
-    """A linear program expected to be solvable was infeasible or unbounded."""
-
-
 class CertificateError(ModuliError):
     """An optimality or consistency certificate failed its exact check."""
-
-
-class PolyhedronError(ModuliError, ValueError):
-    """A polyhedral routine got input outside its precondition, e.g. a non-pointed cone."""
-
-
-class UnknownMethod(ModuliError, ValueError):
-    """A construction method name is not one of the supported ones."""

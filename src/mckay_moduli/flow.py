@@ -18,7 +18,7 @@ network: distinguished_rep solves its shortest-path tree on one.
 
 import heapq
 
-from .errors import CertificateError, InputError, NotOptimal
+from .errors import CertificateError, InputError, ModuliError
 
 
 def check_certificate(quiver, theta, cost, u, y, value) -> None:
@@ -52,10 +52,10 @@ def check_certificate(quiver, theta, cost, u, y, value) -> None:
 
 
 def min_cost_flow(quiver, theta, cost):
-    """Return (u, y, value): an optimal integer flow, its potentials and cost . u.
+    """Return (u, y, value): an optimal integer flow, its potentials and theta . y.
 
     theta is an integer vector summing to zero and cost holds one nonnegative
-    integer per arrow.  Raises NotOptimal when no flow routes theta.
+    integer per arrow.  Raises ModuliError when no flow routes theta.
     """
     arrows = quiver.arrows
     if len(theta) != quiver.r or any(int(t) != t for t in theta):
@@ -94,7 +94,7 @@ def min_cost_flow(quiver, theta, cost):
                         dist[z] = nd
                         heapq.heappush(heap, (nd, z))
         if all(dist[v] is None for v in range(r) if excess[v] < 0):
-            raise NotOptimal("no nonnegative flow routes theta")
+            raise ModuliError("no nonnegative flow routes theta")
         # Unreached labels are capped at the largest finite distance, which
         # keeps every residual reduced cost nonnegative.
         cap = max(d for d in dist if d is not None)
@@ -133,6 +133,6 @@ def min_cost_flow(quiver, theta, cost):
             while (step := pred[x]) is not None:
                 k, sign, x = step
                 u[k] += sign * delta
-    value = sum(c * f for c, f in zip(cost, u))
+    value = sum(t * p for t, p in zip(theta, y))
     check_certificate(quiver, theta, cost, u, y, value)
     return tuple(u), tuple(y), value

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotOptimal
+from .errors import ModuliError
 from .polyhedra import HPolyhedron, h_to_v
 
 
@@ -315,11 +315,11 @@ def optimal_face_tight_set(lp: LinearProgram):
     reported tight exactly when it is tight at every vertex of that face and
     constant along every ray.  The feasible set must be pointed, as h_to_v
     requires.  Returns (optimal outcome, frozenset of tight indices); raises
-    NotOptimal when the program has no optimum.
+    ModuliError when the program has no optimum.
     """
     sol = solve(lp)
     if not isinstance(sol, LpOptimal):
-        raise NotOptimal("program has no finite optimum")
+        raise ModuliError("program has no finite optimum")
     h = lp.feasible
     face = h_to_v(
         HPolyhedron(

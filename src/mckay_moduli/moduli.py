@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .errors import CertificateError, InputError, UnknownMethod
+from .errors import CertificateError, InputError, ModuliError
 from .flow import min_cost_flow
 from .groups import (
     AbelianGroupData,
@@ -139,7 +139,7 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     elif method == "oracle":
         h, pts = _theta_polyhedron_oracle(quiver, param)
     else:
-        raise UnknownMethod(f"unknown method {method!r}")
+        raise ModuliError(f"unknown method {method!r}")
     units = tuple(sorted(_unit_rows(quiver.n)))
     return ThetaPolyhedron(quiver, h, normal_fan(h, VPolyhedron(quiver.n, tuple(pts), units)))
 
@@ -345,6 +345,8 @@ def distinguished_rep(
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)
-    value = sum(t * v for t, v in zip(param.theta, point))
+    # theta is a positive multiple of param.integral, whose product with dist is checked above.
+    ratio = next((Fraction(t, i) for t, i in zip(param.theta, param.integral) if i), 0)
+    value = Fraction(-flow_value, scale) * ratio
     mode = "single" if single_optimizer else "face"
     return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode)

@@ -4,7 +4,7 @@ Polyhedra carry either an H-description (inequalities a.x >= b plus equations)
 or a V-description (vertices and rays).  Every polyhedron here is pointed, as
 the type polyhedra and lifted flow polyhedra are: conversions run a pure
 integer double description method on the homogenization, which must be a
-pointed cone, and raise PolyhedronError otherwise.  No floating point ever
+pointed cone, and raise ModuliError otherwise.  No floating point ever
 enters.  Vertex coordinates are plain ints when the vertex is integral
 and Fractions otherwise; the two compare, hash and sort alike, so equality
 and the canonical order do not depend on which is stored.  Outputs are
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import le
 
-from .errors import CertificateError, InputError, PolyhedronError
+from .errors import CertificateError, InputError, ModuliError
 from .intlinalg import independent_rows, int_rank, kernel_basis
 
 Vec = tuple[int, ...]
@@ -63,7 +63,7 @@ class HPolyhedron(namedtuple("HPolyhedron", "dim inequalities equations")):
 
     def __new__(cls, dim, inequalities, equations=()):
         if any(len(coeffs) != dim for coeffs, _ in (*inequalities, *equations)):
-            raise PolyhedronError("row length does not match dimension")
+            raise ModuliError("row length does not match dimension")
         return super().__new__(cls, dim, inequalities, equations)
 
 
@@ -142,7 +142,7 @@ def _pointed_dd(rows, d):
     work = [tuple(r) for r in rows if any(r)]
     sel = independent_rows(work)
     if len(sel) < d:
-        raise PolyhedronError("cone is not pointed")
+        raise ModuliError("cone is not pointed")
 
     # Initial rays solve A_sel * r_j = c_j * e_j with c_j > 0.
     vecs = _initial_rays([work[i] for i in sel])
@@ -241,7 +241,7 @@ def cone_double_description(ineq_rows, eq_rows, dim, image=None):
 
     Input rows are integer vectors of length dim.  The inequality rows must
     span the dual of the equations' kernel, so the cone has no lineality;
-    PolyhedronError is raised otherwise.  Rays come back primitive and
+    ModuliError is raised otherwise.  Rays come back primitive and
     lexicographically sorted, so the output is canonical.  With image, an
     integer matrix given by rows of length dim, each ray x is replaced by
     image . x made primitive; zero images are dropped and duplicates merged.
@@ -294,7 +294,7 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     """Vertices and rays of an H-description.
 
     The inequality normals must span the space cut out by the equations, so
-    that the homogenization is pointed; PolyhedronError is raised otherwise,
+    that the homogenization is pointed; ModuliError is raised otherwise,
     even when the polyhedron is empty.  The empty polyhedron comes back as
     the VPolyhedron with no generators.
     """
@@ -307,11 +307,11 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
 
     Facet inequalities are primitive integer rows in sorted order, so the
     representation is canonical; there are never equations.  A
-    lower-dimensional V-description raises PolyhedronError, since the cone
+    lower-dimensional V-description raises ModuliError, since the cone
     of its valid inequalities is not pointed.
     """
     if v.is_empty:
-        raise PolyhedronError("cannot convert an empty V-description")
+        raise ModuliError("cannot convert an empty V-description")
     d = v.dim
     gen_rows = [_homogeneous(vert) for vert in v.vertices]
     gen_rows += [tuple(ray) + (0,) for ray in v.rays]
@@ -412,9 +412,9 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     Each check raises CertificateError.
     """
     if h.equations:
-        raise PolyhedronError("normal fan needs a full-dimensional polyhedron")
+        raise ModuliError("normal fan needs a full-dimensional polyhedron")
     if h.dim != v.dim:
-        raise PolyhedronError("dimension mismatch")
+        raise ModuliError("dimension mismatch")
     n = h.dim
     rows = tuple(_clear_denominators(coeffs) for coeffs, _ in h.inequalities)
     at = []
@@ -428,7 +428,7 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
     if any(_dot(row, e) < 0 for e in v.rays for row in rows):
         raise CertificateError("ray violates an inequality")
     if not at:
-        raise PolyhedronError("normal fan needs a nonempty pointed polyhedron")
+        raise ModuliError("normal fan needs a nonempty pointed polyhedron")
     on_row = [set() for _ in rows]
     for j, (_, tight) in enumerate(at):
         for i in tight:

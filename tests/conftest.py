@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import golden
 import mckay_moduli
-from mckay_moduli import build_group, build_quiver, moduli_fan, theta_polyhedron
+from mckay_moduli import ModuliError, build_group, build_quiver, moduli_fan, theta_polyhedron
 
 # Default battery of actions exercised by the property suites.  Entries are
 # (cli_spec, orders, weights); r*n stays small enough for exact enumeration.
@@ -36,6 +37,14 @@ def generic_theta(rng, r):
     """theta = 1 (mod r) with entries in {1 - r, 1, 1 + r} off vertex 0, as the benchmark draws it."""
     rest = [1 + r * rng.choice((-1, 0, 1)) for _ in range(r - 1)]
     return [-sum(rest)] + rest
+
+
+@contextmanager
+def internal_error(match):
+    """pytest.raises for a bare ModuliError, the internal failure: its subclasses do not pass."""
+    with pytest.raises(ModuliError, match=match) as info:
+        yield info
+    assert type(info.value) is ModuliError, repr(info.value)
 
 
 def src_env():

@@ -21,7 +21,7 @@ before the kernel's shortest-path tree did.
 import heapq
 from fractions import Fraction
 
-from mckay_moduli.errors import CertificateError, InputError, NotOptimal
+from mckay_moduli.errors import CertificateError, InputError, ModuliError
 from mckay_moduli.flow import check_certificate
 from mckay_moduli.groups import _reachable
 
@@ -235,7 +235,7 @@ def min_cost_flow_ssp(quiver, theta, cost):
     """Return (u, y, value): an optimal integer flow, its potentials and cost . u.
 
     theta is an integer vector summing to zero and cost holds one nonnegative
-    integer per arrow.  Raises NotOptimal when no flow routes theta.
+    integer per arrow.  Raises ModuliError when no flow routes theta.
     """
     arrows = quiver.arrows
     if len(theta) != quiver.r or any(int(t) != t for t in theta):
@@ -277,7 +277,7 @@ def min_cost_flow_ssp(quiver, theta, cost):
                     pred[z] = (k, sign)
                     heapq.heappush(heap, (nd, z))
         if target is None:
-            raise NotOptimal("no nonnegative flow routes theta")
+            raise ModuliError("no nonnegative flow routes theta")
         # Labels beyond the target are capped at its distance, which keeps
         # every residual reduced cost nonnegative.
         for v in range(r):

@@ -12,15 +12,9 @@ import pytest
 
 import golden
 from conftest import src_env
-from mckay_moduli import cli
+from mckay_moduli import checks, cli
 from mckay_moduli.cli import main, parse_group_spec
-from mckay_moduli.errors import (
-    GroupSpecError,
-    InputError,
-    ModuliError,
-    PolyhedronError,
-    UnknownMethod,
-)
+from mckay_moduli.errors import GroupSpecError, InputError, ModuliError
 from mckay_moduli.groups import build_quiver, cycle_from_type
 from mckay_moduli.polyhedra import HPolyhedron, h_to_v, locate_cone, normal_fan
 
@@ -375,10 +369,9 @@ def test_missing_subcommand_is_input_error(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("error", [PolyhedronError, UnknownMethod])
-def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch, error):
+def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise error("precondition failed")
+        raise ModuliError("precondition failed")
 
     monkeypatch.setattr(cli, "theta_polyhedron", broken)
     rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb")
@@ -393,9 +386,10 @@ def test_input_error_classes():
 
 
 def test_internal_error_classes():
-    # One failure type per kind: a failed certificate is always a CertificateError.
+    # Besides malformed input, only a failed certificate has its own class, which
+    # check reports as a FAIL row; any other internal failure is a bare ModuliError.
     names = {cls.__name__ for cls in ModuliError.__subclasses__()} - {"InputError"}
-    assert names == {"CertificateError", "NotOptimal", "PolyhedronError", "UnknownMethod"}
+    assert names == {"CertificateError"}
 
 
 # The ids name the kind of malformed input.
@@ -475,6 +469,18 @@ def test_bare_moduli_error_is_internal(capsys, monkeypatch):
     assert err == "internal error: inconsistent state\n"
 
 
+def test_non_certificate_error_inside_check_is_internal(capsys, monkeypatch):
+    # check turns only a CertificateError into a FAIL row.
+    def broken(*args, **kwargs):
+        raise ModuliError("precondition failed")
+
+    monkeypatch.setattr(checks, "verify_theta_routing", broken)
+    rc, out, err = run_cli(capsys, "check", "--group", "1/7(1,2)")
+    assert rc == 1
+    assert out == ""
+    assert err == "internal error: precondition failed\n"
+
+
 def test_negative_chart_bound_is_input_error(capsys):
     rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "-1")
     assert rc == 2
@@ -551,6 +557,34 @@ def test_sources_parse_at_the_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # Under the suite's warning filters a failing @given test must print its
+    # falsifying example, not an INTERNALERROR from the plugin's report hook.
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    report = out.stdout + out.stderr
+    assert out.returncode == 1, report
+    assert "Falsifying example" in report
+    assert "INTERNALERROR" not in report
 
 
 @pytest.mark.parametrize(

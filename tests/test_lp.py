@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
+from conftest import internal_error
 from dd_oracle import cone_double_description_dense
 
-from mckay_moduli import HPolyhedron, NotOptimal, PolyhedronError, h_to_v
+from mckay_moduli import HPolyhedron, h_to_v
 from mckay_moduli.lp import (
     LinearProgram,
     LpInfeasible,
@@ -120,7 +120,7 @@ def test_solve_against_vertex_enumeration():
         if lineality:
             # Vertex enumeration refuses lineality; the slice orthogonal to
             # it is pointed, and empty exactly when h is.
-            with pytest.raises(PolyhedronError, match="not pointed"):
+            with internal_error("not pointed"):
                 h_to_v(h)
             h = HPolyhedron(dim=dim, inequalities=ineqs, equations=tuple((l, 0) for l in lineality))
         v = h_to_v(h)
@@ -196,7 +196,7 @@ def test_optimal_face_tight_set_with_unbounded_face():
 
 def test_optimal_face_tight_set_rejects_unbounded():
     lp = LinearProgram(objective=(-1,), feasible=HPolyhedron(dim=1, inequalities=(((1,), 0),)))
-    with pytest.raises(NotOptimal):
+    with internal_error("^program has no finite optimum$"):
         optimal_face_tight_set(lp)
 
 

@@ -11,13 +11,19 @@ from hypothesis import strategies as st
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS, generic_theta, normal_fan_under_optimize, src_env, suite_quivers
+from conftest import (
+    SUITE_GROUPS,
+    generic_theta,
+    internal_error,
+    normal_fan_under_optimize,
+    src_env,
+    suite_quivers,
+)
 from fan_oracle import chart_report, face_cones
 from mckay_moduli import (
     CertificateError,
     HPolyhedron,
     InputError,
-    UnknownMethod,
     VPolyhedron,
     build_group,
     build_quiver,
@@ -621,7 +627,7 @@ def test_two_path_agreement_on_random_parameters():
 
 
 def test_theta_polyhedron_rejects_unknown_method():
-    with pytest.raises(UnknownMethod, match="simplex"):
+    with internal_error("simplex"):
         theta_polyhedron(w1_quiver(), golden.W1_THETA, method="simplex")
 
 
