@@ -369,15 +369,24 @@ def test_missing_subcommand_is_input_error(capsys):
     assert rc == 2
 
 
-def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch):
+# The ids name the kind of polyhedral failure; each is a bare ModuliError
+# carrying the message its real raise site uses.
+@pytest.mark.parametrize(
+    "message",
+    [
+        pytest.param("cone is not pointed", id="PolyhedronError"),
+        pytest.param("unknown method 'simplex'", id="UnknownMethod"),
+    ],
+)
+def test_polyhedral_failures_are_internal_errors(capsys, monkeypatch, message):
     def broken(*args, **kwargs):
-        raise ModuliError("precondition failed")
+        raise ModuliError(message)
 
     monkeypatch.setattr(cli, "theta_polyhedron", broken)
     rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb")
     assert rc == 1
     assert out == ""
-    assert err == "internal error: precondition failed\n"
+    assert err == f"internal error: {message}\n"
 
 
 def test_input_error_classes():
