@@ -39,7 +39,6 @@ from .moduli import (
     theta_polyhedron,
 )
 from .polyhedra import (
-    Cone,
     Fan,
     HPolyhedron,
     VPolyhedron,
@@ -55,7 +54,6 @@ __all__ = [
     "Arrow",
     "CertificateError",
     "ChartReport",
-    "Cone",
     "DistinguishedRep",
     "Fan",
     "GitParameter",

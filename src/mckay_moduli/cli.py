@@ -18,6 +18,7 @@ from fractions import Fraction
 from .checks import run_all
 from .errors import GroupSpecError, InputError, ModuliError
 from .groups import build_group, build_quiver, incidence_matrices
+from .intlinalg import int_rank
 from .moduli import (
     distinguished_rep,
     ghilb_parameter,
@@ -156,7 +157,7 @@ def _fan_block(tp):
     fan = tp.fan
     block = {
         "rays": [list(r) for r in fan.rays],
-        "maximal_cones": [list(c.indices) for c in fan.cones],
+        "maximal_cones": [list(c) for c in fan.cones],
         "markers": [_qvec(v) for v in fan.vertices],
     }
     if tp.charts is not None:
@@ -173,7 +174,8 @@ def _fan_block(tp):
     return block
 
 
-def _rep_block(rep, cone):
+def _rep_block(rep, fan, cone):
+    rays = [fan.rays[i] for i in cone]
     return {
         "w": _qvec(rep.w),
         "v": _qvec(rep.point),
@@ -182,9 +184,9 @@ def _rep_block(rep, cone):
         "tight_set": sorted(rep.tight),
         "mode": rep.mode,
         "cone": {
-            "ray_indices": list(cone.indices),
-            "rays": [list(r) for r in cone.rays],
-            "dim": cone.dim,
+            "ray_indices": list(cone),
+            "rays": [list(r) for r in rays],
+            "dim": int_rank(rays),
         },
     }
 
@@ -469,8 +471,8 @@ def _dispatch(args) -> int:
         else:
             # The flow validates w, so a malformed w exits before any geometry.
             rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
-            cone = locate_cone(theta_polyhedron(quiver, param, method="oracle").fan, rep.w)
-            doc["rep"] = _rep_block(rep, cone)
+            fan = theta_polyhedron(quiver, param, method="oracle").fan
+            doc["rep"] = _rep_block(rep, fan, locate_cone(fan, rep.w))
             view = _rep_text
     text = view(doc) if args.format == "text" else _dump(doc)
     if args.output:

@@ -183,7 +183,7 @@ def _chart_report(tp: ThetaPolyhedron, vidx: int, bound: int, table: list) -> Ch
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
     slack = [_dot(coeffs, m) - rhs for coeffs, rhs in tp.h.inequalities]
-    cone = tp.fan.cones[vidx].indices
+    cone = tp.fan.cones[vidx]
     gens = []
     extra = []
     for q, vals in table:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le
+from operator import le, mul
 
 from .errors import CertificateError, InputError, ModuliError
 from .intlinalg import independent_rows, int_rank, kernel_basis
@@ -81,19 +81,6 @@ class VPolyhedron(namedtuple("VPolyhedron", "dim vertices rays", defaults=((),))
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-
-class Cone(namedtuple("Cone", "rays indices")):
-    """Polyhedral cone spanned by primitive integer rays.
-
-    indices point into the ray list of the fan that produced the cone.
-    """
-
-    __slots__ = ()
-
-    @property
-    def dim(self) -> int:
-        return int_rank(self.rays) if self.rays else 0
 
 
 def _initial_rays(mat):
@@ -252,18 +239,13 @@ def cone_double_description(ineq_rows, eq_rows, dim, image=None):
     if eq_rows:
         ineq_rows = [tuple(_dot(row, s) for s in sub) for row in ineq_rows]
 
-    # A kernel ray y maps to the sum of y[j] * maps[j] over its nonzero entries,
-    # maps[j] = image . sub[j] (or sub[j]), adding only the nonzeros of maps[j].
+    # A kernel ray y maps to the sum of y[j] * maps[j], maps[j] = image . sub[j]
+    # (or sub[j]): coordinate i of the image is the dot product of y with cols[i].
     maps = sub if image is None else [tuple(_dot(row, s) for row in image) for s in sub]
-    row_terms = [[(i, c) for i, c in enumerate(mrow) if c] for mrow in maps]
+    cols = list(zip(*maps))
 
-    def back(y_kernel) -> Vec:
-        amb = [0] * len(maps[0])
-        for y, terms in zip(y_kernel, row_terms):
-            if y:
-                for i, c in terms:
-                    amb[i] += y * c
-        return _primitive(amb)
+    def back(y) -> Vec:
+        return _primitive([sum(map(mul, y, col)) for col in cols])
 
     return sorted({img for y in _pointed_dd(ineq_rows, len(sub)) if any(img := back(y))})
 
@@ -387,16 +369,11 @@ class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):
     """Inner-normal fan of a full-dimensional pointed polyhedron, by its maximal cones.
 
     Rays are the facet normals, indexed exactly like the inequalities of the
-    source H-description.  cones[j] is the maximal cone of vertices[j],
-    spanned by the facets tight there; rec_rays are the recession rays.
+    source H-description.  cones[j] is the maximal cone of vertices[j]: the
+    sorted indices of the facets tight there.  rec_rays are the recession rays.
     """
 
     __slots__ = ()
-
-
-def _fan_cone(rays, indices) -> Cone:
-    idx = tuple(sorted(indices))
-    return Cone(rays=tuple(rays[i] for i in idx), indices=idx)
 
 
 def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
@@ -422,7 +399,7 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
         slack = [_dot(coeffs, p) - rhs for coeffs, rhs in h.inequalities]
         if any(s < 0 for s in slack):
             raise CertificateError("vertex violates an inequality")
-        tight = [i for i, s in enumerate(slack) if not s]
+        tight = tuple(i for i, s in enumerate(slack) if not s)
         if len(tight) >= n and int_rank([rows[i] for i in tight]) == n:
             at.append((p, tight))
     if any(_dot(row, e) < 0 for e in v.rays for row in rows):
@@ -444,12 +421,11 @@ def normal_fan(h: HPolyhedron, v: VPolyhedron) -> Fan:
             ends = set.intersection(*zero) if zero else range(len(at))
             if e not in v.rays and all(at[j][0] == p for j in ends):
                 raise CertificateError(f"edge {e} at vertex {p} ends at no returned vertex")
-    cones = tuple(_fan_cone(rows, tight) for _, tight in at)
-    return Fan(rows, cones, tuple(p for p, _ in at), v.rays)
+    return Fan(rows, tuple(t for _, t in at), tuple(p for p, _ in at), v.rays)
 
 
-def locate_cone(fan: Fan, w) -> Cone:
-    """The fan cone whose relative interior contains the vector w.
+def locate_cone(fan: Fan, w) -> tuple[int, ...]:
+    """Sorted indices into fan.rays of the cone whose relative interior contains w.
 
     This is the inner-normal cone of the face of the source polyhedron on
     which w is minimized: its rays are the facets tight at every minimizing
@@ -465,8 +441,6 @@ def locate_cone(fan: Fan, w) -> Cone:
             raise InputError("vector is negative on a recession direction")
     vals = [_dot(w, vert) for vert in fan.vertices]
     mn = min(vals)
-    tight = frozenset.intersection(
-        *(frozenset(fan.cones[j].indices) for j, x in enumerate(vals) if x == mn)
-    )
+    tight = set.intersection(*(set(cone) for cone, x in zip(fan.cones, vals) if x == mn))
     zero = [ray for ray in fan.rec_rays if _dot(w, ray) == 0]
-    return _fan_cone(fan.rays, (i for i in tight if not any(_dot(fan.rays[i], z) for z in zero)))
+    return tuple(sorted(i for i in tight if not any(_dot(fan.rays[i], z) for z in zero)))

@@ -12,18 +12,17 @@ every dot product taken afresh per vertex and per difference; the tests
 check moduli_fan's table-driven charts against it.
 """
 
-from mckay_moduli import CertificateError, ChartReport, Cone
-from mckay_moduli.polyhedra import _clear_denominators, _dot
+from mckay_moduli import CertificateError, ChartReport
+from mckay_moduli.polyhedra import _dot
 
 
 def face_cones(h, v) -> dict:
-    """Every cone of the inner-normal fan of (h, v), keyed by its frozenset of ray indices.
+    """Every cone of the inner-normal fan of (h, v): a frozenset of ray indices to its sorted tuple.
 
     h and v describe one nonempty pointed full-dimensional polyhedron; the
     zero cone, the normal cone of the whole polyhedron, is always present.
     """
-    rays = [_clear_denominators(coeffs) for coeffs, _ in h.inequalities]
-    nfac = len(rays)
+    nfac = len(h.inequalities)
     nv = len(v.vertices)
     nr = len(v.rays)
     facet_verts = [
@@ -50,13 +49,12 @@ def face_cones(h, v) -> dict:
                     new.append(cand)
         frontier = new
 
-    cones = {frozenset(): Cone(rays=(), indices=())}
+    cones = {frozenset(): ()}
     for fv, fr in faces:
         full = frozenset(
             i for i in range(nfac) if fv <= facet_verts[i] and fr <= facet_ray_zero[i]
         )
-        idx = tuple(sorted(full))
-        cones[full] = Cone(rays=tuple(rays[i] for i in idx), indices=idx)
+        cones[full] = tuple(sorted(full))
     return cones
 
 
@@ -66,7 +64,7 @@ def chart_report(tp, fan, vidx, bound, ball) -> ChartReport:
     if any(x.denominator != 1 for x in vert):
         raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")
     m = tuple(int(x) for x in vert)
-    cone_rows = fan.cones[vidx].rays
+    cone_rows = [fan.rays[i] for i in fan.cones[vidx]]
     gens = []
     extra = []
     for q in ball:

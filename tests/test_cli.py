@@ -411,6 +411,22 @@ MALFORMED = {
         ("quiver", "--group", "1/7(1,x)"),
         "expected an integer, got 'x' (at position 6)",
     ),
+    "ZeroCyclicOrder": (
+        ("quiver", "--group", "1/0(1)"),
+        "cyclic order must be positive (at position 2)",
+    ),
+    "NoOpenParen": (
+        ("quiver", "--group", "1/7 (1,2)"),
+        "expected '(' after the cyclic order (at position 3)",
+    ),
+    "NoCloseParen": (
+        ("quiver", "--group", "1/7(1,2"),
+        "expected closing ')' (at position 6)",
+    ),
+    "ZeroCycleOrder": (
+        ("quiver", "--group", "0x2:1;1"),
+        "cycle orders must be positive (at position 0)",
+    ),
     "BadShape": (
         ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "1,2"),
         "weight vector has length 2, expected 3",

@@ -185,23 +185,33 @@ def _bump(vec, i, delta):
 
 def test_tampered_flow_raises(golden_certificate):
     q, theta, cost, u, y, value = golden_certificate
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="^flow does not route theta$"):
         check_certificate(q, theta, cost, _bump(u, 0, 1), y, value)
     k = next(k for k, f in enumerate(u) if f)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=f"^negative flow on arrow {k}$"):
         check_certificate(q, theta, cost, _bump(u, k, -u[k] - 1), y, value)
+    with pytest.raises(CertificateError, match="^flow certificate has the wrong shape$"):
+        check_certificate(q, theta, cost, u[:-1], y, value)
 
 
 def test_tampered_potential_raises(golden_certificate):
     q, theta, cost, u, y, value = golden_certificate
     v = next(v for v, t in enumerate(theta) if t)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="^negative reduced cost on arrow 0$"):
         check_certificate(q, theta, cost, u, _bump(y, v, 1), value)
+
+
+def test_tampered_cost_raises(golden_certificate):
+    # Raising the cost of an arrow that carries flow leaves its reduced cost positive.
+    q, theta, cost, u, y, value = golden_certificate
+    assert u[0] > 0
+    with pytest.raises(CertificateError, match="^complementary slackness fails on arrow 0$"):
+        check_certificate(q, theta, _bump(cost, 0, 1), u, y, value)
 
 
 def test_tampered_value_raises(golden_certificate):
     q, theta, cost, u, y, value = golden_certificate
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="^flow cost does not match the value$"):
         check_certificate(q, theta, cost, u, y, value + 1)
 
 

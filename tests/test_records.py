@@ -9,7 +9,6 @@ from mckay_moduli import (
     build_quiver,
     distinguished_rep,
     incidence_matrices,
-    locate_cone,
     moduli_fan,
     stability_parameter,
     theta_polyhedron,
@@ -35,7 +34,6 @@ def _records():
         "DistinguishedRep": distinguished_rep(quiver, THETA, W),
         "HPolyhedron": tp.h,
         "VPolyhedron": tp.v,
-        "Cone": locate_cone(tp.fan, W),
         "Fan": tp.fan,
     }
 
@@ -52,7 +50,6 @@ def _records():
         "DistinguishedRep",
         "HPolyhedron",
         "VPolyhedron",
-        "Cone",
         "Fan",
     ],
 )
