@@ -4,9 +4,8 @@ A group is presented as Z/r_1 x ... x Z/r_k together with a k x n integer
 weight matrix whose column i is the character through which the group scales
 the i-th coordinate.  The quiver has one vertex per character and, for each
 vertex rho and each coordinate label i, one arrow from rho * rho_i to rho.
-Flows and paths on the quiver all come from the min-cost-flow kernel in
-flow.py: theta_decompose routes a parameter at zero cost, and the connector
-between components of a closed walk is a unit-cost flow, so a shortest path.
+Flows on the quiver come from the min-cost-flow kernel in flow.py:
+theta_decompose routes a parameter at zero cost.
 """
 
 from __future__ import annotations
@@ -269,16 +268,14 @@ def theta_decompose(quiver: McKayQuiver, theta) -> tuple[int, ...]:
 
 
 def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
-    """Decompose a kernel vector of b into a single closed walk.
+    """Decompose a kernel vector u of b into one closed walk at vertex 0.
 
-    Args:
-        u: integer arrow vector with b * u = 0.
-
-    Returns:
-        A list of (arrow index, sign) steps tracing one closed walk whose net
-        multiplicity vector equals u.  Circuits in different components are
-        linked by inserting a connector path and retracing it backward, which
-        cancels out of the net vector.
+    Returns (arrow index, sign) steps whose net multiplicity vector is u, and
+    [] for u = 0.  The walk expands u in the fundamental cycles of a
+    breadth-first tree of forward arrows from 0: for each arrow k off the
+    tree, |u_k| copies of the loop that follows the tree to the start of k,
+    crosses k with the sign of u_k and retraces the tree from its end to 0.
+    The tree steps cancel out of the net vector because b * u = 0.
     """
     u = [int(x) for x in u]
     if len(u) != quiver.num_arrows:
@@ -291,54 +288,25 @@ def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
     if any(net):
         raise InputError("vector is not in the kernel of the vertex incidence matrix")
 
-    # Directed multigraph: negative multiplicities traverse the arrow backward.
-    out_edges: dict[int, list[tuple[int, int, int]]] = {}
+    leaving = [[] for _ in range(quiver.r)]
+    for k, a in enumerate(quiver.arrows):
+        leaving[a.tail].append(k)
+    # path[v]: the tree steps from 0 to v; build_quiver checked that all are reached.
+    path = [None] * quiver.r
+    path[0] = []
+    queue = [0]
+    for v in queue:
+        for k in leaving[v]:
+            head = quiver.arrows[k].head
+            if path[head] is None:
+                path[head] = path[v] + [(k, 1)]
+                queue.append(head)
+    tree = {steps[-1][0] for steps in path if steps}
+    walk = []
     for k, mult in enumerate(u):
-        a = quiver.arrows[k]
-        src, dst, sign = (a.tail, a.head, 1) if mult > 0 else (a.head, a.tail, -1)
-        for _ in range(abs(mult)):
-            out_edges.setdefault(src, []).append((dst, k, sign))
-    for v in out_edges:
-        out_edges[v].sort()
-
-    def euler_circuit(start: int) -> list[tuple[int, int, int]]:
-        # Hierholzer with an explicit stack; consumes edges from out_edges.
-        stack = [(start, None)]
-        circuit = []
-        while stack:
-            v, via = stack[-1]
-            if out_edges.get(v):
-                dst, k, sign = out_edges[v].pop(0)
-                stack.append((dst, (v, k, sign)))
-            else:
-                stack.pop()
-                if via is not None:
-                    circuit.append(via + (v,))
-        circuit.reverse()
-        return [(k, sign) for (_, k, sign, _) in circuit]
-
-    # The support is balanced, so a circuit uses up its start's whole component.
-    starts = sorted(out_edges)
-    if not starts:
-        return []
-    base = starts[0]
-    walk = euler_circuit(base)
-    for start in starts[1:]:
-        if not out_edges[start]:
-            continue
-        # A unit-cost flow of one unit from base to start is a shortest path.
-        theta = [0] * quiver.r
-        theta[base] -= 1
-        theta[start] += 1
-        path, _, _ = min_cost_flow(quiver, theta, [1] * quiver.num_arrows)
-        leaving = {quiver.arrows[k].tail: k for k, x in enumerate(path) if x}
-        steps = []
-        cur = base
-        while cur != start:
-            k = leaving[cur]
-            steps.append((k, 1))
-            cur = quiver.arrows[k].head
-        walk.extend(steps)
-        walk.extend(euler_circuit(start))
-        walk.extend((k, -sign) for k, sign in reversed(steps))
+        if mult and k not in tree:
+            a = quiver.arrows[k]
+            sign, start, end = (1, a.tail, a.head) if mult > 0 else (-1, a.head, a.tail)
+            back = [(j, -1) for j, _ in reversed(path[end])]
+            walk.extend((path[start] + [(k, sign)] + back) * abs(mult))
     return walk

@@ -9,7 +9,7 @@ import pytest
 from conftest import SUITE_GROUPS, src_env
 from flow_oracle import flow_images_up_to
 import mckay_moduli
-from mckay_moduli import build_group, build_quiver, groups
+from mckay_moduli import CertificateError, build_group, build_quiver, checks
 from mckay_moduli.checks import (
     random_parameter,
     run_all,
@@ -58,37 +58,20 @@ def test_closed_walks_random_kernel_vectors():
     verify_closed_walks(q, trials=25, seed=3)
 
 
-def connector_flows(monkeypatch, orders, weights):
-    """The unit-cost flows, that is the connectors, solved by verify_closed_walks."""
-    flows = []
-    kernel = groups.min_cost_flow
-
-    def counting(quiver, theta, cost):
-        if all(c == 1 for c in cost):
-            flows.append(theta)
-        return kernel(quiver, theta, cost)
-
-    monkeypatch.setattr(groups, "min_cost_flow", counting)
-    verify_closed_walks(build_quiver(build_group(orders, weights)), trials=10, seed=1)
-    return flows
-
-
-def test_closed_walks_reach_the_connector(monkeypatch):
-    # each of the five odd trials adds two squares with disjoint vertex sets
-    assert len(connector_flows(monkeypatch, [13], [[1, 3, 9]])) == 5
-
-
-def test_closed_walks_reach_the_connector_without_disjoint_squares(monkeypatch):
-    # no two squares of 1/7(1,2) are vertex-disjoint, but three pairs of kernel
-    # basis vectors are, and each of the five odd trials adds one of those pairs
-    assert len(connector_flows(monkeypatch, [7], [[1, 2]])) == 5
-
-
-def test_closed_walks_reach_the_connector_on_two_disjoint_cycles(monkeypatch):
-    # no two squares or basis vectors of 2x2:1,0;0,1 are vertex-disjoint, but
-    # at seed 1 the odd trial 5 adds two squares whose shared arrows cancel,
-    # which leaves the two-cycles on {0, 1} and {2, 3} for the connector to join
-    assert len(connector_flows(monkeypatch, [2, 2], [[1, 0], [0, 1]])) == 1
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda walk: walk[:-1], "walk does not reproduce the vector"),
+        (lambda walk: walk[::-1], "walk breaks contiguity"),
+    ],
+    ids=["drop-last-step", "reverse-steps"],
+)
+def test_closed_walks_catch_a_tampered_walk(monkeypatch, tamper, message):
+    real = checks.closed_walk_from_kernel
+    monkeypatch.setattr(checks, "closed_walk_from_kernel", lambda q, u: tamper(real(q, u)))
+    q = build_quiver(build_group([7], [[1, 2]]))
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        verify_closed_walks(q, trials=10, seed=1)
 
 
 def test_random_parameter_sums_to_zero():

@@ -506,6 +506,27 @@ def test_non_certificate_error_inside_check_is_internal(capsys, monkeypatch):
     assert err == "internal error: precondition failed\n"
 
 
+def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
+    # Every basis vector gains 1 in its first entry, so the vectors that
+    # closed-walks draws leave the kernel of b: a failed check, not bad input.
+    real = checks.kernel_basis
+    monkeypatch.setattr(
+        checks, "kernel_basis", lambda m: [(v[0] + 1,) + tuple(v[1:]) for v in real(m)]
+    )
+    rc, out, err = run_cli(capsys, "check", "--group", "1/7(1,2)")
+    assert rc == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "FAIL kernel-lattice: kernel lattices differ",
+        "ok   theta-routing",
+        "FAIL closed-walks: vector is not in the kernel of the vertex incidence matrix",
+        "ok   cycle-types",
+        "ok   flow-vertex-integrality",
+        "ok   construction-agreement",
+        "some checks FAILED",
+    ]
+
+
 def test_negative_chart_bound_is_input_error(capsys):
     rc, out, err = run_cli(capsys, "fan", "--group", "1/7(1,2,4)", "--ghilb", "--charts", "-1")
     assert rc == 2

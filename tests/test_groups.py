@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from hashlib import sha256
 
 import pytest
 
@@ -276,87 +275,34 @@ def test_theta_decompose_validates():
         theta_decompose(q, (Fraction(1, 2), Fraction(-1, 2), 0, 0, 0, 0, 0))
 
 
+# The commutation vectors of 1/7(1,2), then commutation vectors of 1/13(1,3,9):
+# square 15 touches only {5, 6, 8, 9}, which misses vertex 0; squares 0 and 15
+# have the disjoint supports {0, 1, 3, 4} and {5, 6, 8, 9}; and squares 0, 18
+# and 38 give three components.
+CLOSED_WALK_CASES = [([7], [[1, 2]], (i,)) for i in range(7)] + [
+    ([13], [[1, 3, 9]], (15,)),
+    ([13], [[1, 3, 9]], (0, 15)),
+    ([13], [[1, 3, 9]], (0, 18, 38)),
+]
+
+
 def test_closed_walk_from_kernel():
-    q = quiver_7_12()
-    inc = incidence_matrices(q)
-    gens = kernel_generators_cij(q)
-    for u in gens:
+    for orders, weights, squares in CLOSED_WALK_CASES:
+        q = build_quiver(build_group(orders, weights))
+        gens = kernel_generators_cij(q)
+        u = [sum(col) for col in zip(*(gens[i] for i in squares))]
         walk = closed_walk_from_kernel(q, u)
         net = [0] * q.num_arrows
         for k, s in walk:
             net[k] += s
-        assert tuple(net) == tuple(u)
-        # consecutive steps share endpoints: replaying the walk visits a
-        # well-defined vertex sequence that returns to its start
-        pos = None
-        start = None
+        assert net == u
+        # consecutive steps share endpoints, and the walk starts and ends at 0
+        ends = []
         for k, s in walk:
             a = q.arrows[k]
-            frm, to = (a.tail, a.head) if s > 0 else (a.head, a.tail)
-            if pos is None:
-                start = frm
-            else:
-                assert frm == pos
-            pos = to
-        assert pos == start
-
-
-def test_closed_walk_links_components_by_a_shortest_path():
-    # on 1/13(1,3,9) the commutation vectors at vertices 0 and 5 have the
-    # disjoint vertex supports {0, 1, 3, 4} and {5, 6, 8, 9}
-    q = build_quiver(build_group([13], [[1, 3, 9]]))
-    gens = kernel_generators_cij(q)
-    u = [a + b for a, b in zip(gens[0], gens[15])]
-    walk = closed_walk_from_kernel(q, u)
-    net = [0] * q.num_arrows
-    for k, s in walk:
-        net[k] += s
-    assert net == u
-    ends = []
-    for k, s in walk:
-        a = q.arrows[k]
-        ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
-    assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
-    assert ends[-1][1] == ends[0][0] == 0
-    # breadth-first distance along arrows from vertex 0 to vertex 5
-    dist = {0: 0}
-    frontier = [0]
-    while 5 not in dist:
-        nxt = []
-        for a in q.arrows:
-            if a.tail in frontier and a.head not in dist:
-                dist[a.head] = dist[a.tail] + 1
-                nxt.append(a.head)
-        frontier = nxt
-    length = dist[5]
-    assert length >= 1
-    assert len(walk) == 8 + 2 * length
-    connector = walk[4 : 4 + length]
-    assert all(s == 1 for _, s in connector)
-    assert ends[4][0] == 0 and ends[3 + length][1] == 5
-    assert walk[8 + length :] == [(k, -s) for k, s in reversed(connector)]
-
-
-def test_closed_walk_links_three_components():
-    # each circuit uses up its start's component, and the later circuits
-    # start at the smallest vertex that still has edges
-    q = build_quiver(build_group([13], [[1, 3, 9]]))
-    gens = kernel_generators_cij(q)
-    u = [a + b + c for a, b, c in zip(gens[0], gens[18], gens[38])]
-    walk = closed_walk_from_kernel(q, u)
-    net = [0] * q.num_arrows
-    for k, s in walk:
-        net[k] += s
-    assert net == u
-    ends = []
-    for k, s in walk:
-        a = q.arrows[k]
-        ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
-    assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
-    assert ends[-1][1] == ends[0][0]
-    assert len(walk) == 24
-    digest = sha256(repr(walk).encode()).hexdigest()
-    assert digest == "b9a97cfc72459dae62b7773a6cf4ec4ce27f7578b96aeb54265236f2da4190c4"
+            ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
+        assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
+        assert ends[0][0] == ends[-1][1] == 0
 
 
 def test_closed_walk_rejects_non_kernel():
@@ -366,3 +312,6 @@ def test_closed_walk_rejects_non_kernel():
         InputError, match="^vector is not in the kernel of the vertex incidence matrix$"
     ):
         closed_walk_from_kernel(q, bad)
+    with pytest.raises(InputError, match="^arrow vector has the wrong length$"):
+        closed_walk_from_kernel(q, (0,) * 13)
+    assert closed_walk_from_kernel(q, (0,) * 14) == []

@@ -658,6 +658,37 @@ def test_oracle_rejects_a_vertex_no_flow_reached():
     assert out.stdout == "raised False row (1, 2, 4) >= 21 is not a facet\n"
 
 
+# Every oracle solve reports a minimum one above the true one, so a row that
+# the cheapest flow meets reads as lying above the polyhedron.
+_RAISE_VALUE_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver, moduli
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+flow = moduli.min_cost_flow
+
+
+def raised(quiver, theta, cost):
+    u, y, value = flow(quiver, theta, cost)
+    return u, y, value + 1
+
+
+moduli.min_cost_flow = raised
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+try:
+    theta_polyhedron(q, ghilb_parameter(q))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_oracle_rejects_a_flow_minimum_above_its_row():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _RAISE_VALUE_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "raised False flow minimum lies above an inner facet\n"
+
+
 # The closing (normal_fan) loses the lexicographically largest of the points
 # it is given, as a vertex enumeration that drops one vertex would.  Unchecked,
 # G-Hilb on 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.
