@@ -348,11 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect the greatest optimizer instead of the whole optimal face",
     )
 
-    sp = sub.add_parser("check", help="run consistency checks on a group")
+    sp = sub.add_parser("check", help="run the fixed suite of consistency checks on a group")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--bound", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=10)
     return p
 
 
@@ -422,10 +419,7 @@ def _dispatch(args) -> int:
     quiver = build_quiver(group)
 
     if args.cmd == "check":
-        for flag, value in (("--bound", args.bound), ("--trials", args.trials)):
-            if value < 1:
-                raise InputError(f"{flag} must be at least 1, got {value}")
-        results = run_all(quiver, bound=args.bound, seed=args.seed, trials=args.trials)
+        results = run_all(quiver)
         ok = True
         for name, passed, detail in results:
             if passed:

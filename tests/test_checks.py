@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from mckay_moduli.checks import (
 @pytest.mark.parametrize("spec,orders,weights", SUITE_GROUPS)
 def test_run_all_suite_groups(spec, orders, weights):
     q = build_quiver(build_group(orders, weights))
-    results = run_all(q, bound=4, seed=0, trials=5)
+    results = run_all(q)
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert failures == []
     names = [name for name, _, _ in results]
@@ -93,7 +94,7 @@ def test_flow_images_contains_type_zero():
 
 def test_run_all_n_equals_one():
     q = build_quiver(build_group([2], [[1]]))
-    results = run_all(q, bound=4, seed=0, trials=5)
+    results = run_all(q)
     assert all(ok for _, ok, _ in results)
 
 
@@ -208,6 +209,87 @@ def test_check_reports_a_point_outside_the_rows_under_optimize_flag():
         "some checks FAILED",
         "exit 1 False",
     ]
+
+
+# One tamper per FAIL path of the suite on 1/7(1,2), where r * n = 14 runs all
+# six checks.  The script prints the tampered check's message at its default
+# settings, then each FAIL row of run_all, then __debug__.
+_FAIL_PATH_SCRIPT = """
+import sys
+from fractions import Fraction
+from operator import add
+from mckay_moduli import CertificateError, build_group, build_quiver, checks
+
+
+def first(seq, f):
+    return (f(seq[0]),) + tuple(seq[1:])
+
+
+def half_first_vertex(v):
+    return v._replace(vertices=first(v.vertices, lambda vert: first(vert, lambda x: Fraction(1, 2))))
+
+
+def on_lifted(real, edit):
+    return lambda quiver, theta, method: (edit if method == "lifted" else lambda tp: tp)(
+        real(quiver, theta, method=method)
+    )
+
+
+TAMPERS = {
+    "negative-flow": ("theta_decompose", "verify_theta_routing",
+                      lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x - 1)),
+    "extra-flow": ("theta_decompose", "verify_theta_routing",
+                   lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x + 1)),
+    "extra-cycle": ("cycle_from_type", "verify_cycle_types",
+                    lambda real: lambda quiver, base, m: tuple(
+                        map(add, real(quiver, base, m), real(quiver, base, (7, 0))))),
+    "no-vertices": ("h_to_v", "verify_flow_vertex_integrality",
+                    lambda real: lambda h: real(h)._replace(vertices=())),
+    "half-vertex": ("h_to_v", "verify_flow_vertex_integrality",
+                    lambda real: lambda h: half_first_vertex(real(h))),
+    "drop-inequality": ("theta_polyhedron", "verify_construction_agreement",
+                        lambda real: on_lifted(real, lambda tp: tp._replace(
+                            h=tp.h._replace(inequalities=tp.h.inequalities[1:])))),
+    "drop-vertex": ("theta_polyhedron", "verify_construction_agreement",
+                    lambda real: on_lifted(real, lambda tp: tp._replace(
+                        fan=tp.fan._replace(vertices=tp.fan.vertices[1:])))),
+}
+attr, verifier, tamper = TAMPERS[sys.argv[1]]
+setattr(checks, attr, tamper(getattr(checks, attr)))
+q = build_quiver(build_group([7], [[1, 2]]))
+try:
+    getattr(checks, verifier)(q)
+except CertificateError as exc:
+    print(exc)
+for name, ok, detail in checks.run_all(q):
+    if not ok:
+        print(f"FAIL {name}: {detail}")
+print(__debug__)
+"""
+
+FAIL_PATHS = [
+    ("negative-flow", "theta-routing",
+     r"flow \(.*\) for theta \(.*\) is not a nonnegative integer vector"),
+    ("extra-flow", "theta-routing", r"flow \(.*\) does not route theta \(.*\)"),
+    ("extra-cycle", "cycle-types", r"cycle type mismatch"),
+    ("no-vertices", "flow-vertex-integrality", r"flow polyhedron of theta \(.*\) is empty"),
+    ("half-vertex", "flow-vertex-integrality", r"flow vertex \(.*\) is not integral"),
+    ("drop-inequality", "construction-agreement",
+     r"H-descriptions differ between constructions"),
+    ("drop-vertex", "construction-agreement", r"V-descriptions differ between constructions"),
+]
+
+
+@pytest.mark.parametrize("tamper,row,message", FAIL_PATHS, ids=[t for t, _, _ in FAIL_PATHS])
+def test_each_fail_path_reports_its_message_under_optimize_flag(tamper, row, message):
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FAIL_PATH_SCRIPT, tamper],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    verdict, *failed, debug = out.stdout.splitlines()
+    assert re.fullmatch(message, verdict)
+    assert len(failed) == 1 and re.fullmatch(f"FAIL {row}: {message}", failed[0])
+    assert debug == "False"
 
 
 def test_every_module_is_reachable_from_the_cli():

@@ -689,6 +689,32 @@ def test_oracle_rejects_a_flow_minimum_above_its_row():
     assert out.stdout == "raised False flow minimum lies above an inner facet\n"
 
 
+# The first vertex of G-Hilb on 1/7(1,2,4) gets the first coordinate 1/2, so
+# no chart can be read off it.
+_HALF_VERTEX_SCRIPT = """
+from fractions import Fraction
+from mckay_moduli import CertificateError, build_group, build_quiver, moduli_fan
+from mckay_moduli import ghilb_parameter, theta_polyhedron
+
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+tp = theta_polyhedron(q, ghilb_parameter(q))
+first, *rest = tp.fan.vertices
+tp = tp._replace(fan=tp.fan._replace(vertices=((Fraction(1, 2),) + first[1:], *rest)))
+try:
+    moduli_fan(tp, charts_bound=2)
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_charts_reject_a_fractional_vertex():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _HALF_VERTEX_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "raised False vertex 0 of the type polyhedron is not integral\n"
+
+
 # The closing (normal_fan) loses the lexicographically largest of the points
 # it is given, as a vertex enumeration that drops one vertex would.  Unchecked,
 # G-Hilb on 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.

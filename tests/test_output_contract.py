@@ -77,6 +77,11 @@ ANCHORS = [
     ),
     (("check", "--group", "2x2:1,0;0,1"), CHECK_PASSED),
     (("check", "--group", "1/5(1,3)"), CHECK_PASSED),
+    # r * n = 39 > 16: the lifted checks are skipped and four rows print.
+    (
+        ("check", "--group", "1/13(1,3,9)"),
+        "ed3a4b2fb6c361b8224c935edbc64095ff0152ab11a4b176286c47ea62791d49",
+    ),
     # Degenerate inputs: theta = 0, n = 1, and a non-cyclic group on the lifted path.
     (
         ("fan", "--group", "1/3(1,1,1)", "--theta", "0,0,0", "--lifted", "--charts", "4"),

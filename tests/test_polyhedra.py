@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import generic_theta, internal_error, normal_fan_under_optimize
+from conftest import generic_theta, internal_error, normal_fan_under_optimize, src_env
 from dd_oracle import cone_double_description_dense, pointed_dd_scan
 from fan_oracle import face_cones
 
@@ -137,6 +139,27 @@ def test_v_to_h_single_point():
 def test_v_to_h_rejects_empty():
     with internal_error("^cannot convert an empty V-description$"):
         v_to_h(VPolyhedron(dim=2, vertices=()))
+
+
+# The cone of valid inequalities gains the generator (0, 0, -1), which reads 0 >= 1.
+_TRIVIAL_ROW_SCRIPT = """
+from mckay_moduli import CertificateError, VPolyhedron, polyhedra
+
+dd = polyhedra.cone_double_description
+polyhedra.cone_double_description = lambda *args: dd(*args) + [(0, 0, -1)]
+try:
+    polyhedra.v_to_h(VPolyhedron(2, ((0, 0), (1, 0), (0, 1))))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_v_to_h_rejects_an_inconsistent_trivial_row():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TRIVIAL_ROW_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "raised False inconsistent trivial inequality 0 >= 1\n"
 
 
 def test_v_to_h_fractional_vertices():

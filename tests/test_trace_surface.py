@@ -60,3 +60,10 @@ def test_traced_run_matches_plain_run(tmp_path, job):
         # while cli imports checks at module level.
         assert agg["checks.run_all.calls"] == 1
         assert agg["checks.verify_kernel_lattice.calls"] == 1
+        # run_all reads each verifier by name when it runs, so every rebound
+        # one is called; r * n = 14 on 1/7(1,2) runs all six.
+        for name in (
+            "theta_routing", "closed_walks", "cycle_types",
+            "flow_vertex_integrality", "construction_agreement",
+        ):
+            assert agg[f"checks.verify_{name}.calls"] == 1
