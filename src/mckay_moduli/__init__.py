@@ -21,7 +21,6 @@ from .groups import (
     build_quiver,
     closed_walk_from_kernel,
     commutation_squares,
-    cycle_from_type,
     incidence_matrices,
     kernel_generators_cij,
     theta_decompose,
@@ -69,7 +68,6 @@ __all__ = [
     "build_quiver",
     "closed_walk_from_kernel",
     "commutation_squares",
-    "cycle_from_type",
     "distinguished_rep",
     "ghilb_parameter",
     "h_to_v",

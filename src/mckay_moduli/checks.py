@@ -18,13 +18,12 @@ from .errors import CertificateError, InputError
 from .groups import (
     McKayQuiver,
     closed_walk_from_kernel,
-    cycle_from_type,
     incidence_matrices,
     kernel_generators_cij,
     theta_decompose,
 )
 from .intlinalg import kernel_basis, mat_vec, row_hnf
-from .moduli import _invariant_ball, lifted_flow_polyhedron, theta_polyhedron
+from .moduli import lifted_flow_polyhedron, theta_polyhedron
 from .polyhedra import h_to_v
 
 
@@ -87,16 +86,16 @@ def verify_closed_walks(quiver: McKayQuiver, trials: int = 10, seed: int = 1) ->
             raise CertificateError("walk does not close up")
 
 
-def verify_cycle_types(quiver: McKayQuiver, bound: int = 4) -> None:
-    """Every bounded trivial-degree type defines a closed walk at every base vertex."""
+def verify_cycle_types(quiver: McKayQuiver) -> None:
+    """The types d * u of the integer cycles u (kernel of b) span M, the trivial-degree lattice."""
     inc = incidence_matrices(quiver)
-    for m in _invariant_ball(quiver.group, bound):
-        for base in quiver.vertices:
-            v = cycle_from_type(quiver, base, m)
-            if any(mat_vec(inc.b, v)):
-                raise CertificateError("cycle vector leaves the kernel")
-            if tuple(mat_vec(inc.d, v)) != tuple(m):
-                raise CertificateError("cycle type mismatch")
+    types = row_hnf([mat_vec(inc.d, u) for u in kernel_basis(inc.b)])
+    g, k = quiver.group, len(quiver.group.orders)
+    # m has trivial degree exactly when weights * m + diag(orders) * y = 0 for an integer y.
+    rows = [g.weights[j] + tuple(g.orders[j] * (t == j) for t in range(k)) for j in range(k)]
+    lattice = row_hnf([v[: quiver.n] for v in kernel_basis(rows)])
+    if types != lattice:
+        raise CertificateError(f"cycle types span {types}, not the trivial-degree lattice {lattice}")
 
 
 def verify_flow_vertex_integrality(quiver: McKayQuiver, trials: int = 2, seed: int = 2) -> None:

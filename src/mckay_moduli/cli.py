@@ -450,11 +450,7 @@ def _dispatch(args) -> int:
             if args.charts is not None and args.charts < 0:
                 raise InputError("chart bound must be nonnegative")
             if args.svg is not None and quiver.n != 3:
-                print(
-                    "error: the SVG cross-section is only defined for 3 coordinates",
-                    file=sys.stderr,
-                )
-                return 3
+                raise InputError("the SVG cross-section is only defined for 3 coordinates")
             tp = theta_polyhedron(quiver, param, method="lifted" if args.lifted else "oracle")
             doc["p_theta"] = _ptheta_block(tp)
             doc["fan"] = _fan_block(moduli_fan(tp, charts_bound=args.charts))

@@ -14,7 +14,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CertificateError, InputError
+from .errors import InputError
 from .flow import min_cost_flow
 from .intlinalg import row_hnf
 
@@ -45,9 +45,6 @@ class AbelianGroupData(namedtuple("AbelianGroupData", "orders weights")):
 
     def mul(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def inv(self, a) -> tuple[int, ...]:
-        return tuple((-x) % m for x, m in zip(a, self.orders))
 
     def deg(self, m) -> tuple[int, ...]:
         """Character of the monomial with exponent vector m (length n)."""
@@ -131,9 +128,6 @@ class McKayQuiver:
     def num_arrows(self) -> int:
         return len(self.arrows)
 
-    def arrow_index(self, head: int, label: int) -> int:
-        return head * self.n + label - 1
-
 
 def _reachable(adj, start) -> set:
     """The vertices reachable from start, where adj[v] lists the successors of v."""
@@ -211,33 +205,6 @@ def kernel_generators_cij(quiver: McKayQuiver) -> list[tuple[int, ...]]:
             v[k] += sign
         out.append(tuple(v))
     return out
-
-
-def cycle_from_type(quiver: McKayQuiver, base, mtype) -> tuple[int, ...]:
-    """The net arrow vector of the closed walk at a base vertex realizing an exponent type.
-
-    Labels with positive entries are traversed forward, negative ones
-    backward; the type must have trivial degree or InputError is raised.
-    """
-    g = quiver.group
-    mtype = tuple(int(x) for x in mtype)
-    if g.deg(mtype) != g.trivial:
-        raise InputError(f"type {mtype} has nontrivial degree")
-    v = [0] * quiver.num_arrows
-    cur = base
-    for i in range(1, quiver.n + 1):
-        rho_i = g.generator(i)
-        inv_i = g.inv(rho_i)
-        for _ in range(mtype[i - 1]):
-            nxt = g.mul(cur, inv_i)
-            v[quiver.arrow_index(quiver.vertex_index[nxt], i)] += 1
-            cur = nxt
-        for _ in range(-mtype[i - 1]):
-            v[quiver.arrow_index(quiver.vertex_index[cur], i)] -= 1
-            cur = g.mul(cur, rho_i)
-    if cur != base:
-        raise CertificateError(f"walk of type {mtype} ends at {cur}, not at {base}")
-    return tuple(v)
 
 
 def integral_theta(quiver: McKayQuiver, theta) -> list[int]:

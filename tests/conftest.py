@@ -33,6 +33,11 @@ def binomial_pairs(vectors):
     ]
 
 
+def arrow_index(quiver, head, label):
+    """Index of the arrow with this head index and label: arrows come in blocks of n per head."""
+    return head * quiver.n + label - 1
+
+
 def generic_theta(rng, r):
     """theta = 1 (mod r) with entries in {1 - r, 1, 1 + r} off vertex 0, as the benchmark draws it."""
     rest = [1 + r * rng.choice((-1, 0, 1)) for _ in range(r - 1)]

@@ -20,7 +20,7 @@ import pytest
 
 import flow_oracle
 import golden
-from conftest import SUITE_GROUPS, binomial_pairs
+from conftest import SUITE_GROUPS, arrow_index, binomial_pairs
 from mckay_moduli import (
     HPolyhedron,
     build_group,
@@ -266,7 +266,7 @@ def test_10_property_suites(example_quiver):
     assert any(len(orders) > 1 for _, orders, _ in SUITE_GROUPS)
     for spec, orders, weights in SUITE_GROUPS:
         q = build_quiver(build_group(orders, weights))
-        verify_cycle_types(q, bound=6)
+        verify_cycle_types(q)
 
     # every emitted representation satisfies the commutation relations (also
     # asserted inside the construction itself)
@@ -283,11 +283,11 @@ def test_10_property_suites(example_quiver):
                         via_i = q.group.mul(head, q.group.generator(i))
                         via_j = q.group.mul(head, q.group.generator(j))
                         left = (
-                            rep.b[q.arrow_index(rho, j)]
+                            rep.b[arrow_index(q, rho, j)]
                             * rep.b[q.vertex_index[via_j] * q.n + i - 1]
                         )
                         right = (
-                            rep.b[q.arrow_index(rho, i)]
+                            rep.b[arrow_index(q, rho, i)]
                             * rep.b[q.vertex_index[via_i] * q.n + j - 1]
                         )
                         assert left == right

@@ -10,7 +10,7 @@ import pytest
 from conftest import SUITE_GROUPS, src_env
 from flow_oracle import flow_images_up_to
 import mckay_moduli
-from mckay_moduli import CertificateError, build_group, build_quiver, checks
+from mckay_moduli import CertificateError, build_group, build_quiver, checks, incidence_matrices
 from mckay_moduli.checks import (
     random_parameter,
     run_all,
@@ -19,6 +19,9 @@ from mckay_moduli.checks import (
     verify_kernel_lattice,
     verify_theta_routing,
 )
+from mckay_moduli.cli import parse_group_spec
+from mckay_moduli.intlinalg import kernel_basis, mat_vec, row_hnf
+from mckay_moduli.moduli import _l1_ball
 
 
 @pytest.mark.parametrize("spec,orders,weights", SUITE_GROUPS)
@@ -49,9 +52,40 @@ def test_theta_routing_hundred_parameters():
 
 
 def test_cycle_type_identification_bound_six():
-    for spec, orders, weights in SUITE_GROUPS:
-        q = build_quiver(build_group(orders, weights))
-        verify_cycle_types(q, bound=6)
+    # The suite groups, then n = 4, a non-cyclic group, the trivial group, n = 1 and r = 61.
+    beyond = ["1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)"]
+    groups = [(orders, weights) for _, orders, weights in SUITE_GROUPS]
+    for orders, weights in groups + [parse_group_spec(spec) for spec in beyond]:
+        verify_cycle_types(build_quiver(build_group(orders, weights)))
+
+
+def _cycle_types(q):
+    """Hermite normal form of the types d * u of the integer cycles u of the quiver."""
+    inc = incidence_matrices(q)
+    return row_hnf([mat_vec(inc.d, u) for u in kernel_basis(inc.b)])
+
+
+@pytest.mark.parametrize(
+    "spec,hnf",
+    [
+        ("1/7(1,2)", ((1, 3), (0, 7))),
+        ("1/13(1,3,9)", ((1, 0, 10), (0, 1, 4), (0, 0, 13))),
+        ("2x4:1,1,0;0,1,3", ((1, 1, 1), (0, 2, 2), (0, 0, 4))),
+    ],
+)
+def test_cycle_types_hnf(spec, hnf):
+    assert _cycle_types(build_quiver(build_group(*parse_group_spec(spec)))) == hnf
+
+
+@pytest.mark.parametrize("spec,orders,weights", SUITE_GROUPS)
+def test_cycle_types_contain_exactly_the_small_trivial_degree_types(spec, orders, weights):
+    # A consequence of the lattice identity: m with |m|_1 <= 6 is a cycle
+    # type exactly when it has trivial degree.
+    q = build_quiver(build_group(orders, weights))
+    types = _cycle_types(q)
+    for m in _l1_ball(q.n, 6):
+        in_types = row_hnf(list(types) + [m]) == types
+        assert in_types == (q.group.deg(m) == q.group.trivial), m
 
 
 def test_closed_walks_random_kernel_vectors():
@@ -118,8 +152,8 @@ def test_check_verdicts_survive_optimize_flag():
     assert out.stdout.strip() == "False False"
 
 
-# arrow 0 of 1/7(1,2,4) gets the head (head + 1) mod 7, so the vertex
-# incidence matrix no longer matches the translations cycle_from_type follows
+# arrow 0 of 1/7(1,2,4) gets the head (head + 1) mod 7, so the quiver's
+# cycles no longer map onto the trivial-degree lattice: their types span Z^3
 _REDIRECT_ARROW_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver
 from mckay_moduli.checks import verify_cycle_types
@@ -128,7 +162,7 @@ q = build_quiver(build_group([7], [[1, 2, 4]]))
 a = q.arrows[0]
 q.arrows = (a._replace(head=(a.head + 1) % 7),) + q.arrows[1:]
 try:
-    verify_cycle_types(q, bound=4)
+    verify_cycle_types(q)
 except CertificateError as exc:
     print(exc, __debug__)
 """
@@ -139,7 +173,10 @@ def test_cycle_types_catches_a_redirected_arrow_under_optimize_flag():
         [sys.executable, "-O", "-c", _REDIRECT_ARROW_SCRIPT],
         env=src_env(), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "cycle vector leaves the kernel False"
+    assert out.stdout.strip() == (
+        "cycle types span ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "
+        "not the trivial-degree lattice ((1, 0, 5), (0, 1, 3), (0, 0, 7)) False"
+    )
 
 
 # kernel_generators_cij on 1/7(1,2,4) is tampered two ways: every vector
@@ -217,12 +254,16 @@ def test_check_reports_a_point_outside_the_rows_under_optimize_flag():
 _FAIL_PATH_SCRIPT = """
 import sys
 from fractions import Fraction
-from operator import add
 from mckay_moduli import CertificateError, build_group, build_quiver, checks
 
 
 def first(seq, f):
     return (f(seq[0]),) + tuple(seq[1:])
+
+
+def double_one_row_kernel(rows, basis):
+    # Only the trivial-degree lattice of 1/7(1,2) is the kernel of one row.
+    return [tuple(2 * x for x in v) for v in basis] if len(rows) == 1 else basis
 
 
 def half_first_vertex(v):
@@ -240,9 +281,8 @@ TAMPERS = {
                       lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x - 1)),
     "extra-flow": ("theta_decompose", "verify_theta_routing",
                    lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x + 1)),
-    "extra-cycle": ("cycle_from_type", "verify_cycle_types",
-                    lambda real: lambda quiver, base, m: tuple(
-                        map(add, real(quiver, base, m), real(quiver, base, (7, 0))))),
+    "doubled-lattice": ("kernel_basis", "verify_cycle_types",
+                        lambda real: lambda rows: double_one_row_kernel(rows, real(rows))),
     "no-vertices": ("h_to_v", "verify_flow_vertex_integrality",
                     lambda real: lambda h: real(h)._replace(vertices=())),
     "half-vertex": ("h_to_v", "verify_flow_vertex_integrality",
@@ -271,7 +311,9 @@ FAIL_PATHS = [
     ("negative-flow", "theta-routing",
      r"flow \(.*\) for theta \(.*\) is not a nonnegative integer vector"),
     ("extra-flow", "theta-routing", r"flow \(.*\) does not route theta \(.*\)"),
-    ("extra-cycle", "cycle-types", r"cycle type mismatch"),
+    ("doubled-lattice", "cycle-types",
+     r"cycle types span \(\(1, 3\), \(0, 7\)\), "
+     r"not the trivial-degree lattice \(\(2, 6\), \(0, 14\)\)"),
     ("no-vertices", "flow-vertex-integrality", r"flow polyhedron of theta \(.*\) is empty"),
     ("half-vertex", "flow-vertex-integrality", r"flow vertex \(.*\) is not integral"),
     ("drop-inequality", "construction-agreement",

@@ -15,7 +15,6 @@ from conftest import src_env
 from mckay_moduli import checks, cli
 from mckay_moduli.cli import main, parse_group_spec
 from mckay_moduli.errors import GroupSpecError, InputError, ModuliError
-from mckay_moduli.groups import build_quiver, cycle_from_type
 from mckay_moduli.polyhedra import HPolyhedron, h_to_v, locate_cone, normal_fan
 
 
@@ -152,13 +151,29 @@ def test_rep_validates_w_before_any_geometry(capsys, monkeypatch, w, message):
     assert err == message
 
 
+@pytest.mark.parametrize(
+    "theta,value", [("1,-1", "-1/5"), ("2,-2", "-2/5"), ("1/2,-1/2", "-1/10")]
+)
+def test_rep_value_is_at_theta_as_given(capsys, theta, value):
+    # The type polyhedron is built at theta's primitive integral rescaling
+    # theta' = (1, -1), so every theta prints the same vertices; value is
+    # theta . v, that is -(theta / theta') * min w . m over those vertices.
+    rc, out, _ = run_cli(capsys, "fan", "--group", "1/2(1,1)", f"--theta={theta}")
+    assert rc == 0
+    assert json.loads(out)["p_theta"]["vertices"] == [["0/1", "1/1"], ["1/1", "0/1"]]
+    rc, out, _ = run_cli(capsys, "rep", "--group", "1/2(1,1)", f"--theta={theta}", "-w", "1/3,1/5")
+    assert rc == 0
+    assert json.loads(out)["rep"]["value"] == value
+
+
 def test_svg_requires_three_coordinates(capsys, tmp_path):
     target = tmp_path / "fan.svg"
     rc, _, err = run_cli(
         capsys, "fan", "--group", "1/2(1,1)", "--theta", "-1,1",
         "--svg", str(target),
     )
-    assert rc == 3
+    assert rc == 2
+    assert err == "error: the SVG cross-section is only defined for 3 coordinates\n"
     assert not target.exists()
 
 
@@ -171,7 +186,7 @@ def test_svg_rejected_before_the_polyhedron_is_built(capsys, monkeypatch, tmp_pa
     rc, out, err = run_cli(
         capsys, "fan", "--group", "1/41(1,5,12,23)", "--ghilb", "--svg", str(target)
     )
-    assert rc == 3
+    assert rc == 2
     assert out == ""
     assert err == "error: the SVG cross-section is only defined for 3 coordinates\n"
     assert not target.exists()
@@ -409,6 +424,14 @@ MALFORMED = {
         ("quiver", "--group", "1/7(1,x)"),
         "expected an integer, got 'x' (at position 6)",
     ),
+    "EmptySpec": (
+        ("quiver", "--group", "   "),
+        "empty group spec (at position 0)",
+    ),
+    "NoCyclicOrder": (
+        ("quiver", "--group", "1/(1,2)"),
+        "expected the cyclic order after '1/' (at position 2)",
+    ),
     "ZeroCyclicOrder": (
         ("quiver", "--group", "1/0(1)"),
         "cyclic order must be positive (at position 2)",
@@ -449,20 +472,14 @@ MALFORMED = {
 
 
 
-# No command line reaches these two raise sites, but the CLI still owes them
-# exit 2: each is raised, with its real message, from inside the quiver command.
-def _not_in_m(group):
-    quiver = build_quiver(group)
-    cycle_from_type(quiver, quiver.vertices[0], (1, 0))
-
-
+# No command line reaches this raise site, but the CLI still owes it exit 2:
+# it is raised, with its real message, from inside the quiver command.
 def _outside_support(group):
     quadrant = HPolyhedron(dim=2, inequalities=(((1, 0), 1), ((0, 1), 1)))
     locate_cone(normal_fan(quadrant, h_to_v(quadrant)), (-1, 0))
 
 
 RAISED = {
-    "NotInM": (_not_in_m, "type (1, 0) has nontrivial degree"),
     "OutsideSupport": (_outside_support, "vector is negative on a recession direction"),
 }
 
@@ -507,6 +524,8 @@ def test_non_certificate_error_inside_check_is_internal(capsys, monkeypatch):
 def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
     # Every basis vector gains 1 in its first entry, so the vectors that
     # closed-walks draws leave the kernel of b: a failed check, not bad input.
+    # cycle-types, which takes both of its lattices from kernel_basis, sees
+    # them differ.
     real = checks.kernel_basis
     monkeypatch.setattr(
         checks, "kernel_basis", lambda m: [(v[0] + 1,) + tuple(v[1:]) for v in real(m)]
@@ -518,7 +537,8 @@ def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
         "FAIL kernel-lattice: kernel lattices differ",
         "ok   theta-routing",
         "FAIL closed-walks: vector is not in the kernel of the vertex incidence matrix",
-        "ok   cycle-types",
+        "FAIL cycle-types: cycle types span ((1, 0), (0, 1)), "
+        "not the trivial-degree lattice ((1, 5), (0, 6))",
         "ok   flow-vertex-integrality",
         "ok   construction-agreement",
         "some checks FAILED",

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 import golden
-from conftest import binomial_pairs
+from conftest import arrow_index, binomial_pairs
 from mckay_moduli import (
     InputError,
     build_group,
     build_quiver,
     closed_walk_from_kernel,
-    cycle_from_type,
     incidence_matrices,
     kernel_generators_cij,
     theta_decompose,
@@ -83,7 +82,6 @@ def test_group_operations():
     a = (1, 2)
     b = (1, 1)
     assert g.mul(a, b) == (0, 0)
-    assert g.inv(a) == (1, 1)
     assert g.deg((2, 3)) == (0, 0)
     assert g.deg((1, 2)) == (1, 2)
 
@@ -112,7 +110,7 @@ def test_quiver_structure_7_12():
     assert q.n == 2
     assert q.num_arrows == 14
     for k, a in enumerate(q.arrows):
-        assert q.arrow_index(a.head, a.label) == k
+        assert arrow_index(q, a.head, a.label) == k
         head = q.vertices[a.head]
         tail = q.vertices[a.tail]
         gen = q.group.generator(a.label)
@@ -151,10 +149,10 @@ def test_incidence_column_structure():
 def test_walk_vector_golden():
     q = quiver_7_12()
     v = [0] * q.num_arrows
-    v[q.arrow_index(0, 1)] += 1
-    v[q.arrow_index(6, 1)] += 1
-    v[q.arrow_index(6, 2)] -= 1
-    v[q.arrow_index(1, 1)] -= 1
+    v[arrow_index(q, 0, 1)] += 1
+    v[arrow_index(q, 6, 1)] += 1
+    v[arrow_index(q, 6, 2)] -= 1
+    v[arrow_index(q, 1, 1)] -= 1
     assert tuple(v) == golden.WALK_VECTOR_7_12
     inc = incidence_matrices(q)
     assert tuple(mat_vec(inc.d, v)) == golden.WALK_TYPE_7_12
@@ -209,40 +207,6 @@ def test_kernel_generators_empty_for_one_coordinate():
 def test_binomial_pairs_splits_signs():
     pairs = binomial_pairs([(2, -1, 0), (0, 0, 0)])
     assert pairs == [((2, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 0))]
-
-
-def test_cycle_from_type_covering_loop():
-    q = quiver_7_12()
-    cyc = cycle_from_type(q, q.vertices[0], (7, 0))
-    inc = incidence_matrices(q)
-    assert all(x == 0 for x in mat_vec(inc.b, cyc))
-    assert tuple(mat_vec(inc.d, cyc)) == (7, 0)
-    assert sum(cyc) == 7
-    label_one = [q.arrow_index(h, 1) for h in range(7)]
-    assert sorted(k for k, x in enumerate(cyc) if x) == sorted(label_one)
-
-
-def test_cycle_from_type_mixed():
-    q = quiver_7_12()
-    cyc = cycle_from_type(q, q.vertices[0], (3, 2))
-    inc = incidence_matrices(q)
-    assert all(x >= 0 for x in cyc)
-    assert all(x == 0 for x in mat_vec(inc.b, cyc))
-    assert tuple(mat_vec(inc.d, cyc)) == (3, 2)
-
-
-def test_cycle_from_type_zero():
-    q = quiver_7_12()
-    cyc = cycle_from_type(q, q.vertices[0], (0, 0))
-    assert cyc == (0,) * 14
-
-
-def test_cycle_from_type_rejects_nontrivial_degree():
-    q = quiver_7_12()
-    with pytest.raises(InputError, match=r"^type \(1, 0\) has nontrivial degree$"):
-        cycle_from_type(q, q.vertices[0], (1, 0))
-    with pytest.raises(InputError, match=r"^type \(2, 1\) has nontrivial degree$"):
-        cycle_from_type(q, q.vertices[0], (2, 1))
 
 
 def test_theta_decompose_routes_units():

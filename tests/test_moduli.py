@@ -13,6 +13,7 @@ import flow_oracle
 import golden
 from conftest import (
     SUITE_GROUPS,
+    arrow_index,
     generic_theta,
     internal_error,
     normal_fan_under_optimize,
@@ -264,8 +265,8 @@ def test_broken_arrow_relation_raises():
     h, rho = 0, q.vertices[0]
     via_1 = q.vertex_index[g.mul(rho, g.generator(1))]
     b = [0] * q.num_arrows
-    b[q.arrow_index(h, 1)] = 1
-    b[q.arrow_index(via_1, 2)] = 1
+    b[arrow_index(q, h, 1)] = 1
+    b[arrow_index(q, via_1, 2)] = 1
     with pytest.raises(CertificateError):
         _check_relations(q, b)
     _check_relations(q, [1] * q.num_arrows)
@@ -380,7 +381,7 @@ moduli.min_cost_flow = tampered
     "broken-square": ("""
 via_1 = q.vertex_index[q.group.mul(q.vertices[0], q.group.generator(1))]
 def tampered(*args):
-    return potential_and_face(*args)[0], frozenset({q.arrow_index(0, 1), q.arrow_index(via_1, 2)})
+    return potential_and_face(*args)[0], frozenset({0, via_1 * q.n + 1})
 moduli._potential_and_face = tampered
 """, "arrow relation fails at vertex "),
 }
