@@ -19,7 +19,6 @@ from .groups import (
     McKayQuiver,
     build_group,
     build_quiver,
-    closed_walk_from_kernel,
     commutation_squares,
     incidence_matrices,
     kernel_generators_cij,
@@ -66,7 +65,6 @@ __all__ = [
     "VPolyhedron",
     "build_group",
     "build_quiver",
-    "closed_walk_from_kernel",
     "commutation_squares",
     "distinguished_rep",
     "ghilb_parameter",

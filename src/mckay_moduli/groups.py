@@ -233,47 +233,3 @@ def theta_decompose(quiver: McKayQuiver, theta) -> tuple[int, ...]:
     theta = integral_theta(quiver, theta)
     return min_cost_flow(quiver, theta, [0] * quiver.num_arrows)[0]
 
-
-def closed_walk_from_kernel(quiver: McKayQuiver, u) -> list[tuple[int, int]]:
-    """Decompose a kernel vector u of b into one closed walk at vertex 0.
-
-    Returns (arrow index, sign) steps whose net multiplicity vector is u, and
-    [] for u = 0.  The walk expands u in the fundamental cycles of a
-    breadth-first tree of forward arrows from 0: for each arrow k off the
-    tree, |u_k| copies of the loop that follows the tree to the start of k,
-    crosses k with the sign of u_k and retraces the tree from its end to 0.
-    The tree steps cancel out of the net vector because b * u = 0.
-    """
-    u = [int(x) for x in u]
-    if len(u) != quiver.num_arrows:
-        raise InputError("arrow vector has the wrong length")
-    net = [0] * quiver.r
-    for k, mult in enumerate(u):
-        a = quiver.arrows[k]
-        net[a.head] += mult
-        net[a.tail] -= mult
-    if any(net):
-        raise InputError("vector is not in the kernel of the vertex incidence matrix")
-
-    leaving = [[] for _ in range(quiver.r)]
-    for k, a in enumerate(quiver.arrows):
-        leaving[a.tail].append(k)
-    # path[v]: the tree steps from 0 to v; build_quiver checked that all are reached.
-    path = [None] * quiver.r
-    path[0] = []
-    queue = [0]
-    for v in queue:
-        for k in leaving[v]:
-            head = quiver.arrows[k].head
-            if path[head] is None:
-                path[head] = path[v] + [(k, 1)]
-                queue.append(head)
-    tree = {steps[-1][0] for steps in path if steps}
-    walk = []
-    for k, mult in enumerate(u):
-        if mult and k not in tree:
-            a = quiver.arrows[k]
-            sign, start, end = (1, a.tail, a.head) if mult > 0 else (-1, a.head, a.tail)
-            back = [(j, -1) for j, _ in reversed(path[end])]
-            walk.extend((path[start] + [(k, sign)] + back) * abs(mult))
-    return walk

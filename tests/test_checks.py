@@ -10,7 +10,7 @@ import pytest
 from conftest import SUITE_GROUPS, src_env
 from flow_oracle import flow_images_up_to
 import mckay_moduli
-from mckay_moduli import CertificateError, build_group, build_quiver, checks, incidence_matrices
+from mckay_moduli import build_group, build_quiver, incidence_matrices
 from mckay_moduli.checks import (
     random_parameter,
     run_all,
@@ -36,11 +36,19 @@ def test_run_all_suite_groups(spec, orders, weights):
 
 
 def test_kernel_lattice_on_larger_groups():
-    # the binomial vectors generate the full integer kernel, also at sizes
-    # where the general enumeration checks are skipped
-    for orders, weights in [([11], [[1, 2, 8]]), ([6], [[1, 2, 3]]), ([13], [[1, 5]])]:
+    # The binomial vectors generate the full integer kernel, and every integer
+    # cycle is a sum of tree cycles, also at sizes where the general
+    # enumeration checks are skipped: n = 4, a non-cyclic group, the trivial
+    # group, n = 1, and r = 61 and 127.
+    beyond = [
+        "1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)",
+        "1/127(1,19,107)",
+    ]
+    groups = [([11], [[1, 2, 8]]), ([6], [[1, 2, 3]]), ([13], [[1, 5]])]
+    for orders, weights in groups + [parse_group_spec(spec) for spec in beyond]:
         q = build_quiver(build_group(orders, weights))
         verify_kernel_lattice(q)
+        verify_closed_walks(q)
 
 
 def test_theta_routing_hundred_parameters():
@@ -90,23 +98,7 @@ def test_cycle_types_contain_exactly_the_small_trivial_degree_types(spec, orders
 
 def test_closed_walks_random_kernel_vectors():
     q = build_quiver(build_group([7], [[1, 2]]))
-    verify_closed_walks(q, trials=25, seed=3)
-
-
-@pytest.mark.parametrize(
-    "tamper,message",
-    [
-        (lambda walk: walk[:-1], "walk does not reproduce the vector"),
-        (lambda walk: walk[::-1], "walk breaks contiguity"),
-    ],
-    ids=["drop-last-step", "reverse-steps"],
-)
-def test_closed_walks_catch_a_tampered_walk(monkeypatch, tamper, message):
-    real = checks.closed_walk_from_kernel
-    monkeypatch.setattr(checks, "closed_walk_from_kernel", lambda q, u: tamper(real(q, u)))
-    q = build_quiver(build_group([7], [[1, 2]]))
-    with pytest.raises(CertificateError, match=f"^{message}$"):
-        verify_closed_walks(q, trials=10, seed=1)
+    verify_closed_walks(q)
 
 
 def test_random_parameter_sums_to_zero():
@@ -211,6 +203,54 @@ def test_kernel_lattice_catches_tampered_generators_under_optimize_flag(tamper):
     assert out.stdout.strip() == "kernel lattices differ False"
 
 
+# Tampers on 1/7(1,2), each pinning one message of the tree-cycle
+# certificates: b with the sign of its entry (0, 0) flipped, which both kernel
+# rows see, and kernel_basis with 1 added to the first entry of each vector.
+_TREE_TAMPER_SCRIPT = """
+import sys
+from mckay_moduli import CertificateError, build_group, build_quiver, checks
+
+real_inc, real_basis = checks.incidence_matrices, checks.kernel_basis
+
+
+def flip_sign(quiver):
+    inc = real_inc(quiver)
+    b = ((-inc.b[0][0],) + inc.b[0][1:],) + inc.b[1:]
+    return inc._replace(b=b, c=b + inc.d)
+
+
+tamper, verifier = sys.argv[1:]
+if tamper == "flip-sign":
+    checks.incidence_matrices = flip_sign
+else:
+    checks.kernel_basis = lambda rows: [(v[0] + 1,) + tuple(v[1:]) for v in real_basis(rows)]
+q = build_quiver(build_group([7], [[1, 2]]))
+try:
+    getattr(checks, verifier)(q)
+except CertificateError as exc:
+    print(exc, __debug__)
+"""
+
+
+@pytest.mark.parametrize(
+    "tamper,verifier,message",
+    [
+        ("flip-sign", "verify_kernel_lattice", "b has rank 7, not 6"),
+        ("flip-sign", "verify_closed_walks",
+         "the tree cycle of arrow 0 is not in the kernel of b"),
+        ("plus-one", "verify_closed_walks",
+         "kernel vector (1, 0, 0, 0, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0) is not a sum of tree cycles"),
+    ],
+    ids=["rank", "tree-cycle", "kernel-vector"],
+)
+def test_tree_cycle_certificates_catch_tampers_under_optimize_flag(tamper, verifier, message):
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TREE_TAMPER_SCRIPT, tamper, verifier],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == f"{message} False"
+
+
 # The oracle's points on 1/7(1,2) gain (-1, -1), which lies below the type
 # polyhedron's rows: construction-agreement fails with the closing's verdict
 # and every other check still reports.
@@ -266,6 +306,11 @@ def double_one_row_kernel(rows, basis):
     return [tuple(2 * x for x in v) for v in basis] if len(rows) == 1 else basis
 
 
+def add_non_cycle(rows, basis):
+    # Only b has seven rows.  7 * e_0 is no cycle, but its type (7, 0) lies in M.
+    return basis + [(7,) + (0,) * 13] if len(rows) == 7 else basis
+
+
 def half_first_vertex(v):
     return v._replace(vertices=first(v.vertices, lambda vert: first(vert, lambda x: Fraction(1, 2))))
 
@@ -277,6 +322,9 @@ def on_lifted(real, edit):
 
 
 TAMPERS = {
+    "rank-off": ("int_rank", "verify_kernel_lattice", lambda real: lambda rows: real(rows) + 1),
+    "non-cycle": ("kernel_basis", "verify_closed_walks",
+                  lambda real: lambda rows: add_non_cycle(rows, real(rows))),
     "negative-flow": ("theta_decompose", "verify_theta_routing",
                       lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x - 1)),
     "extra-flow": ("theta_decompose", "verify_theta_routing",
@@ -308,6 +356,9 @@ print(__debug__)
 """
 
 FAIL_PATHS = [
+    ("rank-off", "kernel-lattice", r"b has rank 7, not 6"),
+    ("non-cycle", "closed-walks",
+     r"kernel vector \(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\) is not a sum of tree cycles"),
     ("negative-flow", "theta-routing",
      r"flow \(.*\) for theta \(.*\) is not a nonnegative integer vector"),
     ("extra-flow", "theta-routing", r"flow \(.*\) does not route theta \(.*\)"),
@@ -336,7 +387,7 @@ def test_each_fail_path_reports_its_message_under_optimize_flag(tamper, row, mes
 
 def test_every_module_is_reachable_from_the_cli():
     # Relative imports at any depth, function bodies included, from cli.py.
-    # lp.py is the test-only LP reference, which ROADMAP item 1 moves into tests/.
+    # lp.py is the test-only LP reference, which ROADMAP item 5 moves into tests/.
     test_only = {"lp"}
     reached, todo = set(), ["cli"]
     while todo:

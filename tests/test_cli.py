@@ -521,9 +521,30 @@ def test_non_certificate_error_inside_check_is_internal(capsys, monkeypatch):
     assert err == "internal error: precondition failed\n"
 
 
+def test_input_error_raised_by_a_check_is_a_fail_row(capsys, monkeypatch):
+    # theta-routing hands theta_decompose a parameter that no longer sums to
+    # zero, so an InputError is raised inside the check: a failed row, not bad input.
+    real = checks.theta_decompose
+    monkeypatch.setattr(
+        checks, "theta_decompose", lambda q, theta: real(q, (theta[0] + 1,) + theta[1:])
+    )
+    rc, out, err = run_cli(capsys, "check", "--group", "1/7(1,2)")
+    assert rc == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "ok   kernel-lattice",
+        "FAIL theta-routing: parameter entries must sum to zero",
+        "ok   closed-walks",
+        "ok   cycle-types",
+        "ok   flow-vertex-integrality",
+        "ok   construction-agreement",
+        "some checks FAILED",
+    ]
+
+
 def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
-    # Every basis vector gains 1 in its first entry, so the vectors that
-    # closed-walks draws leave the kernel of b: a failed check, not bad input.
+    # Every basis vector gains 1 in its first entry, so the kernel vectors of
+    # b that closed-walks expands in tree cycles leave the kernel of b.
     # cycle-types, which takes both of its lattices from kernel_basis, sees
     # them differ.
     real = checks.kernel_basis
@@ -536,7 +557,8 @@ def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
     assert out.splitlines() == [
         "FAIL kernel-lattice: kernel lattices differ",
         "ok   theta-routing",
-        "FAIL closed-walks: vector is not in the kernel of the vertex incidence matrix",
+        "FAIL closed-walks: kernel vector (1, 0, 0, 0, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0) "
+        "is not a sum of tree cycles",
         "FAIL cycle-types: cycle types span ((1, 0), (0, 1)), "
         "not the trivial-degree lattice ((1, 5), (0, 6))",
         "ok   flow-vertex-integrality",

@@ -9,7 +9,6 @@ from mckay_moduli import (
     InputError,
     build_group,
     build_quiver,
-    closed_walk_from_kernel,
     incidence_matrices,
     kernel_generators_cij,
     theta_decompose,
@@ -237,45 +236,3 @@ def test_theta_decompose_validates():
         theta_decompose(q, (1, -1))
     with pytest.raises(InputError, match="^parameter must be integral$"):
         theta_decompose(q, (Fraction(1, 2), Fraction(-1, 2), 0, 0, 0, 0, 0))
-
-
-# The commutation vectors of 1/7(1,2), then commutation vectors of 1/13(1,3,9):
-# square 15 touches only {5, 6, 8, 9}, which misses vertex 0; squares 0 and 15
-# have the disjoint supports {0, 1, 3, 4} and {5, 6, 8, 9}; and squares 0, 18
-# and 38 give three components.
-CLOSED_WALK_CASES = [([7], [[1, 2]], (i,)) for i in range(7)] + [
-    ([13], [[1, 3, 9]], (15,)),
-    ([13], [[1, 3, 9]], (0, 15)),
-    ([13], [[1, 3, 9]], (0, 18, 38)),
-]
-
-
-def test_closed_walk_from_kernel():
-    for orders, weights, squares in CLOSED_WALK_CASES:
-        q = build_quiver(build_group(orders, weights))
-        gens = kernel_generators_cij(q)
-        u = [sum(col) for col in zip(*(gens[i] for i in squares))]
-        walk = closed_walk_from_kernel(q, u)
-        net = [0] * q.num_arrows
-        for k, s in walk:
-            net[k] += s
-        assert net == u
-        # consecutive steps share endpoints, and the walk starts and ends at 0
-        ends = []
-        for k, s in walk:
-            a = q.arrows[k]
-            ends.append((a.tail, a.head) if s > 0 else (a.head, a.tail))
-        assert all(ends[i][1] == ends[i + 1][0] for i in range(len(ends) - 1))
-        assert ends[0][0] == ends[-1][1] == 0
-
-
-def test_closed_walk_rejects_non_kernel():
-    q = quiver_7_12()
-    bad = (1,) + (0,) * 13
-    with pytest.raises(
-        InputError, match="^vector is not in the kernel of the vertex incidence matrix$"
-    ):
-        closed_walk_from_kernel(q, bad)
-    with pytest.raises(InputError, match="^arrow vector has the wrong length$"):
-        closed_walk_from_kernel(q, (0,) * 13)
-    assert closed_walk_from_kernel(q, (0,) * 14) == []
