@@ -27,7 +27,6 @@ from .groups import (
 from .moduli import (
     ChartReport,
     DistinguishedRep,
-    GitParameter,
     ThetaPolyhedron,
     distinguished_rep,
     ghilb_parameter,
@@ -54,7 +53,6 @@ __all__ = [
     "ChartReport",
     "DistinguishedRep",
     "Fan",
-    "GitParameter",
     "GroupSpecError",
     "HPolyhedron",
     "IncidenceData",

@@ -84,11 +84,11 @@ def random_parameter(quiver: McKayQuiver, rng: random.Random, spread: int = 5):
     return tuple(vals + [-sum(vals)])
 
 
-def verify_theta_routing(quiver: McKayQuiver, trials: int = 10, seed: int = 0) -> None:
-    """theta_decompose returns nonnegative integer flows routing theta."""
-    rng = random.Random(seed)
+def verify_theta_routing(quiver: McKayQuiver) -> None:
+    """theta_decompose returns nonnegative integer flows routing ten random parameters."""
+    rng = random.Random(0)
     inc = incidence_matrices(quiver)
-    for _ in range(trials):
+    for _ in range(10):
         theta = random_parameter(quiver, rng)
         u = theta_decompose(quiver, theta)
         if not all(isinstance(x, int) and x >= 0 for x in u):
@@ -101,9 +101,14 @@ def verify_closed_walks(quiver: McKayQuiver) -> None:
     """Every integer cycle is an integer sum of tree cycles, closed walks at vertex 0."""
     b = incidence_matrices(quiver).b
     off, cycles = _tree_cycles(quiver, b)
-    by_arrow = list(zip(*cycles))
+    support = [[(i, x) for i, x in enumerate(z) if x] for z in cycles]
     for u in kernel_basis(b):
-        if mat_vec(by_arrow, [u[k] for k in off]) != list(u):
+        total = [0] * quiver.num_arrows
+        for k, entries in zip(off, support):
+            if u[k]:
+                for i, x in entries:
+                    total[i] += u[k] * x
+        if total != list(u):
             raise CertificateError(f"kernel vector {u} is not a sum of tree cycles")
 
 

@@ -444,14 +444,15 @@ def _dispatch(args) -> int:
         }
         view = _quiver_text
     else:
-        param = ghilb_parameter(quiver) if args.ghilb else stability_parameter(quiver, args.theta)
-        doc["theta"] = _qvec(param.theta)
+        theta = ghilb_parameter(quiver) if args.ghilb else args.theta
+        integral = stability_parameter(quiver, theta)
+        doc["theta"] = _qvec(theta)
         if args.cmd == "fan":
             if args.charts is not None and args.charts < 0:
                 raise InputError("chart bound must be nonnegative")
             if args.svg is not None and quiver.n != 3:
                 raise InputError("the SVG cross-section is only defined for 3 coordinates")
-            tp = theta_polyhedron(quiver, param, method="lifted" if args.lifted else "oracle")
+            tp = theta_polyhedron(quiver, integral, method="lifted" if args.lifted else "oracle")
             doc["p_theta"] = _ptheta_block(tp)
             doc["fan"] = _fan_block(moduli_fan(tp, charts_bound=args.charts))
             if args.svg is not None:
@@ -460,8 +461,8 @@ def _dispatch(args) -> int:
             view = _fan_text
         else:
             # The flow validates w, so a malformed w exits before any geometry.
-            rep = distinguished_rep(quiver, param, args.w, single_optimizer=args.single_optimizer)
-            fan = theta_polyhedron(quiver, param, method="oracle").fan
+            rep = distinguished_rep(quiver, theta, args.w, single_optimizer=args.single_optimizer)
+            fan = theta_polyhedron(quiver, integral, method="oracle").fan
             doc["rep"] = _rep_block(rep, fan, locate_cone(fan, rep.w))
             view = _rep_text
     text = view(doc) if args.format == "text" else _dump(doc)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .errors import CertificateError, InputError, ModuliError
 from .flow import min_cost_flow
@@ -29,6 +28,7 @@ from .polyhedra import (
     VPolyhedron,
     _clear_denominators,
     _dot,
+    _homogeneous,
     _unit_rows,
     image_descriptions,
     normal_fan,
@@ -36,22 +36,14 @@ from .polyhedra import (
 )
 
 
-class GitParameter(namedtuple("GitParameter", "theta integral")):
-    """A rational stability parameter summing to zero over the vertices.
+def stability_parameter(quiver: McKayQuiver, theta) -> tuple[int, ...]:
+    """The primitive integer vector theta' on the ray of a validated rational stability parameter.
 
-    integral is the primitive integer vector on the ray of theta, which all
-    polyhedral computations use; the fan does not depend on positive scaling.
+    Every polyhedral computation uses theta', since the fan does not depend
+    on positive scaling.  theta' is its own theta'.
     """
-
-    __slots__ = ()
-
-
-def stability_parameter(quiver: McKayQuiver, theta) -> GitParameter:
-    """Validate a stability parameter and attach its primitive integer rescaling."""
-    if isinstance(theta, GitParameter):
-        return theta
     th = tuple(Fraction(x) for x in theta)
-    return GitParameter(theta=th, integral=tuple(integral_theta(quiver, _clear_denominators(th))))
+    return tuple(integral_theta(quiver, _clear_denominators(th)))
 
 
 class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h fan charts", defaults=(None,))):
@@ -68,15 +60,11 @@ class ThetaPolyhedron(namedtuple("ThetaPolyhedron", "quiver h fan charts", defau
         return VPolyhedron(self.quiver.n, self.fan.vertices, self.fan.rec_rays)
 
 
-def lifted_flow_polyhedron(quiver: McKayQuiver, integral_theta) -> HPolyhedron:
+def lifted_flow_polyhedron(quiver: McKayQuiver, theta) -> HPolyhedron:
     """The flow polyhedron {u >= 0 : b * u = theta} in arrow space."""
-    inc = incidence_matrices(quiver)
-    na = quiver.num_arrows
-    ineqs = tuple(
-        (tuple(1 if t == k else 0 for t in range(na)), 0) for k in range(na)
-    )
-    eqs = tuple((row, th) for row, th in zip(inc.b, integral_theta))
-    return HPolyhedron(dim=na, inequalities=ineqs, equations=eqs)
+    ineqs = tuple((row, 0) for row in _unit_rows(quiver.num_arrows))
+    eqs = tuple(zip(incidence_matrices(quiver).b, theta))
+    return HPolyhedron(dim=quiver.num_arrows, inequalities=ineqs, equations=eqs)
 
 
 def _image_point(quiver: McKayQuiver, u):
@@ -87,7 +75,7 @@ def _image_point(quiver: McKayQuiver, u):
     return tuple(out)
 
 
-def _theta_polyhedron_oracle(quiver, param):
+def _theta_polyhedron_oracle(quiver, theta):
     """Grow an inner approximation by points until every tentative facet is certified.
 
     Each candidate facet normal is nonnegative, because the recession cone
@@ -98,7 +86,7 @@ def _theta_polyhedron_oracle(quiver, param):
     the certified H-description and the sorted images of the solved flows.
     """
     n = quiver.n
-    u0 = theta_decompose(quiver, param.integral)
+    u0 = theta_decompose(quiver, theta)
     pts = {_image_point(quiver, u0)}
     units = tuple(_unit_rows(n))
     certified = set()
@@ -110,7 +98,7 @@ def _theta_polyhedron_oracle(quiver, param):
                 continue
             coeffs, rhs = row
             cost = [coeffs[a.label - 1] for a in quiver.arrows]
-            u, _, value = min_cost_flow(quiver, param.integral, cost)
+            u, _, value = min_cost_flow(quiver, theta, cost)
             if value > rhs:
                 raise CertificateError("flow minimum lies above an inner facet")
             if value < rhs:
@@ -132,12 +120,12 @@ def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> Thet
     the defining construction directly.  Both close on the points they hold,
     with normal_fan's certificate, and give identical canonical descriptions.
     """
-    param = stability_parameter(quiver, theta)
+    integral = stability_parameter(quiver, theta)
     if method == "lifted":
         d = incidence_matrices(quiver).d
-        h, pts = image_descriptions(lifted_flow_polyhedron(quiver, param.integral), d)
+        h, pts = image_descriptions(lifted_flow_polyhedron(quiver, integral), d)
     elif method == "oracle":
-        h, pts = _theta_polyhedron_oracle(quiver, param)
+        h, pts = _theta_polyhedron_oracle(quiver, integral)
     else:
         raise ModuliError(f"unknown method {method!r}")
     units = tuple(sorted(_unit_rows(quiver.n)))
@@ -246,11 +234,11 @@ def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaPol
     )
 
 
-def ghilb_parameter(quiver: McKayQuiver) -> GitParameter:
+def ghilb_parameter(quiver: McKayQuiver) -> tuple[int, ...]:
     """The parameter (1 - r, 1, ..., 1) whose moduli space is the orbit Hilbert scheme."""
     if quiver.r == 1:
         raise InputError("the trivial group admits no such parameter")
-    return stability_parameter(quiver, (1 - quiver.r,) + (1,) * (quiver.r - 1))
+    return (1 - quiver.r,) + (1,) * (quiver.r - 1)
 
 
 class DistinguishedRep(namedtuple("DistinguishedRep", "w b tight point value mode")):
@@ -328,25 +316,24 @@ def distinguished_rep(
     With single_optimizer=True every arrow of zero slack at point is
     marked, which can add arrows on degenerate fibers.
     """
-    param = stability_parameter(quiver, theta)
+    integral = stability_parameter(quiver, theta)
     wq = tuple(Fraction(x) for x in w)
     if len(wq) != quiver.n:
         raise InputError(f"weight vector has length {len(wq)}, expected {quiver.n}")
     if any(x < 0 for x in wq):
         raise InputError("weight vector entries must be nonnegative")
-    scale = lcm(*(x.denominator for x in wq))
-    weights = [int(x * scale) for x in wq]
+    *weights, scale = _homogeneous(wq)
     cost = [weights[a.label - 1] for a in quiver.arrows]
-    u, y, flow_value = min_cost_flow(quiver, param.integral, cost)
+    u, y, flow_value = min_cost_flow(quiver, integral, cost)
     # Complementary slackness: the optimal potentials are tight on u's support.
     dist, tight = _potential_and_face(quiver, cost, u, y, single_optimizer)
-    if sum(t * d for t, d in zip(param.integral, dist)) != -flow_value:
+    if sum(t * d for t, d in zip(integral, dist)) != -flow_value:
         raise CertificateError("the greatest potential is not optimal")
     b = tuple(1 if k in tight else 0 for k in range(quiver.num_arrows))
     _check_relations(quiver, b)
     point = tuple(Fraction(d, scale) for d in dist)
-    # theta is a positive multiple of param.integral, whose product with dist is checked above.
-    ratio = next((Fraction(t, i) for t, i in zip(param.theta, param.integral) if i), 0)
+    # theta is a positive multiple of integral, whose product with dist is checked above.
+    ratio = next((Fraction(t) / i for t, i in zip(theta, integral) if i), 0)
     value = Fraction(-flow_value, scale) * ratio
     mode = "single" if single_optimizer else "face"
     return DistinguishedRep(w=wq, b=b, tight=tight, point=point, value=value, mode=mode)

@@ -337,23 +337,11 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     m = len(rows)
     if v.is_empty:
         return VPolyhedron(dim=m, vertices=(), rays=())
-    sparse = [[(i, c) for i, c in enumerate(row) if c] for row in rows]
-
-    def image(vec):
-        return tuple(sum(c * vec[i] for i, c in srow) for srow in sparse)
-
-    # Each vertex becomes integer numerators over a common denominator, so
-    # the images are integer dot products; (image, den) made primitive is
-    # canonical, and Fractions are built only for distinct non-integral images.
-    gens = set()
-    for vert in v.vertices:
-        if all(type(x) is int for x in vert):
-            gens.add(image(vert) + (1,))
-        else:
-            hom = _homogeneous(vert)
-            gens.add(_primitive(image(hom) + (hom[-1],)))
-    gens.update(_primitive(img + (0,)) for ray in v.rays if any(img := image(ray)))
-    return h_to_v(_hull(m, gens)[0])
+    # Each generator (..., t) of the cone over v goes through [rows | 0; 0 | 1].
+    lift = [tuple(row) + (0,) for row in rows] + [(0,) * v.dim + (1,)]
+    gens = [_homogeneous(vert) for vert in v.vertices] + [tuple(ray) + (0,) for ray in v.rays]
+    images = {_primitive([sum(map(mul, row, z)) for row in lift]) for z in gens}
+    return h_to_v(_hull(m, {img for img in images if any(img)})[0])
 
 
 def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, list]:

@@ -33,15 +33,16 @@ from mckay_moduli import (
     locate_cone,
     moduli_fan,
     project,
+    theta_decompose,
     theta_polyhedron,
 )
 from mckay_moduli.checks import (
     random_parameter,
     verify_cycle_types,
     verify_kernel_lattice,
-    verify_theta_routing,
 )
 from mckay_moduli.cli import main
+from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LinearProgram, LpOptimal, solve
 from mckay_moduli.moduli import lifted_flow_polyhedron, stability_parameter
 
@@ -126,9 +127,9 @@ def test_03_benchmark_polyhedron():
 
 @pytest.fixture(scope="module")
 def benchmark_lifted(example_quiver):
-    param = stability_parameter(example_quiver, golden.EXAMPLE_THETA)
+    integral = stability_parameter(example_quiver, golden.EXAMPLE_THETA)
     t0 = time.perf_counter()
-    vp = h_to_v(lifted_flow_polyhedron(example_quiver, param.integral))
+    vp = h_to_v(lifted_flow_polyhedron(example_quiver, integral))
     return vp, time.perf_counter() - t0
 
 
@@ -151,16 +152,16 @@ def test_03b_benchmark_polyhedron_lifted(example_quiver, example_tp, benchmark_l
 def test_04_lifted_counts(example_quiver, benchmark_lifted):
     vp, setup = benchmark_lifted
     t0 = time.perf_counter()
-    param = stability_parameter(example_quiver, golden.EXAMPLE_THETA)
+    integral = stability_parameter(example_quiver, golden.EXAMPLE_THETA)
     # Rays in the orthant span a pointed cone: the lifted polyhedron has no lineality.
     assert all(min(u) >= 0 for u in vp.rays)
     assert len(set(vp.vertices)) == len(vp.vertices)
     assert len(set(vp.rays)) == len(vp.rays)
     for u in vp.vertices:
-        assert flow_oracle.is_feasible_forest_flow(example_quiver, param.integral, u)
+        assert flow_oracle.is_feasible_forest_flow(example_quiver, integral, u)
     for u in vp.rays:
         assert flow_oracle.is_elementary_circulation(example_quiver, u)
-    n_vertices = flow_oracle.count_flow_vertices(example_quiver, param.integral)
+    n_vertices = flow_oracle.count_flow_vertices(example_quiver, integral)
     n_cycles = flow_oracle.count_elementary_cycles(example_quiver)
     assert len(vp.vertices) == n_vertices
     assert len(vp.rays) == n_cycles
@@ -258,7 +259,13 @@ def test_10_property_suites(example_quiver):
     # one hundred random integral parameters decompose into unit routings
     for idx, (spec, orders, weights) in enumerate(SUITE_GROUPS):
         q = build_quiver(build_group(orders, weights))
-        verify_theta_routing(q, trials=20, seed=200 + idx)
+        b = incidence_matrices(q).b
+        rng = random.Random(200 + idx)
+        for _ in range(20):
+            theta = random_parameter(q, rng)
+            u = theta_decompose(q, theta)
+            assert all(isinstance(x, int) and x >= 0 for x in u)
+            assert tuple(mat_vec(b, u)) == theta
 
     # bounded cycle-type identification at bound 6 on five groups, one of
     # them non-cyclic

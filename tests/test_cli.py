@@ -542,7 +542,7 @@ def test_input_error_raised_by_a_check_is_a_fail_row(capsys, monkeypatch):
     ]
 
 
-def test_input_error_inside_check_is_a_fail_row(capsys, monkeypatch):
+def test_shifted_kernel_basis_fails_three_rows(capsys, monkeypatch):
     # Every basis vector gains 1 in its first entry, so the kernel vectors of
     # b that closed-walks expands in tree cycles leave the kernel of b.
     # cycle-types, which takes both of its lattices from kernel_basis, sees

@@ -469,8 +469,8 @@ def _lifted_dd_calls(monkeypatch, r, weights, theta=None):
     )
 
     q = build_quiver(build_group([r], [weights]))
-    param = ghilb_parameter(q) if theta is None else stability_parameter(q, theta)
-    h = lifted_flow_polyhedron(q, param.integral)
+    integral = ghilb_parameter(q) if theta is None else stability_parameter(q, theta)
+    h = lifted_flow_polyhedron(q, integral)
     calls = []
 
     def recording(rows, d):
@@ -850,7 +850,7 @@ def test_cone_double_description_lifted_cone_matches_dense_reference():
     from mckay_moduli import build_group, build_quiver, ghilb_parameter, lifted_flow_polyhedron
 
     q = build_quiver(build_group([7], [[1, 2, 4]]))
-    h = lifted_flow_polyhedron(q, ghilb_parameter(q).integral)
+    h = lifted_flow_polyhedron(q, ghilb_parameter(q))
     ineqs = [(0,) * h.dim + (1,)] + _homogenized_rows(h.inequalities)
     eqs = _homogenized_rows(h.equations)
     assert len(kernel_basis(eqs)) < h.dim

@@ -10,7 +10,6 @@ from mckay_moduli import (
     distinguished_rep,
     incidence_matrices,
     moduli_fan,
-    stability_parameter,
     theta_polyhedron,
 )
 
@@ -28,7 +27,6 @@ def _records():
         "AbelianGroupData": group,
         "Arrow": quiver.arrows[0],
         "IncidenceData": incidence_matrices(quiver),
-        "GitParameter": stability_parameter(quiver, THETA),
         "ThetaPolyhedron": tp,
         "ChartReport": tp.charts[0],
         "DistinguishedRep": distinguished_rep(quiver, THETA, W),
@@ -44,7 +42,6 @@ def _records():
         "AbelianGroupData",
         "Arrow",
         "IncidenceData",
-        "GitParameter",
         "ThetaPolyhedron",
         "ChartReport",
         "DistinguishedRep",
