@@ -30,23 +30,24 @@ def _tree_cycles(quiver: McKayQuiver, b) -> tuple[list[int], list[list[int]]]:
     """The arrows k off one breadth-first tree of forward arrows from vertex 0, and their cycles.
 
     The cycle z_k follows the tree path to the tail of k, then k, then the tree
-    path back from its head.  It is e_k on the off-tree arrows, so once b has
-    rank r - 1 the z_k are a basis of ker_Z b.  Raises unless b * z_k = 0.
+    path back from its head.  It is e_k on the off-tree arrows, and the tree arrows'
+    columns of b are independent, so the z_k are a basis of ker_Z b.  Raises unless b * z_k = 0.
     """
     leaving = [[] for _ in range(quiver.r)]
     for k, a in enumerate(quiver.arrows):
         leaving[a.tail].append(k)
-    # path[v]: the tree path from 0 to v as an arrow vector; build_quiver reached every v.
-    path = [None] * quiver.r
-    path[0] = [0] * quiver.num_arrows
+    # path[v]: the tree path from 0 to v as an arrow vector, ends[v] = b * path[v];
+    # build_quiver reached every v.
+    path, ends = [None] * quiver.r, [None] * quiver.r
+    path[0], ends[0] = [0] * quiver.num_arrows, [0] * len(b)
     for v in (queue := [0]):
         for k in leaving[v]:
             head = quiver.arrows[k].head
             if path[head] is None:
                 path[head] = path[v][:]
                 path[head][k] = 1
+                ends[head] = [x + row[k] for x, row in zip(ends[v], b)]
                 queue.append(head)
-    ends = [mat_vec(b, p) for p in path]  # b * path[v]
     off, cycles = [], []
     for k, a in enumerate(quiver.arrows):
         if path[a.head][k]:  # a tree arrow ends the tree path to its head
@@ -113,9 +114,9 @@ def verify_closed_walks(quiver: McKayQuiver) -> None:
 
 
 def verify_cycle_types(quiver: McKayQuiver) -> None:
-    """The types d * u of the integer cycles u (kernel of b) span M, the trivial-degree lattice."""
+    """The types d * z_k of the tree cycles (basis of ker_Z b) span M, the trivial-degree lattice."""
     inc = incidence_matrices(quiver)
-    types = row_hnf([mat_vec(inc.d, u) for u in kernel_basis(inc.b)])
+    types = row_hnf([mat_vec(inc.d, z) for z in _tree_cycles(quiver, inc.b)[1]])
     g, k = quiver.group, len(quiver.group.orders)
     # m has trivial degree exactly when weights * m + diag(orders) * y = 0 for an integer y.
     rows = [g.weights[j] + tuple(g.orders[j] * (t == j) for t in range(k)) for j in range(k)]

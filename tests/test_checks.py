@@ -10,7 +10,7 @@ import pytest
 from conftest import SUITE_GROUPS, src_env
 from flow_oracle import flow_images_up_to
 import mckay_moduli
-from mckay_moduli import build_group, build_quiver, incidence_matrices, theta_decompose
+from mckay_moduli import build_group, build_quiver, checks, incidence_matrices, theta_decompose
 from mckay_moduli.checks import (
     random_parameter,
     run_all,
@@ -99,6 +99,60 @@ def test_cycle_types_contain_exactly_the_small_trivial_degree_types(spec, orders
     for m in _l1_ball(q.n, 6):
         in_types = row_hnf(list(types) + [m]) == types
         assert in_types == (q.group.deg(m) == q.group.trivial), m
+
+
+def test_tree_cycle_types_match_kernel_basis_types_at_r_61():
+    # cycle-types reads the tree cycles; at r = 61 their types span the same
+    # lattice as the types of kernel_basis(b), and every row of the suite passes.
+    q = build_quiver(build_group(*parse_group_spec("1/61(1,11,49)")))
+    inc = incidence_matrices(q)
+    types = row_hnf([mat_vec(inc.d, z) for z in checks._tree_cycles(q, inc.b)[1]])
+    assert types == _cycle_types(q)
+    assert [name for name, ok, _ in run_all(q) if not ok] == []
+
+
+def test_doubled_tree_cycles_fail_closed_walks_and_cycle_types(monkeypatch):
+    # Twice each tree cycle still lies in ker b, but the doubles span a proper
+    # sublattice: closed-walks cannot sum them to a kernel vector, and their
+    # types span 2M.  kernel-lattice only reads the kernel of the types.
+    real = checks._tree_cycles
+
+    def doubled(quiver, b):
+        off, cycles = real(quiver, b)
+        return off, [[2 * x for x in z] for z in cycles]
+
+    monkeypatch.setattr(checks, "_tree_cycles", doubled)
+    results = run_all(build_quiver(build_group([7], [[1, 2]])))
+    assert [name for name, ok, _ in results if ok] == [
+        "kernel-lattice", "theta-routing", "flow-vertex-integrality", "construction-agreement",
+    ]
+    failed = {name: detail for name, ok, detail in results if not ok}
+    assert set(failed) == {"closed-walks", "cycle-types"}
+    assert re.fullmatch(r"kernel vector \(.*\) is not a sum of tree cycles", failed["closed-walks"])
+    assert failed["cycle-types"] == (
+        "cycle types span ((2, 6), (0, 14)), not the trivial-degree lattice ((1, 3), (0, 7))"
+    )
+
+
+def test_run_all_builds_one_kernel_basis_of_b(monkeypatch):
+    q = build_quiver(build_group([7], [[1, 2]]))
+    b = [list(row) for row in incidence_matrices(q).b]
+    real, on_b = checks.kernel_basis, []
+
+    def counting(rows):
+        on_b.append([list(row) for row in rows] == b)
+        return real(rows)
+
+    monkeypatch.setattr(checks, "kernel_basis", counting)
+
+    def calls_on_b(run):
+        on_b.clear()
+        run(q)
+        return on_b.count(True)
+
+    assert calls_on_b(verify_cycle_types) == 0
+    assert calls_on_b(verify_closed_walks) == 1
+    assert calls_on_b(run_all) == 1
 
 
 def test_closed_walks_random_kernel_vectors():
@@ -312,7 +366,7 @@ def double_one_row_kernel(rows, basis):
 
 
 def add_non_cycle(rows, basis):
-    # Only b has seven rows.  7 * e_0 is no cycle, but its type (7, 0) lies in M.
+    # Only b has seven rows, and only closed-walks asks for its kernel.  7 * e_0 is no cycle.
     return basis + [(7,) + (0,) * 13] if len(rows) == 7 else basis
 
 

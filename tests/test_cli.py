@@ -545,8 +545,9 @@ def test_input_error_raised_by_a_check_is_a_fail_row(capsys, monkeypatch):
 def test_shifted_kernel_basis_fails_three_rows(capsys, monkeypatch):
     # Every basis vector gains 1 in its first entry, so the kernel vectors of
     # b that closed-walks expands in tree cycles leave the kernel of b.
-    # cycle-types, which takes both of its lattices from kernel_basis, sees
-    # them differ.
+    # cycle-types takes its cycle types from the tree, so they span the true
+    # M of 1/7(1,2), but its trivial-degree lattice from the shifted
+    # kernel_basis, and sees the two differ.
     real = checks.kernel_basis
     monkeypatch.setattr(
         checks, "kernel_basis", lambda m: [(v[0] + 1,) + tuple(v[1:]) for v in real(m)]
@@ -559,7 +560,7 @@ def test_shifted_kernel_basis_fails_three_rows(capsys, monkeypatch):
         "ok   theta-routing",
         "FAIL closed-walks: kernel vector (1, 0, 0, 0, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0) "
         "is not a sum of tree cycles",
-        "FAIL cycle-types: cycle types span ((1, 0), (0, 1)), "
+        "FAIL cycle-types: cycle types span ((1, 3), (0, 7)), "
         "not the trivial-degree lattice ((1, 5), (0, 6))",
         "ok   flow-vertex-integrality",
         "ok   construction-agreement",
