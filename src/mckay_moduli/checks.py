@@ -22,7 +22,7 @@ from .groups import (
     theta_decompose,
 )
 from .intlinalg import int_rank, kernel_basis, mat_vec, row_hnf
-from .moduli import lifted_flow_polyhedron, theta_polyhedron
+from .moduli import lifted_flow_polyhedron, lifted_theta_polyhedron, theta_polyhedron
 from .polyhedra import h_to_v
 
 
@@ -141,8 +141,8 @@ def verify_flow_vertex_integrality(quiver: McKayQuiver) -> None:
 def verify_construction_agreement(quiver: McKayQuiver) -> None:
     """The oracle and lifted constructions give identical canonical output."""
     theta = random_parameter(quiver, random.Random(3), spread=2)
-    a = theta_polyhedron(quiver, theta, method="oracle")
-    b = theta_polyhedron(quiver, theta, method="lifted")
+    a = theta_polyhedron(quiver, theta)
+    b = lifted_theta_polyhedron(quiver, theta)
     if a.h != b.h:
         raise CertificateError("H-descriptions differ between constructions")
     if a.v != b.v:

@@ -22,6 +22,7 @@ from .intlinalg import int_rank
 from .moduli import (
     distinguished_rep,
     ghilb_parameter,
+    lifted_theta_polyhedron,
     moduli_fan,
     stability_parameter,
     theta_polyhedron,
@@ -452,9 +453,9 @@ def _dispatch(args) -> int:
                 raise InputError("chart bound must be nonnegative")
             if args.svg is not None and quiver.n != 3:
                 raise InputError("the SVG cross-section is only defined for 3 coordinates")
-            tp = theta_polyhedron(quiver, integral, method="lifted" if args.lifted else "oracle")
+            tp = (lifted_theta_polyhedron if args.lifted else theta_polyhedron)(quiver, integral)
             doc["p_theta"] = _ptheta_block(tp)
-            doc["fan"] = _fan_block(moduli_fan(tp, charts_bound=args.charts))
+            doc["fan"] = _fan_block(tp if args.charts is None else moduli_fan(tp, args.charts))
             if args.svg is not None:
                 title = f"{args.group.strip()} theta={','.join(doc['theta'])}"
                 _write(args.svg, render_fan_svg(doc["fan"], title))
@@ -462,7 +463,7 @@ def _dispatch(args) -> int:
         else:
             # The flow validates w, so a malformed w exits before any geometry.
             rep = distinguished_rep(quiver, theta, args.w, single_optimizer=args.single_optimizer)
-            fan = theta_polyhedron(quiver, integral, method="oracle").fan
+            fan = theta_polyhedron(quiver, integral).fan
             doc["rep"] = _rep_block(rep, fan, locate_cone(fan, rep.w))
             view = _rep_text
     text = view(doc) if args.format == "text" else _dump(doc)

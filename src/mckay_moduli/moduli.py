@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import CertificateError, InputError, ModuliError
+from .errors import CertificateError, InputError
 from .flow import min_cost_flow
 from .groups import (
     AbelianGroupData,
@@ -110,26 +110,25 @@ def _theta_polyhedron_oracle(quiver, theta):
             return h, sorted(pts)
 
 
-def theta_polyhedron(quiver: McKayQuiver, theta, method: str = "oracle") -> ThetaPolyhedron:
-    """Compute the type polyhedron of a stability parameter.
-
-    method "oracle" (default) certifies facets with exact min-cost flows
-    over the flow polyhedron and never enumerates its vertices; method
-    "lifted" enumerates the extreme rays of the homogenized flow cone and
-    maps each into type space, which is exponentially larger but follows
-    the defining construction directly.  Both close on the points they hold,
-    with normal_fan's certificate, and give identical canonical descriptions.
-    """
-    integral = stability_parameter(quiver, theta)
-    if method == "lifted":
-        d = incidence_matrices(quiver).d
-        h, pts = image_descriptions(lifted_flow_polyhedron(quiver, integral), d)
-    elif method == "oracle":
-        h, pts = _theta_polyhedron_oracle(quiver, integral)
-    else:
-        raise ModuliError(f"unknown method {method!r}")
+def _closing(quiver: McKayQuiver, h: HPolyhedron, pts) -> ThetaPolyhedron:
+    """h with the fan normal_fan certifies on a construction's points and the unit rays."""
     units = tuple(sorted(_unit_rows(quiver.n)))
     return ThetaPolyhedron(quiver, h, normal_fan(h, VPolyhedron(quiver.n, tuple(pts), units)))
+
+
+def theta_polyhedron(quiver: McKayQuiver, theta) -> ThetaPolyhedron:
+    """The type polyhedron of a stability parameter, its facets certified by min-cost flows."""
+    return _closing(quiver, *_theta_polyhedron_oracle(quiver, stability_parameter(quiver, theta)))
+
+
+def lifted_theta_polyhedron(quiver: McKayQuiver, theta) -> ThetaPolyhedron:
+    """The type polyhedron as the image of the flow polyhedron, by its defining construction.
+
+    The extreme rays of the homogenized flow cone, exponentially many, go
+    straight into type space; the closing and its output are theta_polyhedron's.
+    """
+    flows = lifted_flow_polyhedron(quiver, stability_parameter(quiver, theta))
+    return _closing(quiver, *image_descriptions(flows, incidence_matrices(quiver).d))
 
 
 class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):
@@ -214,16 +213,14 @@ def _chart_report(tp: ThetaPolyhedron, vidx: int, bound: int, table: list) -> Ch
     )
 
 
-def moduli_fan(tp: ThetaPolyhedron, charts_bound: int | None = None) -> ThetaPolyhedron:
-    """The type polyhedron with its inner-normal fan (tp.fan), optionally with chart reports.
+def moduli_fan(tp: ThetaPolyhedron, charts_bound: int) -> ThetaPolyhedron:
+    """The type polyhedron with a chart report for each maximal cone of its fan (tp.fan).
 
     Ray indices match the inequality order of the H-description; each vertex
-    marks one maximal cone.  When charts_bound is given, every maximal cone
-    gets a ChartReport with generators and a bounded saturation verdict, in
-    the charts field of the returned copy of tp; otherwise tp comes back.
+    marks one maximal cone.  Every maximal cone gets a ChartReport with
+    generators and a saturation verdict up to charts_bound, in the charts
+    field of the returned copy of tp.
     """
-    if charts_bound is None:
-        return tp
     table = [
         (q, [_dot(coeffs, q) for coeffs, _ in tp.h.inequalities])
         for q in _invariant_ball(tp.quiver.group, charts_bound)

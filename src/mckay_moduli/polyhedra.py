@@ -322,7 +322,7 @@ def _hull(dim, gens) -> tuple[HPolyhedron, list]:
         # dropped point is dominated by one already on the Pareto front.
         front = []
         for pt in pts:
-            if not any(all(map(le, f, pt)) for f in front):
+            if not any(all(map(le, f, pt)) for f in reversed(front)):
                 front.append(pt)
         pts = front
     return v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys))), pts

@@ -8,7 +8,7 @@ import pytest
 
 import golden
 import mckay_moduli
-from mckay_moduli import ModuliError, build_group, build_quiver, moduli_fan, theta_polyhedron
+from mckay_moduli import ModuliError, build_group, build_quiver, theta_polyhedron
 
 # Default battery of actions exercised by the property suites.  Entries are
 # (cli_spec, orders, weights); r*n stays small enough for exact enumeration.
@@ -96,8 +96,3 @@ def example_quiver():
 @pytest.fixture(scope="session")
 def example_tp(example_quiver):
     return theta_polyhedron(example_quiver, golden.EXAMPLE_THETA)
-
-
-@pytest.fixture(scope="session")
-def example_fan(example_tp):
-    return moduli_fan(example_tp)

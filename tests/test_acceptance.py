@@ -44,7 +44,7 @@ from mckay_moduli.checks import (
 from mckay_moduli.cli import main
 from mckay_moduli.intlinalg import mat_vec
 from mckay_moduli.lp import LinearProgram, LpOptimal, solve
-from mckay_moduli.moduli import lifted_flow_polyhedron, stability_parameter
+from mckay_moduli.moduli import lifted_flow_polyhedron, lifted_theta_polyhedron, stability_parameter
 
 STRESS = bool(os.environ.get("MCKAY_STRESS"))
 
@@ -116,7 +116,7 @@ def test_02_binomial_generators():
 def test_03_benchmark_polyhedron():
     t0 = time.perf_counter()
     q = build_quiver(build_group(golden.EXAMPLE_ORDERS, golden.EXAMPLE_WEIGHTS))
-    tp = theta_polyhedron(q, golden.EXAMPLE_THETA, method="oracle")
+    tp = theta_polyhedron(q, golden.EXAMPLE_THETA)
     assert {tuple(int(x) for x in v) for v in tp.v.vertices} == golden.EXAMPLE_VERTICES
     assert set(tp.h.inequalities) == set(golden.EXAMPLE_INEQS.values())
     assert len(tp.h.inequalities) == 8
@@ -175,9 +175,9 @@ def test_04_lifted_counts(example_quiver, benchmark_lifted):
 
 
 @criterion(5, "benchmark fan")
-def test_05_benchmark_fan(example_tp, example_fan):
+def test_05_benchmark_fan(example_tp):
     t0 = time.perf_counter()
-    fan = example_fan.fan
+    fan = example_tp.fan
     assert set(fan.rays) == golden.EXAMPLE_FAN_RAYS
     assert len(fan.cones) == 11
     label_of = {ineq: num for num, ineq in golden.EXAMPLE_INEQS.items()}
@@ -192,24 +192,24 @@ def test_05_benchmark_fan(example_tp, example_fan):
 
 
 @criterion(6, "first worked representation")
-def test_06_first_representation(example_quiver, example_fan):
+def test_06_first_representation(example_quiver, example_tp):
     t0 = time.perf_counter()
     rep = distinguished_rep(example_quiver, golden.EXAMPLE_THETA, golden.W_A)
     assert rep.b == golden.B_A
     assert rep.value == golden.VALUE_A
-    fan = example_fan.fan
+    fan = example_tp.fan
     assert {fan.rays[i] for i in locate_cone(fan, golden.W_A)} == golden.CONE_A
     assert time.perf_counter() - t0 < 5.0
 
 
 @criterion(7, "second worked representation")
-def test_07_second_representation(example_quiver, example_fan):
+def test_07_second_representation(example_quiver, example_tp):
     t0 = time.perf_counter()
     rep = distinguished_rep(example_quiver, golden.EXAMPLE_THETA, golden.W_B)
     assert rep.b == golden.B_B
     assert len(rep.tight) == 18
     assert rep.value == golden.VALUE_B
-    fan = example_fan.fan
+    fan = example_tp.fan
     assert {fan.rays[i] for i in locate_cone(fan, golden.W_B)} == golden.CONE_B
     assert time.perf_counter() - t0 < 5.0
 
@@ -304,8 +304,8 @@ def test_10_property_suites(example_quiver):
     for spec, orders, weights in SUITE_GROUPS:
         q = build_quiver(build_group(orders, weights))
         theta = random_parameter(q, rng, spread=3)
-        a = theta_polyhedron(q, theta, method="oracle")
-        b = theta_polyhedron(q, theta, method="lifted")
+        a = theta_polyhedron(q, theta)
+        b = lifted_theta_polyhedron(q, theta)
         assert a.h == b.h and a.v == b.v
 
     # spot-verified duality certificates on top of the in-solver checks

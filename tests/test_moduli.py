@@ -15,7 +15,6 @@ from conftest import (
     SUITE_GROUPS,
     arrow_index,
     generic_theta,
-    internal_error,
     normal_fan_under_optimize,
     src_env,
     suite_quivers,
@@ -41,12 +40,19 @@ from mckay_moduli import (
     v_to_h,
 )
 from mckay_moduli import moduli, polyhedra
-from mckay_moduli.cli import main
+from mckay_moduli.cli import main, parse_group_spec
 from mckay_moduli.flow import min_cost_flow
 from mckay_moduli.groups import AbelianGroupData, integral_theta
 from mckay_moduli.intlinalg import int_rank, mat_vec, row_hnf
 from mckay_moduli.lp import LinearProgram, LpOptimal, optimal_face_tight_set, solve
-from mckay_moduli.moduli import _check_relations, _invariant_ball, _l1_ball
+from mckay_moduli.moduli import (
+    _check_relations,
+    _invariant_ball,
+    _l1_ball,
+    lifted_theta_polyhedron,
+)
+
+BOTH = (theta_polyhedron, lifted_theta_polyhedron)
 
 
 def quiver(orders, weights):
@@ -90,9 +96,9 @@ def test_stability_parameter_and_integral_theta_share_messages(theta):
 
 
 def test_theta_polyhedron_zero_is_orthant():
-    for method in ("oracle", "lifted"):
+    for build in BOTH:
         q = quiver([3], [[1, 1, 1]])
-        tp = theta_polyhedron(q, (0, 0, 0), method=method)
+        tp = build(q, (0, 0, 0))
         assert set(tp.v.vertices) == {(0, 0, 0)}
         assert set(tp.v.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert set(tp.h.inequalities) == {
@@ -110,8 +116,8 @@ def test_theta_polyhedron_weight_one_golden():
 
 def test_theta_polyhedron_two_paths_agree_weight_one():
     q = w1_quiver()
-    a = theta_polyhedron(q, golden.W1_THETA, method="oracle")
-    b = theta_polyhedron(q, golden.W1_THETA, method="lifted")
+    a = theta_polyhedron(q, golden.W1_THETA)
+    b = lifted_theta_polyhedron(q, golden.W1_THETA)
     assert a.h == b.h
     assert a.v == b.v
 
@@ -164,8 +170,7 @@ def test_theta_polyhedron_resolution_of_a1():
     tp = theta_polyhedron(q, (-1, 1))
     assert set(map(tuple, tp.v.vertices)) == {(1, 0), (0, 1)}
     assert set(tp.h.inequalities) == {((1, 0), 0), ((0, 1), 0), ((1, 1), 1)}
-    tf = moduli_fan(tp)
-    rays_of = {frozenset(tf.fan.rays[i] for i in c) for c in tf.fan.cones}
+    rays_of = {frozenset(tp.fan.rays[i] for i in c) for c in tp.fan.cones}
     assert rays_of == {
         frozenset({(1, 0), (1, 1)}),
         frozenset({(0, 1), (1, 1)}),
@@ -293,16 +298,15 @@ def test_distinguished_rep_scaling_invariance():
 def test_distinguished_rep_same_cone_same_b():
     q = w1_quiver()
     tp = theta_polyhedron(q, golden.W1_THETA)
-    tf = moduli_fan(tp)
     # two interior combinations of one maximal cone's rays
-    cone = tf.fan.cones[0]
-    rays = [tf.fan.rays[i] for i in cone]
+    cone = tp.fan.cones[0]
+    rays = [tp.fan.rays[i] for i in cone]
     w1 = tuple(sum(r[j] for r in rays) for j in range(3))
     w2 = tuple(sum((k + 1) * r[j] for k, r in enumerate(rays)) for j in range(3))
     rep1 = distinguished_rep(q, golden.W1_THETA, w1)
     rep2 = distinguished_rep(q, golden.W1_THETA, w2)
-    assert locate_cone(tf.fan, w1) == cone
-    assert locate_cone(tf.fan, w2) == cone
+    assert locate_cone(tp.fan, w1) == cone
+    assert locate_cone(tp.fan, w2) == cone
     assert rep1.b == rep2.b
     assert rep1.tight == rep2.tight
 
@@ -531,20 +535,18 @@ def test_distinguished_rep_matches_lp_reference(program):
 def test_locate_cone_succeeds_on_random_w():
     q = w1_quiver()
     tp = theta_polyhedron(q, golden.W1_THETA)
-    tf = moduli_fan(tp)
     faces = face_cones(tp.h, tp.v)
     rng = random.Random(19)
     for _ in range(50):
         w = tuple(Fraction(rng.randrange(0, 40), rng.randrange(1, 5)) for _ in range(3))
-        cone = locate_cone(tf.fan, w)
+        cone = locate_cone(tp.fan, w)
         assert faces.get(frozenset(cone)) == cone
 
 
 def test_moduli_fan_weight_one_structure():
     q = w1_quiver()
     tp = theta_polyhedron(q, golden.W1_THETA)
-    tf = moduli_fan(tp)
-    fan = tf.fan
+    fan = tp.fan
     assert set(fan.rays) == golden.W1_FAN_RAYS
     assert len(fan.cones) == 3
     big = fan.rays.index((1, 1, 1))
@@ -593,15 +595,15 @@ def test_moduli_fan_charts_theta_zero():
     assert gens == expect
 
 
-def test_fan_support_covers_orthant_only(example_fan):
-    fan = example_fan.fan
+def test_fan_support_covers_orthant_only(example_tp):
+    fan = example_tp.fan
     assert set(fan.rec_rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     with pytest.raises(Exception):
         locate_cone(fan, (-1, 2, 2))
 
 
-def test_adjacent_vertices_share_wall(example_tp, example_fan):
-    fan = example_fan.fan
+def test_adjacent_vertices_share_wall(example_tp):
+    fan = example_tp.fan
     shared = 0
     for i, ci in enumerate(fan.cones):
         for cj in fan.cones[i + 1:]:
@@ -622,15 +624,10 @@ def test_two_path_agreement_on_random_parameters():
         for _ in range(2):
             vals = [rng.randint(-4, 4) for _ in range(q.r - 1)]
             theta = tuple(vals + [-sum(vals)])
-            a = theta_polyhedron(q, theta, method="oracle")
-            b = theta_polyhedron(q, theta, method="lifted")
+            a = theta_polyhedron(q, theta)
+            b = lifted_theta_polyhedron(q, theta)
             assert a.h == b.h
             assert a.v == b.v
-
-
-def test_theta_polyhedron_rejects_unknown_method():
-    with internal_error("simplex"):
-        theta_polyhedron(w1_quiver(), golden.W1_THETA, method="simplex")
 
 
 # v_to_h loses its lexicographically largest facet in every oracle round.
@@ -722,7 +719,7 @@ def test_charts_reject_a_fractional_vertex():
 # G-Hilb on 1/7(1,2,4) then comes back with 6 vertices and a fan one cone short.
 _DROP_MAX_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver, moduli
-from mckay_moduli import ghilb_parameter, theta_polyhedron
+from mckay_moduli import ghilb_parameter
 
 fan = moduli.normal_fan
 
@@ -731,9 +728,9 @@ def drop_max(h, v):
 
 moduli.normal_fan = drop_max
 q = build_quiver(build_group([7], [[1, 2, 4]]))
-for method in ("oracle", "lifted"):
+for build in (moduli.theta_polyhedron, moduli.lifted_theta_polyhedron):
     try:
-        theta_polyhedron(q, ghilb_parameter(q), method=method)
+        build(q, ghilb_parameter(q))
     except CertificateError as exc:
         print("raised", __debug__, exc)
 """
@@ -748,20 +745,21 @@ def test_both_methods_reject_a_dropped_vertex():
     assert out.stdout == line * 2
 
 
-# The closing (normal_fan) runs once as the method calls it, then once per
+# The closing (normal_fan) runs once as the construction calls it, then once per
 # vertex on the same H-description and points with that vertex taken out;
 # every such run must raise.  Prints each vertex whose loss went unnoticed.
 _DROP_EACH_SCRIPT = """
 import sys
 from mckay_moduli import CertificateError, build_group, build_quiver, moduli
-from mckay_moduli import ghilb_parameter, theta_polyhedron
+from mckay_moduli import ghilb_parameter
 
 order, weights, method = int(sys.argv[1]), [int(x) for x in sys.argv[2].split(",")], sys.argv[3]
+build = moduli.lifted_theta_polyhedron if method == "lifted" else moduli.theta_polyhedron
 fan = moduli.normal_fan
 held = []
 moduli.normal_fan = lambda *args: held.append(args) or fan(*args)
 q = build_quiver(build_group([order], [weights]))
-tp = theta_polyhedron(q, ghilb_parameter(q), method=method)
+tp = build(q, ghilb_parameter(q))
 h, v = held[0]
 for vert in tp.v.vertices:
     try:
@@ -811,13 +809,13 @@ def test_closing_rejects_a_point_outside_the_rows():
 # Anchor fans and seeded generic parameters, with the lifted path where its
 # double description stays small (it takes ~20 s on 1/13(1,3,9)).
 REFERENCE_CASES = [
-    ([7], [[1, 2, 4]], None, ("oracle", "lifted")),
-    ([13], [[1, 3, 9]], None, ("oracle",)),
-    ([13], [[1, 3, 9]], tuple(int(x) for x in golden.GENERIC_13.split(",")), ("oracle",)),
-    ([11], [[1, 2, 8]], golden.EXAMPLE_THETA, ("oracle", "lifted")),
-    ([61], [[1, 11, 49]], None, ("oracle",)),
+    ([7], [[1, 2, 4]], None, BOTH),
+    ([13], [[1, 3, 9]], None, (theta_polyhedron,)),
+    ([13], [[1, 3, 9]], tuple(int(x) for x in golden.GENERIC_13.split(",")), (theta_polyhedron,)),
+    ([11], [[1, 2, 8]], golden.EXAMPLE_THETA, BOTH),
+    ([61], [[1, 11, 49]], None, (theta_polyhedron,)),
 ] + [
-    (orders, weights, generic_theta(random.Random(seed), math.prod(orders)), ("oracle", "lifted"))
+    (orders, weights, generic_theta(random.Random(seed), math.prod(orders)), BOTH)
     for _, orders, weights in SUITE_GROUPS + [("2x2:1,0,1;0,1,1", [2, 2], [[1, 0, 1], [0, 1, 1]])]
     if math.prod(orders) * len(weights[0]) <= 16
     for seed in range(3)
@@ -827,8 +825,8 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("orders,weights,theta,methods", REFERENCE_CASES)
 def test_closing_matches_the_vertex_enumeration(orders, weights, theta, methods):
     q = quiver(orders, weights)
-    for method in methods:
-        tp = theta_polyhedron(q, ghilb_parameter(q) if theta is None else theta, method=method)
+    for build in methods:
+        tp = build(q, ghilb_parameter(q) if theta is None else theta)
         assert tp.v == h_to_v(tp.h)
 
 
@@ -841,9 +839,8 @@ def _golden_v(vertices, n):
 
 def test_golden_v_descriptions_compare_equal(example_tp):
     cases = [(example_tp, golden.EXAMPLE_VERTICES)]
-    for method in ("oracle", "lifted"):
-        cases.append((theta_polyhedron(w1_quiver(), golden.W1_THETA, method=method),
-                      golden.W1_VERTICES))
+    for build in BOTH:
+        cases.append((build(w1_quiver(), golden.W1_THETA), golden.W1_VERTICES))
     for tp, vertices in cases:
         expected = _golden_v(vertices, tp.quiver.n)
         assert tp.v == expected
@@ -866,7 +863,7 @@ def test_lifted_path_builds_no_vertex_fractions(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "Fraction", counting)
     q = quiver([7], [[1, 2, 4]])
-    tp = theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+    tp = lifted_theta_polyhedron(q, ghilb_parameter(q))
     assert callers == set()
     assert len(tp.v.vertices) == 7
     assert all(type(x) is int for vert in tp.v.vertices for x in vert)
@@ -888,7 +885,7 @@ def test_lifted_path_builds_no_arrow_space_v_description(monkeypatch):
         monkeypatch.setattr(module, "h_to_v", h_to_v_recorder, raising=False)
         monkeypatch.setattr(module, "project", project_recorder, raising=False)
     q = quiver([7], [[1, 2, 4]])
-    tp = theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+    tp = lifted_theta_polyhedron(q, ghilb_parameter(q))
     assert len(tp.v.vertices) == 7
     assert seen == []
 
@@ -902,7 +899,7 @@ def test_lifted_path_runs_no_flow_code(monkeypatch, theta):
     monkeypatch.setattr(moduli, "theta_decompose", refuse)
     q = quiver([7], [[1, 2, 4]])
     param = ghilb_parameter(q) if theta is None else theta
-    lifted = theta_polyhedron(q, param, method="lifted")
+    lifted = lifted_theta_polyhedron(q, param)
     with pytest.raises(AssertionError, match="flow code"):
         theta_polyhedron(q, param)
     monkeypatch.undo()
@@ -930,7 +927,7 @@ def lifted_cases(draw):
 def test_lifted_path_matches_the_projected_flow_polyhedron(case):
     """The rays mapped straight into type space give what projecting the flow vertices gives."""
     q, theta = case
-    tp = theta_polyhedron(q, theta, method="lifted")
+    tp = lifted_theta_polyhedron(q, theta)
     flow = lifted_flow_polyhedron(q, stability_parameter(q, theta))
     v = project(h_to_v(flow), incidence_matrices(q).d)
     assert tp.v == v
@@ -941,7 +938,8 @@ def test_lifted_path_matches_the_projected_flow_polyhedron(case):
 # is the row t >= 0 in kernel coordinates, so it reads each ray's t.
 _NEGATE_RAY_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver, polyhedra
-from mckay_moduli import ghilb_parameter, theta_polyhedron
+from mckay_moduli import ghilb_parameter
+from mckay_moduli.moduli import lifted_theta_polyhedron
 
 pointed_dd = polyhedra._pointed_dd
 calls = []
@@ -957,7 +955,7 @@ def negate_one(rows, d):
 polyhedra._pointed_dd = negate_one
 q = build_quiver(build_group([7], [[1, 2, 4]]))
 try:
-    theta_polyhedron(q, ghilb_parameter(q), method="lifted")
+    lifted_theta_polyhedron(q, ghilb_parameter(q))
 except CertificateError as exc:
     print("raised", __debug__, exc)
 """
@@ -1109,7 +1107,7 @@ def test_fan_meets_the_mckay_invariants_at_the_frontier(r, weights, generic):
     """
     q = quiver([r], [weights])
     theta = generic_theta(random.Random(1), r) if generic else ghilb_parameter(q)
-    fan = moduli_fan(theta_polyhedron(q, theta)).fan
+    fan = theta_polyhedron(q, theta).fan
     junior = sum(1 for k in range(1, r) if sum(k * a % r for a in weights) == r)
     assert junior == {61: 30, 127: 63}[r]
     assert len(fan.cones) == r
@@ -1119,3 +1117,43 @@ def test_fan_meets_the_mckay_invariants_at_the_frontier(r, weights, generic):
     for cone in fan.cones:
         assert len(cone) == 3
         assert abs(_det3([_primitive_in_n(fan.rays[i], r, basis) for i in cone])) == 1
+
+
+@pytest.mark.parametrize(
+    "spec", ["1/7(1,2,4)", "1/13(1,3,9)", "2x2:1,0,1;0,1,1", "1/8(1,3,5,7)", "1/61(1,11,49)"]
+)
+def test_ghilb_cones_are_g_graphs(spec):
+    """Each maximal cone of the G-Hilb fan is sigma(Gamma) of a G-graph Gamma (Nakamura, 2001).
+
+    At w inside the cone the cheapest flow is a spanning tree out of vertex 0,
+    and the label counts of its paths are Gamma: r monomials closed under division.
+    """
+    q = quiver(*parse_group_spec(spec))
+    theta = ghilb_parameter(q)
+    fan = theta_polyhedron(q, theta).fan
+    for cone, vertex in zip(fan.cones, fan.vertices):
+        rays = [fan.rays[i] for i in cone]
+        w = [sum(col) for col in zip(*rays)]
+        u, _, _ = min_cost_flow(q, theta, [w[a.label - 1] for a in q.arrows])
+        support = [a for a, f in zip(q.arrows, u) if f]
+        assert sorted(a.head for a in support) == list(range(1, q.r))
+        # One arrow into each other vertex: the support is a tree when 0 reaches all r.
+        m = {0: (0,) * q.n}
+        for v in (queue := [0]):
+            for a in support:
+                if a.tail == v:
+                    m[a.head] = tuple(x + (i == a.label - 1) for i, x in enumerate(m[v]))
+                    queue.append(a.head)
+        gamma = set(m.values())
+        assert len(m) == len(gamma) == q.r
+        for mono in gamma:
+            for i, x in enumerate(mono):
+                assert not x or mono[:i] + (x - 1,) + mono[i + 1:] in gamma
+        assert tuple(map(sum, zip(*gamma))) == vertex
+        steps = [
+            tuple(x + (i == a.label - 1) - y for i, (x, y) in enumerate(zip(m[a.tail], m[a.head])))
+            for a in q.arrows
+        ]
+        assert polyhedra.cone_double_description(steps, [], q.n) == sorted(rays)
+        tight = distinguished_rep(q, theta, w).tight
+        assert tight == {k for k, step in enumerate(steps) if not any(step)}
