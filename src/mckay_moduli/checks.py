@@ -21,61 +21,51 @@ from .groups import (
     kernel_generators_cij,
     theta_decompose,
 )
-from .intlinalg import int_rank, kernel_basis, mat_vec, row_hnf
+from .intlinalg import kernel_basis, mat_vec, row_hnf
 from .moduli import lifted_flow_polyhedron, lifted_theta_polyhedron, theta_polyhedron
 from .polyhedra import h_to_v
 
 
-def _tree_cycles(quiver: McKayQuiver, b) -> tuple[list[int], list[list[int]]]:
-    """The arrows k off one breadth-first tree of forward arrows from vertex 0, and their cycles.
+def _tree_cycles(quiver: McKayQuiver) -> tuple[list[int], list[list[int]], list[int]]:
+    """The arrows k off one breadth-first tree of forward arrows from vertex 0, their cycle
+    types, and the tree arrows in breadth-first order.
 
-    The cycle z_k follows the tree path to the tail of k, then k, then the tree
-    path back from its head.  It is e_k on the off-tree arrows, and the tree arrows'
-    columns of b are independent, so the z_k are a basis of ker_Z b.  Raises unless b * z_k = 0.
+    The cycle z_k follows the tree path to the tail of k, then k, then the tree path back
+    from its head; it is e_k on the off-tree arrows.  Its type d * z_k is labels[tail] +
+    e_label - labels[head], where labels[v] counts the labels on the tree path to v.
     """
     leaving = [[] for _ in range(quiver.r)]
     for k, a in enumerate(quiver.arrows):
-        leaving[a.tail].append(k)
-    # path[v]: the tree path from 0 to v as an arrow vector, ends[v] = b * path[v];
-    # build_quiver reached every v.
-    path, ends = [None] * quiver.r, [None] * quiver.r
-    path[0], ends[0] = [0] * quiver.num_arrows, [0] * len(b)
+        leaving[a.tail].append((k, a))
+    labels, tree = [None] * quiver.r, []  # build_quiver reached every vertex
+    labels[0] = [0] * quiver.n
     for v in (queue := [0]):
-        for k in leaving[v]:
-            head = quiver.arrows[k].head
-            if path[head] is None:
-                path[head] = path[v][:]
-                path[head][k] = 1
-                ends[head] = [x + row[k] for x, row in zip(ends[v], b)]
-                queue.append(head)
-    off, cycles = [], []
+        for k, a in leaving[v]:
+            if labels[a.head] is None:
+                labels[a.head] = labels[v][:]
+                labels[a.head][a.label - 1] += 1
+                tree.append(k)
+                queue.append(a.head)
+    on_tree, off, types = set(tree), [], []
     for k, a in enumerate(quiver.arrows):
-        if path[a.head][k]:  # a tree arrow ends the tree path to its head
-            continue
-        if any(x + row[k] - y for x, y, row in zip(ends[a.tail], ends[a.head], b)):
-            raise CertificateError(f"the tree cycle of arrow {k} is not in the kernel of b")
-        z = [x - y for x, y in zip(path[a.tail], path[a.head])]
-        z[k] += 1
-        off.append(k)
-        cycles.append(z)
-    return off, cycles
+        if k not in on_tree:
+            off.append(k)
+            types.append([x - y for x, y in zip(labels[a.tail], labels[a.head])])
+            types[-1][a.label - 1] += 1
+    return off, types, tree
 
 
 def verify_kernel_lattice(quiver: McKayQuiver) -> None:
     """Commutation vectors span exactly the integer kernel of the full incidence matrix.
 
-    In the tree-cycle coordinates of ker b, ker c is the kernel of the cycle types d * z_k.
+    In the tree-cycle basis of ker_Z b (see closed-walks), ker_Z c is the kernel of the types.
     """
-    inc = incidence_matrices(quiver)
-    rank = int_rank(inc.b)
-    if rank != quiver.r - 1:
-        raise CertificateError(f"b has rank {rank}, not {quiver.r - 1}")
-    off, cycles = _tree_cycles(quiver, inc.b)
+    c = incidence_matrices(quiver).c
+    off, types, _ = _tree_cycles(quiver)
     gens = kernel_generators_cij(quiver)
-    if any(any(mat_vec(inc.c, g)) for g in gens):
+    if any(any(mat_vec(c, g)) for g in gens):
         raise CertificateError("kernel lattices differ")
-    types = list(zip(*(mat_vec(inc.d, z) for z in cycles)))
-    if row_hnf([[g[k] for k in off] for g in gens]) != row_hnf(kernel_basis(types)):
+    if row_hnf([[g[k] for k in off] for g in gens]) != row_hnf(kernel_basis(list(zip(*types)))):
         raise CertificateError("kernel lattices differ")
 
 
@@ -99,24 +89,32 @@ def verify_theta_routing(quiver: McKayQuiver) -> None:
 
 
 def verify_closed_walks(quiver: McKayQuiver) -> None:
-    """Every integer cycle is an integer sum of tree cycles, closed walks at vertex 0."""
-    b = incidence_matrices(quiver).b
-    off, cycles = _tree_cycles(quiver, b)
-    support = [[(i, x) for i, x in enumerate(z) if x] for z in cycles]
-    for u in kernel_basis(b):
-        total = [0] * quiver.num_arrows
-        for k, entries in zip(off, support):
-            if u[k]:
-                for i, x in entries:
-                    total[i] += u[k] * x
+    """Every integer cycle is an integer sum of tree cycles, closed walks at vertex 0.
+
+    Each vector u of a kernel basis of b is the sum of u_k * z_k over the off-tree arrows,
+    and there is one per off-tree arrow.  So the saturated ker_Z b has full rank in the
+    lattice of the independent z_k: they are a basis of it, and b has rank r - 1.
+    """
+    off, _, tree = _tree_cycles(quiver)
+    arrows, basis = quiver.arrows, kernel_basis(incidence_matrices(quiver).b)
+    for u in basis:
+        # The sum is u off the tree; leaves first, each tree arrow carries what balances its head.
+        total, inflow = list(u), [0] * quiver.r
+        for k in off:
+            inflow[arrows[k].head] += u[k]
+            inflow[arrows[k].tail] -= u[k]
+        for k in reversed(tree):
+            total[k] = -inflow[arrows[k].head]
+            inflow[arrows[k].tail] -= total[k]
         if total != list(u):
             raise CertificateError(f"kernel vector {u} is not a sum of tree cycles")
+    if len(basis) != len(off):
+        raise CertificateError(f"kernel basis of b has {len(basis)} vectors, not {len(off)}")
 
 
 def verify_cycle_types(quiver: McKayQuiver) -> None:
     """The types d * z_k of the tree cycles (basis of ker_Z b) span M, the trivial-degree lattice."""
-    inc = incidence_matrices(quiver)
-    types = row_hnf([mat_vec(inc.d, z) for z in _tree_cycles(quiver, inc.b)[1]])
+    types = row_hnf(_tree_cycles(quiver)[1])
     g, k = quiver.group, len(quiver.group.orders)
     # m has trivial degree exactly when weights * m + diag(orders) * y = 0 for an integer y.
     rows = [g.weights[j] + tuple(g.orders[j] * (t == j) for t in range(k)) for j in range(k)]

@@ -65,8 +65,12 @@ def test_theta_routing_hundred_parameters():
 
 
 def test_cycle_type_identification_bound_six():
-    # The suite groups, then n = 4, a non-cyclic group, the trivial group, n = 1 and r = 61.
-    beyond = ["1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)"]
+    # The suite groups, then n = 4, a non-cyclic group, the trivial group, n = 1, r = 61
+    # and three groups up to r = 1021, where the sparse tree keeps the row in milliseconds.
+    beyond = [
+        "1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)",
+        "1/251(1,20,230)", "1/509(1,30,478)", "1/1021(1,45,975)",
+    ]
     groups = [(orders, weights) for _, orders, weights in SUITE_GROUPS]
     for orders, weights in groups + [parse_group_spec(spec) for spec in beyond]:
         verify_cycle_types(build_quiver(build_group(orders, weights)))
@@ -101,37 +105,103 @@ def test_cycle_types_contain_exactly_the_small_trivial_degree_types(spec, orders
         assert in_types == (q.group.deg(m) == q.group.trivial), m
 
 
+def _dense_tree_cycles(quiver, b):
+    """The off-tree arrows k and their cycles z_k as dense arrow vectors, each checked in ker b.
+
+    The reference for checks._tree_cycles: the same breadth-first tree, with the
+    tree path to each vertex stored as a whole arrow vector.
+    """
+    leaving = [[] for _ in range(quiver.r)]
+    for k, a in enumerate(quiver.arrows):
+        leaving[a.tail].append(k)
+    path = [None] * quiver.r
+    path[0] = [0] * quiver.num_arrows
+    for v in (queue := [0]):
+        for k in leaving[v]:
+            head = quiver.arrows[k].head
+            if path[head] is None:
+                path[head] = path[v][:]
+                path[head][k] = 1
+                queue.append(head)
+    off, cycles = [], []
+    for k, a in enumerate(quiver.arrows):
+        if path[a.head][k]:  # a tree arrow ends the tree path to its head
+            continue
+        z = [x - y for x, y in zip(path[a.tail], path[a.head])]
+        z[k] += 1
+        assert not any(mat_vec(b, z))
+        off.append(k)
+        cycles.append(z)
+    return off, cycles
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, _, _ in SUITE_GROUPS]
+    + ["1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/61(1,11,49)", "1/127(1,19,107)"],
+)
+def test_tree_cycle_types_match_the_dense_tree_cycles(spec):
+    q = build_quiver(build_group(*parse_group_spec(spec)))
+    inc = incidence_matrices(q)
+    off, cycles = _dense_tree_cycles(q, inc.b)
+    got_off, types, tree = checks._tree_cycles(q)
+    assert got_off == off
+    assert types == [mat_vec(inc.d, z) for z in cycles]
+    assert sorted(tree + off) == list(range(q.num_arrows))
+
+
 def test_tree_cycle_types_match_kernel_basis_types_at_r_61():
-    # cycle-types reads the tree cycles; at r = 61 their types span the same
+    # cycle-types reads the tree's cycle types; at r = 61 they span the same
     # lattice as the types of kernel_basis(b), and every row of the suite passes.
     q = build_quiver(build_group(*parse_group_spec("1/61(1,11,49)")))
-    inc = incidence_matrices(q)
-    types = row_hnf([mat_vec(inc.d, z) for z in checks._tree_cycles(q, inc.b)[1]])
-    assert types == _cycle_types(q)
+    assert row_hnf(checks._tree_cycles(q)[1]) == _cycle_types(q)
     assert [name for name, ok, _ in run_all(q) if not ok] == []
 
 
-def test_doubled_tree_cycles_fail_closed_walks_and_cycle_types(monkeypatch):
-    # Twice each tree cycle still lies in ker b, but the doubles span a proper
-    # sublattice: closed-walks cannot sum them to a kernel vector, and their
-    # types span 2M.  kernel-lattice only reads the kernel of the types.
+def test_doubled_tree_cycle_types_fail_only_cycle_types(monkeypatch):
+    # Doubled types span 2M, but their kernel, which kernel-lattice reads, is
+    # unchanged, and closed-walks reads only the tree.
     real = checks._tree_cycles
 
-    def doubled(quiver, b):
-        off, cycles = real(quiver, b)
-        return off, [[2 * x for x in z] for z in cycles]
+    def doubled(quiver):
+        off, types, tree = real(quiver)
+        return off, [[2 * x for x in t] for t in types], tree
 
     monkeypatch.setattr(checks, "_tree_cycles", doubled)
     results = run_all(build_quiver(build_group([7], [[1, 2]])))
-    assert [name for name, ok, _ in results if ok] == [
-        "kernel-lattice", "theta-routing", "flow-vertex-integrality", "construction-agreement",
-    ]
     failed = {name: detail for name, ok, detail in results if not ok}
-    assert set(failed) == {"closed-walks", "cycle-types"}
+    assert failed == {
+        "cycle-types": "cycle types span ((2, 6), (0, 14)), "
+        "not the trivial-degree lattice ((1, 3), (0, 7))",
+    }
+
+
+def _reversed_tree(off, types, tree):
+    return off, types, tree[::-1]
+
+
+def _swapped_arrow(off, types, tree):
+    # The last tree arrow and the first off-tree arrow trade places.
+    return [tree[-1]] + off[1:], types, tree[:-1] + [off[0]]
+
+
+@pytest.mark.parametrize(
+    "tamper,rows",
+    [
+        (_reversed_tree, {"closed-walks"}),
+        (_swapped_arrow, {"kernel-lattice", "closed-walks"}),
+    ],
+    ids=["out-of-bfs-order", "swapped-arrow"],
+)
+def test_tampered_tree_fails_closed_walks(monkeypatch, tamper, rows):
+    # The completion fills the tree arrows leaves first; out of order, or with a
+    # tree arrow that is not one, it misses what balances some head.
+    real = checks._tree_cycles
+    monkeypatch.setattr(checks, "_tree_cycles", lambda quiver: tamper(*real(quiver)))
+    results = run_all(build_quiver(build_group([7], [[1, 2]])))
+    failed = {name: detail for name, ok, detail in results if not ok}
+    assert set(failed) == rows
     assert re.fullmatch(r"kernel vector \(.*\) is not a sum of tree cycles", failed["closed-walks"])
-    assert failed["cycle-types"] == (
-        "cycle types span ((2, 6), (0, 14)), not the trivial-degree lattice ((1, 3), (0, 7))"
-    )
 
 
 def test_run_all_builds_one_kernel_basis_of_b(monkeypatch):
@@ -203,15 +273,17 @@ def test_check_verdicts_survive_optimize_flag():
     assert out.stdout.strip() == "False False"
 
 
-# arrow 0 of 1/7(1,2,4) gets the head (head + 1) mod 7, so the quiver's
-# cycles no longer map onto the trivial-degree lattice: their types span Z^3
+# arrow 0 of 1/7(1,2,4) gets the head (head + 1) mod 7, or the label 2, so the
+# quiver's cycles no longer map onto the trivial-degree lattice: their types span Z^3
 _REDIRECT_ARROW_SCRIPT = """
+import sys
 from mckay_moduli import CertificateError, build_group, build_quiver
 from mckay_moduli.checks import verify_cycle_types
 
 q = build_quiver(build_group([7], [[1, 2, 4]]))
 a = q.arrows[0]
-q.arrows = (a._replace(head=(a.head + 1) % 7),) + q.arrows[1:]
+a = a._replace(head=(a.head + 1) % 7) if sys.argv[1] == "head" else a._replace(label=2)
+q.arrows = (a,) + q.arrows[1:]
 try:
     verify_cycle_types(q)
 except CertificateError as exc:
@@ -219,31 +291,51 @@ except CertificateError as exc:
 """
 
 
-def test_cycle_types_catches_a_redirected_arrow_under_optimize_flag():
+def _tampered_arrow_verdict(edit):
     out = subprocess.run(
-        [sys.executable, "-O", "-c", _REDIRECT_ARROW_SCRIPT],
+        [sys.executable, "-O", "-c", _REDIRECT_ARROW_SCRIPT, edit],
         env=src_env(), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == (
-        "cycle types span ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "
-        "not the trivial-degree lattice ((1, 0, 5), (0, 1, 3), (0, 0, 7)) False"
-    )
+    return out.stdout.strip()
 
 
-# kernel_generators_cij on 1/7(1,2,4) is tampered two ways: every vector
-# doubled (an index-2^k sublattice), or the unit vector of arrow 0, which c
-# does not kill, appended.  Dropping one vector is no tamper: the vectors
-# are dependent, so the lattice they span does not change.
+_Z3_NOT_M = (
+    "cycle types span ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "
+    "not the trivial-degree lattice ((1, 0, 5), (0, 1, 3), (0, 0, 7)) False"
+)
+
+
+def test_cycle_types_catches_a_redirected_arrow_under_optimize_flag():
+    assert _tampered_arrow_verdict("head") == _Z3_NOT_M
+
+
+def test_cycle_types_catches_a_relabelled_arrow_under_optimize_flag():
+    assert _tampered_arrow_verdict("label") == _Z3_NOT_M
+
+
+# kernel_generators_cij on 1/7(1,2,4) is tampered three ways: every vector
+# doubled (an index-2^k sublattice), or a unit vector, which c does not kill,
+# appended.  Arrow 0 is off the tree, so its unit vector also changes the
+# restricted lattice; the first tree arrow's restricts to zero, and only the
+# check c * g = 0 sees it.  Dropping one vector is no tamper: the vectors are
+# dependent, so the lattice they span does not change.
 _KERNEL_TAMPER_SCRIPT = """
 import sys
 from mckay_moduli import CertificateError, build_group, build_quiver, checks
 
 real = checks.kernel_generators_cij
 q = build_quiver(build_group([7], [[1, 2, 4]]))
-unit = tuple(int(k == 0) for k in range(q.num_arrows))
+first_tree_arrow = checks._tree_cycles(q)[2][0]
+
+
+def unit(k):
+    return tuple(int(j == k) for j in range(q.num_arrows))
+
+
 tamper = {
     "double": lambda gens: [tuple(2 * x for x in g) for g in gens],
-    "unit": lambda gens: list(gens) + [unit],
+    "unit": lambda gens: list(gens) + [unit(0)],
+    "tree-unit": lambda gens: list(gens) + [unit(first_tree_arrow)],
 }[sys.argv[1]]
 checks.kernel_generators_cij = lambda quiver: tamper(real(quiver))
 try:
@@ -253,7 +345,7 @@ except CertificateError as exc:
 """
 
 
-@pytest.mark.parametrize("tamper", ["double", "unit"])
+@pytest.mark.parametrize("tamper", ["double", "unit", "tree-unit"])
 def test_kernel_lattice_catches_tampered_generators_under_optimize_flag(tamper):
     out = subprocess.run(
         [sys.executable, "-O", "-c", _KERNEL_TAMPER_SCRIPT, tamper],
@@ -265,6 +357,9 @@ def test_kernel_lattice_catches_tampered_generators_under_optimize_flag(tamper):
 # Tampers on 1/7(1,2), each pinning one message of the tree-cycle
 # certificates: b with the sign of its entry (0, 0) flipped, which both kernel
 # rows see, and kernel_basis with 1 added to the first entry of each vector.
+# The flipped c no longer kills the commutation vectors through arrow 0, and the
+# flipped b's kernel is the part of ker b with u_0 = 0: its basis vectors are all
+# sums of tree cycles, but one too few.
 _TREE_TAMPER_SCRIPT = """
 import sys
 from mckay_moduli import CertificateError, build_group, build_quiver, checks
@@ -294,9 +389,8 @@ except CertificateError as exc:
 @pytest.mark.parametrize(
     "tamper,verifier,message",
     [
-        ("flip-sign", "verify_kernel_lattice", "b has rank 7, not 6"),
-        ("flip-sign", "verify_closed_walks",
-         "the tree cycle of arrow 0 is not in the kernel of b"),
+        ("flip-sign", "verify_kernel_lattice", "kernel lattices differ"),
+        ("flip-sign", "verify_closed_walks", "kernel basis of b has 7 vectors, not 8"),
         ("plus-one", "verify_closed_walks",
          "kernel vector (1, 0, 0, 0, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0) is not a sum of tree cycles"),
     ],
@@ -370,6 +464,11 @@ def add_non_cycle(rows, basis):
     return basis + [(7,) + (0,) * 13] if len(rows) == 7 else basis
 
 
+def drop_last_cycle(rows, basis):
+    # b's kernel basis one vector short: each vector is still a sum of tree cycles.
+    return basis[:-1] if len(rows) == 7 else basis
+
+
 def half_first_vertex(v):
     return v._replace(vertices=first(v.vertices, lambda vert: first(vert, lambda x: Fraction(1, 2))))
 
@@ -379,7 +478,8 @@ def on_lifted(real, edit):
 
 
 TAMPERS = {
-    "rank-off": ("int_rank", "verify_kernel_lattice", lambda real: lambda rows: real(rows) + 1),
+    "rank-off": ("kernel_basis", "verify_closed_walks",
+                 lambda real: lambda rows: drop_last_cycle(rows, real(rows))),
     "non-cycle": ("kernel_basis", "verify_closed_walks",
                   lambda real: lambda rows: add_non_cycle(rows, real(rows))),
     "negative-flow": ("theta_decompose", "verify_theta_routing",
@@ -413,7 +513,7 @@ print(__debug__)
 """
 
 FAIL_PATHS = [
-    ("rank-off", "kernel-lattice", r"b has rank 7, not 6"),
+    ("rank-off", "closed-walks", r"kernel basis of b has 7 vectors, not 8"),
     ("non-cycle", "closed-walks",
      r"kernel vector \(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\) is not a sum of tree cycles"),
     ("negative-flow", "theta-routing",
@@ -444,7 +544,7 @@ def test_each_fail_path_reports_its_message_under_optimize_flag(tamper, row, mes
 
 def test_every_module_is_reachable_from_the_cli():
     # Relative imports at any depth, function bodies included, from cli.py.
-    # lp.py is the test-only LP reference, which ROADMAP item 5 moves into tests/.
+    # lp.py is the test-only LP reference, which ROADMAP item 7 moves into tests/.
     test_only = {"lp"}
     reached, todo = set(), ["cli"]
     while todo:
@@ -493,14 +593,14 @@ def test_no_unused_imports():
 
 def test_every_definition_is_named_in_the_package():
     # A top-level function or class that only __init__.py and tests name is test-only code.
-    exempt = {"project"}  # polyhedra.project, which ROADMAP item 5 moves into tests/
+    exempt = {"project"}  # polyhedra.project, which ROADMAP item 7 moves into tests/
     defined, named = {}, set()
     for path in sorted(_SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             own = getattr(node, "name", None)
-            # lp.py is the test-only LP reference, which ROADMAP item 5 moves into tests/.
+            # lp.py is the test-only LP reference, which ROADMAP item 7 moves into tests/.
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.name != "lp.py":
                 defined[own] = f"{path.name}:{node.lineno} {own}"
             for sub in ast.walk(node):
