@@ -37,7 +37,7 @@ def _tree_cycles(quiver: McKayQuiver) -> tuple[list[int], list[list[int]], list[
     leaving = [[] for _ in range(quiver.r)]
     for k, a in enumerate(quiver.arrows):
         leaving[a.tail].append((k, a))
-    labels, tree = [None] * quiver.r, []  # build_quiver reached every vertex
+    labels, tree = [None] * quiver.r, []  # closed-walks certifies the tree reaches every vertex
     labels[0] = [0] * quiver.n
     for v in (queue := [0]):
         for k, a in leaving[v]:
@@ -91,25 +91,24 @@ def verify_theta_routing(quiver: McKayQuiver) -> None:
 def verify_closed_walks(quiver: McKayQuiver) -> None:
     """Every integer cycle is an integer sum of tree cycles, closed walks at vertex 0.
 
-    Each vector u of a kernel basis of b is the sum of u_k * z_k over the off-tree arrows,
-    and there is one per off-tree arrow.  So the saturated ker_Z b has full rank in the
-    lattice of the independent z_k: they are a basis of it, and b has rank r - 1.
+    Column k of b is arrow k's head less its tail, and each tree arrow, in breadth-first order,
+    reaches a new vertex from a reached one, r - 1 in all.  On those vertices' rows the tree
+    columns of b are unit triangular: rank b = r - 1 (the columns sum to zero), and restriction
+    to the off-tree arrows is an isomorphism ker_Z b -> Z^off, whose inverse sends e_k to z_k.
     """
-    off, _, tree = _tree_cycles(quiver)
-    arrows, basis = quiver.arrows, kernel_basis(incidence_matrices(quiver).b)
-    for u in basis:
-        # The sum is u off the tree; leaves first, each tree arrow carries what balances its head.
-        total, inflow = list(u), [0] * quiver.r
-        for k in off:
-            inflow[arrows[k].head] += u[k]
-            inflow[arrows[k].tail] -= u[k]
-        for k in reversed(tree):
-            total[k] = -inflow[arrows[k].head]
-            inflow[arrows[k].tail] -= total[k]
-        if total != list(u):
-            raise CertificateError(f"kernel vector {u} is not a sum of tree cycles")
-    if len(basis) != len(off):
-        raise CertificateError(f"kernel basis of b has {len(basis)} vectors, not {len(off)}")
+    arrows, b = quiver.arrows, incidence_matrices(quiver).b
+    for k, (a, column) in enumerate(zip(arrows, map(list, zip(*b)), strict=True)):
+        column[a.head] -= 1
+        column[a.tail] += 1
+        if any(column):
+            raise CertificateError(f"column {k} of b is not arrow {k}'s head less its tail")
+    reached = {0}
+    for k in _tree_cycles(quiver)[2]:
+        if arrows[k].tail not in reached or arrows[k].head in reached:
+            raise CertificateError(f"tree arrow {k} does not reach a new vertex from a reached one")
+        reached.add(arrows[k].head)
+    if len(reached) != quiver.r:
+        raise CertificateError(f"the tree reaches {len(reached)} of {quiver.r} vertices")
 
 
 def verify_cycle_types(quiver: McKayQuiver) -> None:

@@ -28,81 +28,132 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600
 
 _CHECKS = "tests/test_checks.py::"
+_FLOW = "tests/test_flow.py::"
 FAIL_PATH = _CHECKS + "test_each_fail_path_reports_its_message_under_optimize_flag"
 TREE_TAMPER = _CHECKS + "test_tree_cycle_certificates_catch_tampers_under_optimize_flag"
 KERNEL_TAMPER = _CHECKS + "test_kernel_lattice_catches_tampered_generators_under_optimize_flag"
-SUITE = _CHECKS + "test_run_all_suite_groups"
+TAMPERED_TREE = _CHECKS + "test_tampered_tree_fails_closed_walks"
 
 
-def _raise_to_pass(line: str, tests: list[str], after: str = "") -> tuple:
-    """The mutant of checks.py that replaces the raise line, followed by after, by `pass`."""
+def _raise_to_pass(name: str, line: str, tests: list[str], after: str = "") -> tuple:
+    """The mutant of file name that replaces the raise line, followed by after, by `pass`."""
     indent = line[: len(line) - len(line.lstrip())]
-    return ("checks.py", line + after, indent + "pass" + after, tests)
+    return (name, line + after, indent + "pass" + after, tests)
 
 
 # (file under src/mckay_moduli/, exact old text, new text, tests expected to fail)
 MUTANTS = [
     # every raise of checks.py
     _raise_to_pass(
+        "checks.py",
         '        raise CertificateError("kernel lattices differ")',
         [f"{KERNEL_TAMPER}[tree-unit]", f"{TREE_TAMPER}[rank]"],
         after="\n    if row_hnf(",
     ),
     _raise_to_pass(
+        "checks.py",
         '        raise CertificateError("kernel lattices differ")',
         [f"{KERNEL_TAMPER}[double]", f"{KERNEL_TAMPER}[unit]"],
         after="\n\n",
     ),
     _raise_to_pass(
+        "checks.py",
         '            raise CertificateError(f"flow {u} for theta {theta} is not a nonnegative integer vector")',
         [f"{FAIL_PATH}[negative-flow]"],
     ),
     _raise_to_pass(
+        "checks.py",
         '            raise CertificateError(f"flow {u} does not route theta {theta}")',
         [f"{FAIL_PATH}[extra-flow]"],
     ),
     _raise_to_pass(
-        '            raise CertificateError(f"kernel vector {u} is not a sum of tree cycles")',
-        [f"{FAIL_PATH}[non-cycle]", f"{TREE_TAMPER}[kernel-vector]",
-         _CHECKS + "test_tampered_tree_fails_closed_walks"],
+        "checks.py",
+        '            raise CertificateError(f"column {k} of b is not arrow {k}\'s head less its tail")',
+        [f"{TREE_TAMPER}[tree-cycle]", f"{TREE_TAMPER}[kernel-vector]"],
     ),
     _raise_to_pass(
-        '        raise CertificateError(f"kernel basis of b has {len(basis)} vectors, not {len(off)}")',
-        [f"{FAIL_PATH}[rank-off]", f"{TREE_TAMPER}[tree-cycle]"],
+        "checks.py",
+        '            raise CertificateError(f"tree arrow {k} does not reach a new vertex from a reached one")',
+        [f"{FAIL_PATH}[non-cycle]", TAMPERED_TREE],
     ),
     _raise_to_pass(
+        "checks.py",
+        '        raise CertificateError(f"the tree reaches {len(reached)} of {quiver.r} vertices")',
+        [f"{FAIL_PATH}[rank-off]"],
+    ),
+    _raise_to_pass(
+        "checks.py",
         '        raise CertificateError(f"cycle types span {types}, not the trivial-degree lattice {lattice}")',
         [f"{FAIL_PATH}[doubled-lattice]",
          _CHECKS + "test_cycle_types_catches_a_redirected_arrow_under_optimize_flag",
          _CHECKS + "test_cycle_types_catches_a_relabelled_arrow_under_optimize_flag"],
     ),
     _raise_to_pass(
+        "checks.py",
         '            raise CertificateError(f"flow polyhedron of theta {theta} is empty")',
         [f"{FAIL_PATH}[no-vertices]"],
     ),
     _raise_to_pass(
+        "checks.py",
         '                raise CertificateError(f"flow vertex {vert} is not integral")',
         [f"{FAIL_PATH}[half-vertex]"],
     ),
     _raise_to_pass(
+        "checks.py",
         '        raise CertificateError("H-descriptions differ between constructions")',
         [f"{FAIL_PATH}[drop-inequality]"],
     ),
     _raise_to_pass(
+        "checks.py",
         '        raise CertificateError("V-descriptions differ between constructions")',
         [f"{FAIL_PATH}[drop-vertex]"],
     ),
-    # closed-walks: the tree completion and the count
-    ("checks.py", "        for k in reversed(tree):", "        for k in tree:", [SUITE]),
-    ("checks.py", "total[k] = -inflow[", "total[k] = inflow[", [SUITE]),
-    ("checks.py", "            inflow[arrows[k].tail] -= total[k]\n", "", [SUITE]),
-    ("checks.py", "    if len(basis) != len(off):", "    if len(basis) > len(off):",
-     [f"{FAIL_PATH}[rank-off]", f"{TREE_TAMPER}[tree-cycle]"]),
+    # closed-walks: a tree arrow may arrive at a vertex already reached
+    ("checks.py", " or arrows[k].head in reached:", ":", [f"{TAMPERED_TREE}[swapped-arrow]"]),
     # _tree_cycles: the label counts and the types read off them
     ("checks.py", "                labels[a.head][a.label - 1] += 1\n", "",
      [_CHECKS + "test_cycle_type_identification_bound_six"]),
     ("checks.py", "            types[-1][a.label - 1] += 1", "            types[-1][a.label - 1] -= 1",
      [_CHECKS + "test_cycle_type_identification_bound_six"]),
+    # every raise of flow.py's certificate check that can fire, and min_cost_flow's cost
+    # validation.  "duality gap between flow and potentials" is left out: routing and
+    # complementary slackness give cost . u = theta . y, so once the raises before it
+    # pass, it cannot fire.
+    _raise_to_pass(
+        "flow.py",
+        '        raise CertificateError("flow certificate has the wrong shape")',
+        [_FLOW + "test_tampered_flow_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '            raise CertificateError(f"negative flow on arrow {k}")',
+        [_FLOW + "test_tampered_flow_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '            raise CertificateError(f"negative reduced cost on arrow {k}")',
+        [_FLOW + "test_tampered_potential_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '            raise CertificateError(f"complementary slackness fails on arrow {k}")',
+        [_FLOW + "test_tampered_cost_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '        raise CertificateError("flow does not route theta")',
+        [_FLOW + "test_tampered_flow_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '        raise CertificateError("flow cost does not match the value")',
+        [_FLOW + "test_tampered_value_raises"],
+    ),
+    _raise_to_pass(
+        "flow.py",
+        '        raise CertificateError("flow costs must be nonnegative integers")',
+        [_FLOW + "test_kernel_rejects_bad_input"],
+    ),
 ]
 
 

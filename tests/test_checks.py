@@ -38,10 +38,10 @@ def test_kernel_lattice_on_larger_groups():
     # The binomial vectors generate the full integer kernel, and every integer
     # cycle is a sum of tree cycles, also at sizes where the general
     # enumeration checks are skipped: n = 4, a non-cyclic group, the trivial
-    # group, n = 1, and r = 61 and 127.
+    # group, n = 1, r = 61 and 127, and loops beside a spanning tree (label 3 of 1/3(1,2,0)).
     beyond = [
         "1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)",
-        "1/127(1,19,107)",
+        "1/127(1,19,107)", "1/3(1,2,0)",
     ]
     groups = [([11], [[1, 2, 8]]), ([6], [[1, 2, 3]]), ([13], [[1, 5]])]
     for orders, weights in groups + [parse_group_spec(spec) for spec in beyond]:
@@ -66,14 +66,17 @@ def test_theta_routing_hundred_parameters():
 
 def test_cycle_type_identification_bound_six():
     # The suite groups, then n = 4, a non-cyclic group, the trivial group, n = 1, r = 61
-    # and three groups up to r = 1021, where the sparse tree keeps the row in milliseconds.
+    # and three groups up to r = 1021, where the sparse tree keeps cycle-types in
+    # milliseconds and closed-walks, which reads b column by column, under a second.
     beyond = [
         "1/8(1,3,5,7)", "2x4:1,1,0;0,1,3", "1/1(1,1)", "1/2(1)", "1/61(1,11,49)",
         "1/251(1,20,230)", "1/509(1,30,478)", "1/1021(1,45,975)",
     ]
     groups = [(orders, weights) for _, orders, weights in SUITE_GROUPS]
     for orders, weights in groups + [parse_group_spec(spec) for spec in beyond]:
-        verify_cycle_types(build_quiver(build_group(orders, weights)))
+        q = build_quiver(build_group(orders, weights))
+        verify_cycle_types(q)
+        verify_closed_walks(q)
 
 
 def _cycle_types(q):
@@ -186,25 +189,28 @@ def _swapped_arrow(off, types, tree):
 
 
 @pytest.mark.parametrize(
-    "tamper,rows",
+    "tamper,rows,arrow",
     [
-        (_reversed_tree, {"closed-walks"}),
-        (_swapped_arrow, {"kernel-lattice", "closed-walks"}),
+        (_reversed_tree, {"closed-walks"}, 4),
+        (_swapped_arrow, {"kernel-lattice", "closed-walks"}, 0),
     ],
     ids=["out-of-bfs-order", "swapped-arrow"],
 )
-def test_tampered_tree_fails_closed_walks(monkeypatch, tamper, rows):
-    # The completion fills the tree arrows leaves first; out of order, or with a
-    # tree arrow that is not one, it misses what balances some head.
+def test_tampered_tree_fails_closed_walks(monkeypatch, tamper, rows, arrow):
+    # Reversed, the first tree arrow (4) leaves vertex 3 before the tree reaches it;
+    # swapped in, off-tree arrow 0 arrives at vertex 0, which is reached from the start.
     real = checks._tree_cycles
     monkeypatch.setattr(checks, "_tree_cycles", lambda quiver: tamper(*real(quiver)))
     results = run_all(build_quiver(build_group([7], [[1, 2]])))
     failed = {name: detail for name, ok, detail in results if not ok}
     assert set(failed) == rows
-    assert re.fullmatch(r"kernel vector \(.*\) is not a sum of tree cycles", failed["closed-walks"])
+    assert failed["closed-walks"] == (
+        f"tree arrow {arrow} does not reach a new vertex from a reached one"
+    )
 
 
-def test_run_all_builds_one_kernel_basis_of_b(monkeypatch):
+def test_run_all_builds_no_kernel_basis_of_b(monkeypatch):
+    # closed-walks checks the tree's columns against b; no row eliminates on b.
     q = build_quiver(build_group([7], [[1, 2]]))
     b = [list(row) for row in incidence_matrices(q).b]
     real, on_b = checks.kernel_basis, []
@@ -221,8 +227,8 @@ def test_run_all_builds_one_kernel_basis_of_b(monkeypatch):
         return on_b.count(True)
 
     assert calls_on_b(verify_cycle_types) == 0
-    assert calls_on_b(verify_closed_walks) == 1
-    assert calls_on_b(run_all) == 1
+    assert calls_on_b(verify_closed_walks) == 0
+    assert calls_on_b(run_all) == 0
 
 
 def test_closed_walks_random_kernel_vectors():
@@ -355,30 +361,30 @@ def test_kernel_lattice_catches_tampered_generators_under_optimize_flag(tamper):
 
 
 # Tampers on 1/7(1,2), each pinning one message of the tree-cycle
-# certificates: b with the sign of its entry (0, 0) flipped, which both kernel
-# rows see, and kernel_basis with 1 added to the first entry of each vector.
-# The flipped c no longer kills the commutation vectors through arrow 0, and the
-# flipped b's kernel is the part of ker b with u_0 = 0: its basis vectors are all
-# sums of tree cycles, but one too few.
+# certificates: b with the sign of one entry flipped, either (0, 0), which both
+# kernel rows see, or the head of the first tree arrow (11), so that a tree
+# column is covered too.  The flipped c no longer kills the commutation vectors
+# through arrow 0, and neither flipped column is its arrow's head less its tail.
 _TREE_TAMPER_SCRIPT = """
 import sys
 from mckay_moduli import CertificateError, build_group, build_quiver, checks
 
-real_inc, real_basis = checks.incidence_matrices, checks.kernel_basis
+real_inc = checks.incidence_matrices
 
 
-def flip_sign(quiver):
+def flip_sign(quiver, v, k):
     inc = real_inc(quiver)
-    b = ((-inc.b[0][0],) + inc.b[0][1:],) + inc.b[1:]
+    b = [list(row) for row in inc.b]
+    b[v][k] = -b[v][k]
+    b = tuple(map(tuple, b))
     return inc._replace(b=b, c=b + inc.d)
 
 
 tamper, verifier = sys.argv[1:]
-if tamper == "flip-sign":
-    checks.incidence_matrices = flip_sign
-else:
-    checks.kernel_basis = lambda rows: [(v[0] + 1,) + tuple(v[1:]) for v in real_basis(rows)]
 q = build_quiver(build_group([7], [[1, 2]]))
+tree_arrow = checks._tree_cycles(q)[2][0]
+v, k = (0, 0) if tamper == "flip-sign" else (q.arrows[tree_arrow].head, tree_arrow)
+checks.incidence_matrices = lambda quiver: flip_sign(quiver, v, k)
 try:
     getattr(checks, verifier)(q)
 except CertificateError as exc:
@@ -390,9 +396,8 @@ except CertificateError as exc:
     "tamper,verifier,message",
     [
         ("flip-sign", "verify_kernel_lattice", "kernel lattices differ"),
-        ("flip-sign", "verify_closed_walks", "kernel basis of b has 7 vectors, not 8"),
-        ("plus-one", "verify_closed_walks",
-         "kernel vector (1, 0, 0, 0, 1, -1, 1, 0, 0, 0, 0, 0, 0, 0) is not a sum of tree cycles"),
+        ("flip-sign", "verify_closed_walks", "column 0 of b is not arrow 0's head less its tail"),
+        ("flip-tree", "verify_closed_walks", "column 11 of b is not arrow 11's head less its tail"),
     ],
     ids=["rank", "tree-cycle", "kernel-vector"],
 )
@@ -459,18 +464,13 @@ def double_one_row_kernel(rows, basis):
     return [tuple(2 * x for x in v) for v in basis] if len(rows) == 1 else basis
 
 
-def add_non_cycle(rows, basis):
-    # Only b has seven rows, and only closed-walks asks for its kernel.  7 * e_0 is no cycle.
-    return basis + [(7,) + (0,) * 13] if len(rows) == 7 else basis
-
-
-def drop_last_cycle(rows, basis):
-    # b's kernel basis one vector short: each vector is still a sum of tree cycles.
-    return basis[:-1] if len(rows) == 7 else basis
-
-
 def half_first_vertex(v):
     return v._replace(vertices=first(v.vertices, lambda vert: first(vert, lambda x: Fraction(1, 2))))
+
+
+def on_tree(cycles, edit):
+    off, types, tree = cycles
+    return off, types, edit(tree)
 
 
 def on_lifted(real, edit):
@@ -478,10 +478,12 @@ def on_lifted(real, edit):
 
 
 TAMPERS = {
-    "rank-off": ("kernel_basis", "verify_closed_walks",
-                 lambda real: lambda rows: drop_last_cycle(rows, real(rows))),
-    "non-cycle": ("kernel_basis", "verify_closed_walks",
-                  lambda real: lambda rows: add_non_cycle(rows, real(rows))),
+    # The tree one arrow short, its columns one short of rank r - 1; or reversed, its
+    # first arrow leaving an unreached vertex, so its paths from 0 close no cycle.
+    "rank-off": ("_tree_cycles", "verify_closed_walks",
+                 lambda real: lambda quiver: on_tree(real(quiver), lambda tree: tree[:-1])),
+    "non-cycle": ("_tree_cycles", "verify_closed_walks",
+                  lambda real: lambda quiver: on_tree(real(quiver), lambda tree: tree[::-1])),
     "negative-flow": ("theta_decompose", "verify_theta_routing",
                       lambda real: lambda quiver, theta: first(real(quiver, theta), lambda x: x - 1)),
     "extra-flow": ("theta_decompose", "verify_theta_routing",
@@ -513,9 +515,8 @@ print(__debug__)
 """
 
 FAIL_PATHS = [
-    ("rank-off", "closed-walks", r"kernel basis of b has 7 vectors, not 8"),
-    ("non-cycle", "closed-walks",
-     r"kernel vector \(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\) is not a sum of tree cycles"),
+    ("rank-off", "closed-walks", r"the tree reaches 6 of 7 vertices"),
+    ("non-cycle", "closed-walks", r"tree arrow 4 does not reach a new vertex from a reached one"),
     ("negative-flow", "theta-routing",
      r"flow \(.*\) for theta \(.*\) is not a nonnegative integer vector"),
     ("extra-flow", "theta-routing", r"flow \(.*\) does not route theta \(.*\)"),
