@@ -37,17 +37,23 @@ _RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
 SCHEMA = "mckay-moduli/1"
 
 
-def _int_tokens(text: str, offset: int, sep: str):
+def _pieces(text: str, offset: int, sep: str):
+    """Yield each piece of text (which starts at offset) between seps from its first non-space
+    character on, with that character's position, or the piece's end if it is all spaces."""
+    for piece in text.split(sep):
+        yield piece.lstrip(), offset + len(piece) - len(piece.lstrip())
+        offset += len(piece) + len(sep)
+
+
+def _ints(text: str, offset: int):
+    """The comma-separated integers of text, which starts at offset."""
     items = []
-    pos = offset
-    for tok in text.split(sep):
-        stripped = tok.strip()
-        inner = pos + (len(tok) - len(tok.lstrip()))
-        if not stripped or not _INT.fullmatch(stripped):
-            raise GroupSpecError(f"expected an integer, got {stripped!r}", inner)
-        items.append(int(stripped))
-        pos += len(tok) + len(sep)
-    return items
+    for tok, pos in _pieces(text, offset, ","):
+        tok = tok.rstrip()
+        if not _INT.fullmatch(tok):
+            raise GroupSpecError(f"expected an integer, got {tok!r}", pos)
+        items.append(int(tok))
+    return tuple(items)
 
 
 def parse_group_spec(spec: str):
@@ -62,47 +68,32 @@ def parse_group_spec(spec: str):
     if not s:
         raise GroupSpecError("empty group spec", 0)
     if s.startswith("1/"):
-        i = 2
-        m = _ORDER.match(s, i)
+        m = _ORDER.match(s, 2)
         if not m:
-            raise GroupSpecError("expected the cyclic order after '1/'", base + i)
+            raise GroupSpecError("expected the cyclic order after '1/'", base + 2)
         j = m.end()
-        r = int(m.group())
-        if r < 1:
-            raise GroupSpecError("cyclic order must be positive", base + i)
+        if int(m.group()) < 1:
+            raise GroupSpecError("cyclic order must be positive", base + 2)
         if j >= len(s) or s[j] != "(":
             raise GroupSpecError("expected '(' after the cyclic order", base + j)
         if not s.endswith(")"):
             raise GroupSpecError("expected closing ')'", base + len(s) - 1)
-        row = _int_tokens(s[j + 1 : -1], base + j + 1, ",")
-        return (r,), (tuple(row),)
+        return (int(m.group()),), (_ints(s[j + 1 : -1], base + j + 1),)
     if ":" in s:
         head, _, tail = s.partition(":")
         orders = []
-        pos = base
-        for tok in head.split("x"):
-            stripped = tok.strip()
-            inner = pos + (len(tok) - len(tok.lstrip()))
-            if not stripped or not _ORDER.fullmatch(stripped):
-                raise GroupSpecError(
-                    f"expected a positive cycle order, got {stripped!r}", inner
-                )
-            if int(stripped) < 1:
-                raise GroupSpecError("cycle orders must be positive", inner)
-            orders.append(int(stripped))
-            pos += len(tok) + 1
-        rows = []
-        pos = base + len(head) + 1
-        row_texts = tail.split(";")
-        if len(row_texts) != len(orders):
-            raise GroupSpecError(
-                f"expected {len(orders)} weight rows, got {len(row_texts)}",
-                pos,
-            )
-        for rt in row_texts:
-            rows.append(tuple(_int_tokens(rt, pos, ",")))
-            pos += len(rt) + 1
-        return tuple(orders), tuple(rows)
+        for tok, pos in _pieces(head, base, "x"):
+            tok = tok.rstrip()
+            if not _ORDER.fullmatch(tok):
+                raise GroupSpecError(f"expected a positive cycle order, got {tok!r}", pos)
+            if int(tok) < 1:
+                raise GroupSpecError("cycle orders must be positive", pos)
+            orders.append(int(tok))
+        at = base + len(head) + 1
+        rows = list(_pieces(tail, at, ";"))
+        if len(rows) != len(orders):
+            raise GroupSpecError(f"expected {len(orders)} weight rows, got {len(rows)}", at)
+        return tuple(orders), tuple(_ints(row, pos) for row, pos in rows)
     raise GroupSpecError(
         "unrecognized group spec; use '1/r(a1,...,an)' or 'r1x...xrk:row1;...;rowk'",
         base,

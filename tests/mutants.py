@@ -33,6 +33,11 @@ FAIL_PATH = _CHECKS + "test_each_fail_path_reports_its_message_under_optimize_fl
 TREE_TAMPER = _CHECKS + "test_tree_cycle_certificates_catch_tampers_under_optimize_flag"
 KERNEL_TAMPER = _CHECKS + "test_kernel_lattice_catches_tampered_generators_under_optimize_flag"
 TAMPERED_TREE = _CHECKS + "test_tampered_tree_fails_closed_walks"
+_MODULI = "tests/test_moduli.py::"
+REP_TAMPER = _MODULI + "test_rep_certificate_checks_survive_optimize_flag"
+_CLI = "tests/test_cli.py::"
+EXIT_2 = _CLI + "test_input_errors_exit_2_with_one_line"
+PIECES = _CLI + "test_group_spec_errors_point_at_the_bad_piece"
 
 
 def _raise_to_pass(name: str, line: str, tests: list[str], after: str = "") -> tuple:
@@ -153,6 +158,86 @@ MUTANTS = [
         "flow.py",
         '        raise CertificateError("flow costs must be nonnegative integers")',
         [_FLOW + "test_kernel_rejects_bad_input"],
+    ),
+    # every raise of moduli.py
+    _raise_to_pass(
+        "moduli.py",
+        '                raise CertificateError("flow minimum lies above an inner facet")',
+        [_MODULI + "test_oracle_rejects_a_flow_minimum_above_its_row"],
+    ),
+    _raise_to_pass(
+        "moduli.py",
+        '        raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")',
+        [_MODULI + "test_charts_reject_a_fractional_vertex"],
+    ),
+    _raise_to_pass(
+        "moduli.py",
+        '            raise CertificateError(f"arrow relation fails at vertex {quiver.arrows[p1].head}")',
+        [f"{REP_TAMPER}[broken-square]"],
+    ),
+    _raise_to_pass(
+        "moduli.py",
+        '        raise CertificateError("the optimal face has no greatest potential")',
+        [f"{REP_TAMPER}[flow-not-optimal]"],
+    ),
+    _raise_to_pass(
+        "moduli.py",
+        '        raise CertificateError("the greatest potential is not optimal")',
+        [f"{REP_TAMPER}[wrong-flow-value]", f"{REP_TAMPER}[potential-not-greatest]"],
+    ),
+    # every raise of the group spec parser in cli.py
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError(f"expected an integer, got {tok!r}", pos)',
+        [f"{EXIT_2}[GroupSpecError]", PIECES],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '        raise GroupSpecError("empty group spec", 0)',
+        [f"{EXIT_2}[EmptySpec]"],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError("expected the cyclic order after \'1/\'", base + 2)',
+        [f"{EXIT_2}[NoCyclicOrder]", PIECES],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError("cyclic order must be positive", base + 2)',
+        [f"{EXIT_2}[ZeroCyclicOrder]", PIECES],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError("expected \'(\' after the cyclic order", base + j)',
+        [f"{EXIT_2}[NoOpenParen]"],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError("expected closing \')\'", base + len(s) - 1)',
+        [f"{EXIT_2}[NoCloseParen]"],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '                raise GroupSpecError(f"expected a positive cycle order, got {tok!r}", pos)',
+        [f"{EXIT_2}[BadCycleOrder]", PIECES],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '                raise GroupSpecError("cycle orders must be positive", pos)',
+        [f"{EXIT_2}[ZeroCycleOrder]", PIECES],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '            raise GroupSpecError(f"expected {len(orders)} weight rows, got {len(rows)}", at)',
+        [f"{EXIT_2}[RowCount]", _CLI + "test_parse_group_spec_error_positions"],
+    ),
+    _raise_to_pass(
+        "cli.py",
+        '''    raise GroupSpecError(
+        "unrecognized group spec; use '1/r(a1,...,an)' or 'r1x...xrk:row1;...;rowk'",
+        base,
+    )''',
+        [f"{EXIT_2}[Unrecognized]"],
     ),
 ]
 

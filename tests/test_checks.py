@@ -231,11 +231,6 @@ def test_run_all_builds_no_kernel_basis_of_b(monkeypatch):
     assert calls_on_b(run_all) == 0
 
 
-def test_closed_walks_random_kernel_vectors():
-    q = build_quiver(build_group([7], [[1, 2]]))
-    verify_closed_walks(q)
-
-
 def test_random_parameter_sums_to_zero():
     q = build_quiver(build_group([5], [[1, 2]]))
     rng = random.Random(0)

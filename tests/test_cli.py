@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from conftest import src_env
@@ -55,11 +57,84 @@ def test_parse_group_spec_error_positions():
     assert err.value.position == 2
     with pytest.raises(GroupSpecError) as err:
         parse_group_spec("2x2:1,0")
-    assert err.value.position >= 0
+    assert err.value.position == 4
     with pytest.raises(GroupSpecError):
         parse_group_spec("")
     with pytest.raises(GroupSpecError):
         parse_group_spec("7(1,2)")
+
+
+_PAD = st.sampled_from(["", " ", "  "])
+# Texts that each kind of piece must reject.  "1/1.5(" is read as the order 1 followed
+# by a stray ".", so "1.5" is not a bad cyclic order at the order's own position.
+_BAD = {
+    "order": ["", "a", "²", "1.5", "-2", "0"],
+    "cyclic order": ["", "a", "²", "-2", "0"],
+    "weight": ["", "a", "²", "1.5"],
+}
+
+
+@st.composite
+def _built_specs(draw):
+    """(orders, rows, parts) for a spec in either grammar.  The parts, joined, are the spec:
+    separators as strings and each order and weight as [kind, lead, text, trail], with 0-2
+    spaces on either side (none inside "1/r(", where the grammar allows none)."""
+    cyclic = draw(st.booleans())
+    k = 1 if cyclic else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    orders = draw(st.lists(st.integers(1, 60), min_size=k, max_size=k))
+    rows = [draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)) for _ in range(k)]
+
+    def pieces(kind, values, sep):
+        out = []
+        for v in values:
+            out += [sep, [kind, draw(_PAD), str(v), draw(_PAD)]]
+        return out[1:]
+
+    if cyclic:
+        parts = ["1/", ["cyclic order", "", str(orders[0]), ""], "(",
+                 *pieces("weight", rows[0], ","), ")"]
+    else:
+        parts = [*pieces("order", orders, "x"), ":"]
+        for i, row in enumerate(rows):
+            parts += [";"] * (i > 0) + pieces("weight", row, ",")
+    parts = [draw(_PAD), *parts, draw(_PAD)]
+    return tuple(orders), tuple(map(tuple, rows)), parts
+
+
+def _render(parts, at=None, text=None):
+    """The spec, with piece number `at` holding text, and the position where that piece starts."""
+    spec, start, count = "", None, 0
+    for part in parts:
+        if isinstance(part, str):
+            spec += part
+            continue
+        _, lead, value, trail = part
+        if count == at:
+            start, value = len(spec), text
+        spec += lead + value + trail
+        count += 1
+    return spec, start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_built_specs(), st.data())
+def test_group_spec_errors_point_at_the_bad_piece(built, data):
+    orders, rows, parts = built
+    assert parse_group_spec(_render(parts)[0]) == (orders, rows)
+    pieces = [p for p in parts if not isinstance(p, str)]
+    at = data.draw(st.integers(0, len(pieces) - 1))
+    kind, lead, _, trail = pieces[at]
+    bad = data.draw(st.sampled_from(_BAD[kind]))
+    spec, start = _render(parts, at, bad)
+    with pytest.raises(GroupSpecError) as err:
+        parse_group_spec(spec)
+    if bad:
+        assert err.value.position == start + len(lead)
+    else:
+        # An empty piece is reported where its spaces end, or where they begin when they
+        # run into the spec's trailing spaces, which the parser strips first.
+        assert err.value.position == min(start + len(lead) + len(trail), len(spec.rstrip()))
 
 
 def test_quiver_json_golden(capsys):
@@ -457,6 +532,18 @@ MALFORMED = {
     "ZeroCycleOrder": (
         ("quiver", "--group", "0x2:1;1"),
         "cycle orders must be positive (at position 0)",
+    ),
+    "BadCycleOrder": (
+        ("quiver", "--group", "2xa:1;1"),
+        "expected a positive cycle order, got 'a' (at position 2)",
+    ),
+    "RowCount": (
+        ("quiver", "--group", "2x2:1,0"),
+        "expected 2 weight rows, got 1 (at position 4)",
+    ),
+    "Unrecognized": (
+        ("quiver", "--group", "7(1,2)"),
+        "unrecognized group spec; use '1/r(a1,...,an)' or 'r1x...xrk:row1;...;rowk' (at position 0)",
     ),
     "BadShape": (
         ("rep", "--group", "1/7(1,2,4)", "--ghilb", "-w", "1,2"),
