@@ -38,18 +38,24 @@ SCHEMA = "mckay-moduli/1"
 
 
 def _pieces(text: str, offset: int, sep: str):
-    """Yield each piece of text (which starts at offset) between seps from its first non-space
-    character on, with that character's position, or the piece's end if it is all spaces."""
+    """Yield each piece of text (which starts at offset) between seps, with its position."""
     for piece in text.split(sep):
-        yield piece.lstrip(), offset + len(piece) - len(piece.lstrip())
+        yield piece, offset
         offset += len(piece) + len(sep)
+
+
+def _tokens(text: str, offset: int, sep: str):
+    """Yield each piece of text stripped, at its first non-space character, or at its start
+    if it is all spaces."""
+    for piece, pos in _pieces(text, offset, sep):
+        tok = piece.strip()
+        yield tok, pos + (len(piece) - len(piece.lstrip()) if tok else 0)
 
 
 def _ints(text: str, offset: int):
     """The comma-separated integers of text, which starts at offset."""
     items = []
-    for tok, pos in _pieces(text, offset, ","):
-        tok = tok.rstrip()
+    for tok, pos in _tokens(text, offset, ","):
         if not _INT.fullmatch(tok):
             raise GroupSpecError(f"expected an integer, got {tok!r}", pos)
         items.append(int(tok))
@@ -80,16 +86,16 @@ def parse_group_spec(spec: str):
             raise GroupSpecError("expected closing ')'", base + len(s) - 1)
         return (int(m.group()),), (_ints(s[j + 1 : -1], base + j + 1),)
     if ":" in s:
-        head, _, tail = s.partition(":")
+        # Split the spec with its leading spaces, which belong to the first order.
+        head, _, tail = spec.rstrip().partition(":")
         orders = []
-        for tok, pos in _pieces(head, base, "x"):
-            tok = tok.rstrip()
+        for tok, pos in _tokens(head, 0, "x"):
             if not _ORDER.fullmatch(tok):
                 raise GroupSpecError(f"expected a positive cycle order, got {tok!r}", pos)
             if int(tok) < 1:
                 raise GroupSpecError("cycle orders must be positive", pos)
             orders.append(int(tok))
-        at = base + len(head) + 1
+        at = len(head) + 1
         rows = list(_pieces(tail, at, ";"))
         if len(rows) != len(orders):
             raise GroupSpecError(f"expected {len(orders)} weight rows, got {len(rows)}", at)
@@ -324,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     add_theta(sp)
     sp.add_argument("--lifted", action="store_true",
-                    help="enumerate the flow polyhedron and project (can be huge) "
-                    "instead of certifying facets with min-cost flows")
+                    help="cut the polyhedron out by the extreme rays of the potential cone "
+                    "(grows exponentially) instead of certifying facets with min-cost flows")
     sp.add_argument("--charts", type=int, metavar="BOUND", help="chart reports up to degree BOUND")
     sp.add_argument("--svg", help="write a barycentric cross-section (3 coordinates only)")
 

@@ -30,7 +30,8 @@ from .polyhedra import (
     _dot,
     _homogeneous,
     _unit_rows,
-    image_descriptions,
+    cone_double_description,
+    h_to_v,
     normal_fan,
     v_to_h,
 )
@@ -122,13 +123,31 @@ def theta_polyhedron(quiver: McKayQuiver, theta) -> ThetaPolyhedron:
 
 
 def lifted_theta_polyhedron(quiver: McKayQuiver, theta) -> ThetaPolyhedron:
-    """The type polyhedron as the image of the flow polyhedron, by its defining construction.
+    """The type polyhedron cut out by the extreme rays of its projection cone (Balas 1998).
 
-    The extreme rays of the homogenized flow cone, exponentially many, go
-    straight into type space; the closing and its output are theta_polyhedron's.
+    By Farkas' lemma, m = d * u for some u >= 0 with b * u = theta exactly
+    when c . m >= -theta . y for every (c, y) in the potential cone
+    W = {c_label + y_head - y_tail >= 0 for every arrow, y_0 = 0}, and W's
+    extreme rays suffice.  W does not depend on theta and lives in
+    n + r - 1 dimensions; no flow is enumerated or solved.  Each ray is
+    checked against every arrow row, so by weak duality each cut is valid.
+    The closing and its output are theta_polyhedron's.
     """
-    flows = lifted_flow_polyhedron(quiver, stability_parameter(quiver, theta))
-    return _closing(quiver, *image_descriptions(flows, incidence_matrices(quiver).d))
+    n, theta = quiver.n, stability_parameter(quiver, theta)
+    rows = []
+    for a in quiver.arrows:
+        row = [0] * (n + quiver.r)
+        row[a.label - 1] = 1
+        row[n + a.head] += 1
+        row[n + a.tail] -= 1
+        rows.append(tuple(row[:n] + row[n + 1:]))
+    cuts = []
+    for ray in cone_double_description(rows, [], n + quiver.r - 1):
+        if any(_dot(row, ray) < 0 for row in rows):
+            raise CertificateError(f"ray {ray} of the potential cone violates an arrow row")
+        cuts.append((ray[:n], -_dot(theta[1:], ray[n:])))
+    v = h_to_v(HPolyhedron(n, tuple(cuts)))
+    return _closing(quiver, v_to_h(v), v.vertices)
 
 
 class ChartReport(namedtuple("ChartReport", "vertex bound generators missing")):

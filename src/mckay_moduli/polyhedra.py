@@ -223,38 +223,23 @@ def _unit_rows(d):
     return [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
 
 
-def cone_double_description(ineq_rows, eq_rows, dim, image=None):
+def cone_double_description(ineq_rows, eq_rows, dim):
     """Extreme rays of the pointed cone {x : ineq . x >= 0, eq . x == 0}.
 
     Input rows are integer vectors of length dim.  The inequality rows must
     span the dual of the equations' kernel, so the cone has no lineality;
     ModuliError is raised otherwise.  Rays come back primitive and
-    lexicographically sorted, so the output is canonical.  With image, an
-    integer matrix given by rows of length dim, each ray x is replaced by
-    image . x made primitive; zero images are dropped and duplicates merged.
+    lexicographically sorted, so the output is canonical.
     """
-    sub = kernel_basis(eq_rows) if eq_rows else _unit_rows(dim)
+    if not eq_rows:
+        return sorted(_pointed_dd(ineq_rows, dim))
+    sub = kernel_basis(eq_rows)
     if not sub:
         return []
-    if eq_rows:
-        ineq_rows = [tuple(_dot(row, s) for s in sub) for row in ineq_rows]
-
-    # A kernel ray y maps to the sum of y[j] * maps[j], maps[j] = image . sub[j]
-    # (or sub[j]): coordinate i of the image is the dot product of y with cols[i].
-    maps = sub if image is None else [tuple(_dot(row, s) for row in image) for s in sub]
-    cols = list(zip(*maps))
-
-    def back(y) -> Vec:
-        return _primitive([sum(map(mul, y, col)) for col in cols])
-
-    return sorted({img for y in _pointed_dd(ineq_rows, len(sub)) if any(img := back(y))})
-
-
-def _cone_rows(h: HPolyhedron):
-    """Inequality and equation rows of the cone over h, with the row t >= 0 first."""
-    ineq_rows = [(0,) * h.dim + (1,)]
-    ineq_rows += [_clear_denominators(tuple(a) + (-b,)) for a, b in h.inequalities]
-    return ineq_rows, [_clear_denominators(tuple(a) + (-b,)) for a, b in h.equations]
+    rays = _pointed_dd([tuple(_dot(row, s) for s in sub) for row in ineq_rows], len(sub))
+    # A kernel ray y maps to the sum of y[j] * sub[j]: coordinate i is y . cols[i].
+    cols = list(zip(*sub))
+    return sorted(_primitive([sum(map(mul, y, col)) for col in cols]) for y in rays)
 
 
 def _dehomogenize(gens):
@@ -280,7 +265,11 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     even when the polyhedron is empty.  The empty polyhedron comes back as
     the VPolyhedron with no generators.
     """
-    verts, vrays = _dehomogenize(cone_double_description(*_cone_rows(h), h.dim + 1))
+    # The cone over h, with the row t >= 0 first.
+    ineq_rows = [(0,) * h.dim + (1,)]
+    ineq_rows += [_clear_denominators(tuple(a) + (-b,)) for a, b in h.inequalities]
+    eq_rows = [_clear_denominators(tuple(a) + (-b,)) for a, b in h.equations]
+    verts, vrays = _dehomogenize(cone_double_description(ineq_rows, eq_rows, h.dim + 1))
     return VPolyhedron(dim=h.dim, vertices=tuple(verts), rays=tuple(vrays) if verts else ())
 
 
@@ -309,8 +298,8 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     return HPolyhedron(dim=d, inequalities=tuple(inequalities))
 
 
-def _hull(dim, gens) -> tuple[HPolyhedron, list]:
-    """Canonical H-description and points of the polyhedron with distinct generators gens (..., t).
+def _hull(dim, gens) -> HPolyhedron:
+    """Canonical H-description of the polyhedron with distinct generators gens (..., t).
 
     When every unit vector is among the rays, the orthant lies in the
     recession cone, so a point that dominates another coordinatewise is
@@ -325,7 +314,7 @@ def _hull(dim, gens) -> tuple[HPolyhedron, list]:
             if not any(all(map(le, f, pt)) for f in reversed(front)):
                 front.append(pt)
         pts = front
-    return v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys))), pts
+    return v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys)))
 
 
 def project(v: VPolyhedron, rows) -> VPolyhedron:
@@ -341,16 +330,7 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     lift = [tuple(row) + (0,) for row in rows] + [(0,) * v.dim + (1,)]
     gens = [_homogeneous(vert) for vert in v.vertices] + [tuple(ray) + (0,) for ray in v.rays]
     images = {_primitive([sum(map(mul, row, z)) for row in lift]) for z in gens}
-    return h_to_v(_hull(m, {img for img in images if any(img)})[0])
-
-
-def image_descriptions(h: HPolyhedron, rows) -> tuple[HPolyhedron, list]:
-    """v_to_h(p) and _hull's points of p = project(h_to_v(h), rows), h nonempty, without h_to_v(h).
-
-    The extreme rays of the cone over h go straight through [rows | 0; 0 | 1].
-    """
-    lift = [tuple(row) + (0,) for row in rows] + [(0,) * h.dim + (1,)]
-    return _hull(len(rows), cone_double_description(*_cone_rows(h), h.dim + 1, lift))
+    return h_to_v(_hull(m, {img for img in images if any(img)}))
 
 
 class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):

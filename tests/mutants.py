@@ -34,6 +34,7 @@ TREE_TAMPER = _CHECKS + "test_tree_cycle_certificates_catch_tampers_under_optimi
 KERNEL_TAMPER = _CHECKS + "test_kernel_lattice_catches_tampered_generators_under_optimize_flag"
 TAMPERED_TREE = _CHECKS + "test_tampered_tree_fails_closed_walks"
 _MODULI = "tests/test_moduli.py::"
+_POLY = "tests/test_polyhedra.py::"
 REP_TAMPER = _MODULI + "test_rep_certificate_checks_survive_optimize_flag"
 _CLI = "tests/test_cli.py::"
 EXIT_2 = _CLI + "test_input_errors_exit_2_with_one_line"
@@ -167,6 +168,11 @@ MUTANTS = [
     ),
     _raise_to_pass(
         "moduli.py",
+        '            raise CertificateError(f"ray {ray} of the potential cone violates an arrow row")',
+        [_MODULI + "test_lifted_path_rejects_a_ray_outside_the_potential_cone"],
+    ),
+    _raise_to_pass(
+        "moduli.py",
         '        raise CertificateError(f"vertex {vidx} of the type polyhedron is not integral")',
         [_MODULI + "test_charts_reject_a_fractional_vertex"],
     ),
@@ -184,6 +190,44 @@ MUTANTS = [
         "moduli.py",
         '        raise CertificateError("the greatest potential is not optimal")',
         [f"{REP_TAMPER}[wrong-flow-value]", f"{REP_TAMPER}[potential-not-greatest]"],
+    ),
+    # every CertificateError of polyhedra.py: the homogenizing coordinate, the
+    # trivial row of v_to_h, and normal_fan's checks (a), (b) and (c)
+    _raise_to_pass(
+        "polyhedra.py",
+        '            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")',
+        [_MODULI + "test_h_to_v_rejects_a_ray_below_the_hyperplane_at_infinity"],
+    ),
+    _raise_to_pass(
+        "polyhedra.py",
+        '                raise CertificateError(f"inconsistent trivial inequality 0 >= {-c}")',
+        [_POLY + "test_v_to_h_rejects_an_inconsistent_trivial_row"],
+    ),
+    _raise_to_pass(
+        "polyhedra.py",
+        '            raise CertificateError("vertex violates an inequality")',
+        [_POLY + "test_vertex_facet_incidence_rejects_outside_point",
+         _MODULI + "test_closing_rejects_a_point_outside_the_rows"],
+    ),
+    _raise_to_pass(
+        "polyhedra.py",
+        '        raise CertificateError("ray violates an inequality")',
+        [_POLY + "test_vertex_facet_incidence_rejects_outside_ray"],
+    ),
+    _raise_to_pass(
+        "polyhedra.py",
+        '            raise CertificateError(f"row {coeffs} >= {rhs} is not a facet")',
+        [_POLY + "test_normal_fan_rejects_a_redundant_row",
+         _POLY + "test_normal_fan_rejects_a_missing_ray",
+         _MODULI + "test_oracle_rejects_a_vertex_no_flow_reached",
+         _MODULI + "test_closing_rejects_a_recession_cone_beyond_the_orthant"],
+    ),
+    _raise_to_pass(
+        "polyhedra.py",
+        '                raise CertificateError(f"edge {e} at vertex {p} ends at no returned vertex")',
+        [_POLY + "test_normal_fan_rejects_a_dropped_vertex",
+         _POLY + "test_normal_fan_rejects_a_dropped_vertex_behind_duplicates",
+         _MODULI + "test_both_methods_reject_a_dropped_vertex"],
     ),
     # every raise of the group spec parser in cli.py
     _raise_to_pass(

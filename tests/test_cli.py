@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from conftest import src_env
+from conftest import generic_theta, src_env
 from mckay_moduli import checks, cli
 from mckay_moduli.cli import main, parse_group_spec
 from mckay_moduli.errors import GroupSpecError, InputError, ModuliError
@@ -124,7 +125,7 @@ def test_group_spec_errors_point_at_the_bad_piece(built, data):
     assert parse_group_spec(_render(parts)[0]) == (orders, rows)
     pieces = [p for p in parts if not isinstance(p, str)]
     at = data.draw(st.integers(0, len(pieces) - 1))
-    kind, lead, _, trail = pieces[at]
+    kind, lead, _, _ = pieces[at]
     bad = data.draw(st.sampled_from(_BAD[kind]))
     spec, start = _render(parts, at, bad)
     with pytest.raises(GroupSpecError) as err:
@@ -132,9 +133,8 @@ def test_group_spec_errors_point_at_the_bad_piece(built, data):
     if bad:
         assert err.value.position == start + len(lead)
     else:
-        # An empty piece is reported where its spaces end, or where they begin when they
-        # run into the spec's trailing spaces, which the parser strips first.
-        assert err.value.position == min(start + len(lead) + len(trail), len(spec.rstrip()))
+        # An empty piece is reported where the run of spaces that holds it begins.
+        assert err.value.position == len(spec[:start].rstrip())
 
 
 def test_quiver_json_golden(capsys):
@@ -331,8 +331,9 @@ def test_fan_theta_zero_single_cone(capsys):
 
 
 # Each fan runs with and without --lifted: every --lifted anchor of
-# test_output_contract.py, and the two larger lifted G-Hilb fans of the
-# benchmark's exact-enum workload.
+# test_output_contract.py, the two larger lifted G-Hilb fans of the
+# benchmark's exact-enum workload, and the golden theta at r = 11, G-Hilb at
+# r = 13 and a seeded generic theta at n = 4.
 LIFTED_FANS = [
     ("fan", "--group", "1/3(1,1,1)", "--theta", "-2,1,1"),
     ("fan", "--group", "1/7(1,2,4)", "--ghilb"),
@@ -342,6 +343,10 @@ LIFTED_FANS = [
     ("fan", "--group", "2x2:1,0,1;0,1,1", "--ghilb"),
     ("fan", "--group", "1/8(1,2,5)", "--ghilb"),
     ("fan", "--group", "1/9(1,2,6)", "--ghilb"),
+    ("fan", "--group", "1/11(1,2,8)", "--theta", ",".join(map(str, golden.EXAMPLE_THETA))),
+    ("fan", "--group", "1/13(1,3,9)", "--ghilb"),
+    ("fan", "--group", "1/8(1,3,5,7)", "--theta",
+     ",".join(map(str, generic_theta(random.Random(1), 8)))),
 ]
 
 

@@ -807,11 +807,11 @@ def test_closing_rejects_a_point_outside_the_rows():
 
 
 # Anchor fans and seeded generic parameters, with the lifted path where its
-# double description stays small (it takes ~20 s on 1/13(1,3,9)).
+# potential cone stays small (it grows exponentially in r).
 REFERENCE_CASES = [
     ([7], [[1, 2, 4]], None, BOTH),
-    ([13], [[1, 3, 9]], None, (theta_polyhedron,)),
-    ([13], [[1, 3, 9]], tuple(int(x) for x in golden.GENERIC_13.split(",")), (theta_polyhedron,)),
+    ([13], [[1, 3, 9]], None, BOTH),
+    ([13], [[1, 3, 9]], tuple(int(x) for x in golden.GENERIC_13.split(",")), BOTH),
     ([11], [[1, 2, 8]], golden.EXAMPLE_THETA, BOTH),
     ([61], [[1, 11, 49]], None, (theta_polyhedron,)),
 ] + [
@@ -870,8 +870,8 @@ def test_lifted_path_builds_no_vertex_fractions(monkeypatch):
 
 
 def test_lifted_path_builds_no_arrow_space_v_description(monkeypatch):
-    real_h_to_v, real_project = polyhedra.h_to_v, polyhedra.project
-    seen = []
+    real_h_to_v, real_project, real_dd = polyhedra.h_to_v, polyhedra.project, polyhedra._pointed_dd
+    seen, dd_dims = [], set()
 
     def h_to_v_recorder(h):
         seen.append(("h_to_v", h.dim))
@@ -881,13 +881,22 @@ def test_lifted_path_builds_no_arrow_space_v_description(monkeypatch):
         seen.append(("project", v.dim))
         return real_project(v, rows)
 
+    def dd_recorder(rows, d):
+        dd_dims.add(d)
+        return real_dd(rows, d)
+
     for module in (moduli, polyhedra):
         monkeypatch.setattr(module, "h_to_v", h_to_v_recorder, raising=False)
         monkeypatch.setattr(module, "project", project_recorder, raising=False)
+    monkeypatch.setattr(polyhedra, "_pointed_dd", dd_recorder)
     q = quiver([7], [[1, 2, 4]])
     tp = lifted_theta_polyhedron(q, ghilb_parameter(q))
     assert len(tp.v.vertices) == 7
-    assert seen == []
+    # h_to_v runs in type space only, and project never runs.
+    assert set(seen) == {("h_to_v", q.n)}
+    # The potential cone in n + r - 1 dimensions, the homogenized type space
+    # (h_to_v, v_to_h) and the edges of normal_fan: never the flow cone.
+    assert dd_dims == {q.n + q.r - 1, q.n + 1, q.n}
 
 
 @pytest.mark.parametrize("theta", [None, (8, 8, -6, -6, -6, 1, 1)])
@@ -934,12 +943,48 @@ def test_lifted_path_matches_the_projected_flow_polyhedron(case):
     assert tp.h == v_to_h(v)
 
 
+# _pointed_dd negates the first ray of the potential cone, the first double
+# description the lifted path runs.
+_NEGATE_POTENTIAL_RAY_SCRIPT = """
+from mckay_moduli import CertificateError, build_group, build_quiver, polyhedra
+from mckay_moduli import ghilb_parameter
+from mckay_moduli.moduli import lifted_theta_polyhedron
+
+pointed_dd = polyhedra._pointed_dd
+calls = []
+
+def negate_first(rows, d):
+    rays = pointed_dd(rows, d)
+    if not calls:
+        rays[0] = tuple(-x for x in rays[0])
+    calls.append(d)
+    return rays
+
+polyhedra._pointed_dd = negate_first
+q = build_quiver(build_group([7], [[1, 2, 4]]))
+try:
+    lifted_theta_polyhedron(q, ghilb_parameter(q))
+except CertificateError as exc:
+    print("raised", __debug__, exc)
+"""
+
+
+def test_lifted_path_rejects_a_ray_outside_the_potential_cone():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _NEGATE_POTENTIAL_RAY_SCRIPT],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == (
+        "raised False ray (-1, -2, -4, -1, -2, -3, -4, -5, -6) "
+        "of the potential cone violates an arrow row\n"
+    )
+
+
 # _pointed_dd negates one ray with t > 0 of the homogenized flow cone; rows[0]
 # is the row t >= 0 in kernel coordinates, so it reads each ray's t.
 _NEGATE_RAY_SCRIPT = """
 from mckay_moduli import CertificateError, build_group, build_quiver, polyhedra
-from mckay_moduli import ghilb_parameter
-from mckay_moduli.moduli import lifted_theta_polyhedron
+from mckay_moduli import ghilb_parameter, h_to_v, lifted_flow_polyhedron
 
 pointed_dd = polyhedra._pointed_dd
 calls = []
@@ -955,13 +1000,13 @@ def negate_one(rows, d):
 polyhedra._pointed_dd = negate_one
 q = build_quiver(build_group([7], [[1, 2, 4]]))
 try:
-    lifted_theta_polyhedron(q, ghilb_parameter(q))
+    h_to_v(lifted_flow_polyhedron(q, ghilb_parameter(q)))
 except CertificateError as exc:
     print("raised", __debug__, exc)
 """
 
 
-def test_lifted_path_rejects_a_ray_below_the_hyperplane_at_infinity():
+def test_h_to_v_rejects_a_ray_below_the_hyperplane_at_infinity():
     out = subprocess.run(
         [sys.executable, "-O", "-c", _NEGATE_RAY_SCRIPT],
         env=src_env(), capture_output=True, text=True, check=True,

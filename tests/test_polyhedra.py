@@ -829,23 +829,6 @@ def test_cone_double_description_matches_dense_reference(case):
         assert all(sum(a * x for a, x in zip(row, ray)) >= 0 for row in ineqs)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(cone_row_sets(), st.data())
-def test_cone_double_description_maps_rays_through_image(case, data):
-    ineqs, eqs, dim = case
-    if cone_double_description_dense(ineqs, eqs, dim)[1]:
-        return
-    entry = st.integers(-2, 2)
-    image = data.draw(st.lists(st.tuples(*[entry] * dim), min_size=1, max_size=4))
-    expected = set()
-    for ray in cone_double_description(ineqs, eqs, dim):
-        img = [sum(a * x for a, x in zip(row, ray)) for row in image]
-        if any(img):
-            g = math.gcd(*img)
-            expected.add(tuple(x // g for x in img))
-    assert cone_double_description(ineqs, eqs, dim, image) == sorted(expected)
-
-
 def test_cone_double_description_lifted_cone_matches_dense_reference():
     from mckay_moduli import build_group, build_quiver, ghilb_parameter, lifted_flow_polyhedron
 
