@@ -26,8 +26,9 @@ def check_certificate(quiver, theta, cost, u, y, value) -> None:
 
     Checks u >= 0 and b * u = theta (primal feasibility), reduced costs
     cost_k - (y_head - y_tail) >= 0 (dual feasibility), zero reduced cost on
-    every arrow with u_k > 0 (complementary slackness) and cost . u =
-    theta . y = value (no duality gap).
+    every arrow with u_k > 0 (complementary slackness) and cost . u = value.
+    There is then no duality gap: slackness gives cost . u =
+    sum_k u_k (y_head - y_tail) = (b * u) . y, which routing makes theta . y.
     """
     arrows = quiver.arrows
     if len(u) != len(arrows) or len(y) != quiver.r:
@@ -47,8 +48,6 @@ def check_certificate(quiver, theta, cost, u, y, value) -> None:
         raise CertificateError("flow does not route theta")
     if sum(c * f for c, f in zip(cost, u)) != value:
         raise CertificateError("flow cost does not match the value")
-    if sum(t * p for t, p in zip(theta, y)) != value:
-        raise CertificateError("duality gap between flow and potentials")
 
 
 def min_cost_flow(quiver, theta, cost):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le, mul
+from operator import mul
 
 from .errors import CertificateError, InputError, ModuliError
 from .intlinalg import independent_rows, int_rank, kernel_basis
@@ -115,16 +115,11 @@ def _pointed_dd(rows, d):
     order produced; callers sort.  Uses the incremental double description
     method (Fukuda-Prodon 1996) with bitmask tight sets and the combinatorial
     adjacency test: a pair of rays is adjacent when no third ray is tight on
-    every row the pair shares, evaluated on rays_at[row], the bitset of the
-    current rays tight at each processed row.
-
-    Candidates come from the positive side.  A positive ray p with exactly
-    d - 1 tight rows is non-degenerate: an adjacent partner misses exactly one
-    of them, x, and the pair is adjacent exactly when the AND of rays_at over
-    p's other tight rows is {p, q}, so q is read off that AND, with prefix and
-    suffix ANDs making each x one more AND.  A degenerate p, with more tight
-    rows, tests every negative ray in turn.  The pairs are emitted in
-    (positive, negative) index order, as a scan of every pair would.
+    every row the pair shares.  Each (positive, negative) pair, in index
+    order, is skipped unless it shares at least d - 2 tight rows; otherwise
+    the test ANDs rays_at[row], the bitset of the current rays tight at each
+    processed row, over the shared rows, and the pair is adjacent exactly
+    when only its own two bits remain.
     """
     work = [tuple(r) for r in rows if any(r)]
     sel = independent_rows(work)
@@ -162,53 +157,26 @@ def _pointed_dd(rows, d):
                 low = mask & -mask
                 rays_at[low.bit_length() - 1] |= bit
                 mask ^= low
-        negbits = 0
-        for iq in neg:
-            negbits |= 1 << iq
         all_rays = (1 << len(vecs)) - 1
-        pairs = set()
+        new_vecs = []
+        new_masks = []
         for ip in pos:
             mp = masks[ip]
-            if mp.bit_count() == d - 1:
-                # prefix[k] ANDs rays_at over the first k tight rows of p.
-                ats = []
-                prefix = [all_rays]
-                rest = mp
-                while rest:
-                    low = rest & -rest
-                    ats.append(rays_at[low.bit_length() - 1])
-                    prefix.append(prefix[-1] & ats[-1])
-                    rest ^= low
-                suffix = all_rays
-                pbit = 1 << ip
-                for k in range(d - 2, -1, -1):
-                    both = prefix[k] & suffix
-                    suffix &= ats[k]
-                    other = both ^ pbit
-                    if other & negbits and other & (other - 1) == 0:
-                        pairs.add((ip, other.bit_length() - 1))
-                continue
             for iq in neg:
                 common = mp & masks[iq]
                 if common.bit_count() < d - 2:
                     continue
                 both = all_rays
                 rest = common
-                while rest:
+                while rest and both.bit_count() > 2:
                     low = rest & -rest
                     both &= rays_at[low.bit_length() - 1]
-                    if both.bit_count() == 2:
-                        break
                     rest ^= low
                 if both.bit_count() == 2:
-                    pairs.add((ip, iq))
-        new_vecs = []
-        new_masks = []
-        for ip, iq in sorted(pairs):
-            sp, sq = svals[ip], svals[iq]
-            w = _primitive([sp * y - sq * x for x, y in zip(vecs[ip], vecs[iq])])
-            new_vecs.append(w)
-            new_masks.append(masks[ip] & masks[iq] | (1 << b))
+                    sp, sq = svals[ip], svals[iq]
+                    w = _primitive([sp * y - sq * x for x, y in zip(vecs[ip], vecs[iq])])
+                    new_vecs.append(w)
+                    new_masks.append(common | (1 << b))
         keep_vecs = [vecs[i] for i in pos] + [vecs[i] for i in zer] + new_vecs
         keep_masks = (
             [masks[i] for i in pos]
@@ -298,25 +266,6 @@ def v_to_h(v: VPolyhedron) -> HPolyhedron:
     return HPolyhedron(dim=d, inequalities=tuple(inequalities))
 
 
-def _hull(dim, gens) -> HPolyhedron:
-    """Canonical H-description of the polyhedron with distinct generators gens (..., t).
-
-    When every unit vector is among the rays, the orthant lies in the
-    recession cone, so a point that dominates another coordinatewise is
-    redundant; such points are dropped before the double description.
-    """
-    pts, rys = _dehomogenize(gens)
-    if set(_unit_rows(dim)) <= set(rys):
-        # Lexicographic sweep: a point's dominators all precede it, and each
-        # dropped point is dominated by one already on the Pareto front.
-        front = []
-        for pt in pts:
-            if not any(all(map(le, f, pt)) for f in reversed(front)):
-                front.append(pt)
-        pts = front
-    return v_to_h(VPolyhedron(dim=dim, vertices=tuple(pts), rays=tuple(rys)))
-
-
 def project(v: VPolyhedron, rows) -> VPolyhedron:
     """Image of a V-description under an integer linear map given by rows.
 
@@ -330,7 +279,8 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     lift = [tuple(row) + (0,) for row in rows] + [(0,) * v.dim + (1,)]
     gens = [_homogeneous(vert) for vert in v.vertices] + [tuple(ray) + (0,) for ray in v.rays]
     images = {_primitive([sum(map(mul, row, z)) for row in lift]) for z in gens}
-    return h_to_v(_hull(m, {img for img in images if any(img)}))
+    pts, rys = _dehomogenize({img for img in images if any(img)})
+    return h_to_v(v_to_h(VPolyhedron(dim=m, vertices=tuple(pts), rays=tuple(rys))))
 
 
 class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):

@@ -4,9 +4,9 @@ pointed_dd_scan is the pointed-cone enumeration as first written: the
 initial basis is inverted in Fractions, and every (positive, negative) pair
 of rays is tested: it is adjacent when no third current ray is tight on
 every row the pair shares (Fukuda-Prodon 1996, combinatorial test).  The
-package's _pointed_dd inverts the basis in integers and generates the
-candidates of each positive ray from per-row ray bitsets; the tests require
-both to return the same rays in the same order.
+package's _pointed_dd inverts the basis in integers and tests each pair by
+ANDing per-row bitsets of the tight rays; the tests require both to return
+the same rays in the same order.
 
 cone_double_description_dense maps every quotient ray back to the ambient
 space with dense vector sums over all kernel basis rows; the package's

@@ -121,10 +121,7 @@ MUTANTS = [
      [_CHECKS + "test_cycle_type_identification_bound_six"]),
     ("checks.py", "            types[-1][a.label - 1] += 1", "            types[-1][a.label - 1] -= 1",
      [_CHECKS + "test_cycle_type_identification_bound_six"]),
-    # every raise of flow.py's certificate check that can fire, and min_cost_flow's cost
-    # validation.  "duality gap between flow and potentials" is left out: routing and
-    # complementary slackness give cost . u = theta . y, so once the raises before it
-    # pass, it cannot fire.
+    # every raise of flow.py's certificate check, and min_cost_flow's cost validation
     _raise_to_pass(
         "flow.py",
         '        raise CertificateError("flow certificate has the wrong shape")',
@@ -229,6 +226,17 @@ MUTANTS = [
          _POLY + "test_normal_fan_rejects_a_dropped_vertex_behind_duplicates",
          _MODULI + "test_both_methods_reject_a_dropped_vertex"],
     ),
+    # the double description's adjacency test: a pair that passes the popcount filter is
+    # not adjacent when a third ray is tight on every row it shares; the new ray is tight
+    # on the row it was made for
+    ("polyhedra.py",
+     "                if both.bit_count() == 2:\n                    sp, sq",
+     "                if both:\n                    sp, sq",
+     [_POLY + "test_pointed_dd_matches_scan_reference",
+      _POLY + "test_pointed_dd_matches_scan_reference_on_lifted_cones"]),
+    ("polyhedra.py", "new_masks.append(common | (1 << b))", "new_masks.append(common)",
+     [_POLY + "test_h_to_v_square",
+      _POLY + "test_cone_double_description_lifted_cone_matches_dense_reference"]),
     # every raise of the group spec parser in cli.py
     _raise_to_pass(
         "cli.py",
@@ -238,7 +246,7 @@ MUTANTS = [
     _raise_to_pass(
         "cli.py",
         '        raise GroupSpecError("empty group spec", 0)',
-        [f"{EXIT_2}[EmptySpec]"],
+        [f"{EXIT_2}[EmptySpec]", f"{EXIT_2}[EmptyLiteralSpec]"],
     ),
     _raise_to_pass(
         "cli.py",
@@ -273,7 +281,7 @@ MUTANTS = [
     _raise_to_pass(
         "cli.py",
         '            raise GroupSpecError(f"expected {len(orders)} weight rows, got {len(rows)}", at)',
-        [f"{EXIT_2}[RowCount]", _CLI + "test_parse_group_spec_error_positions"],
+        [f"{EXIT_2}[RowCount]"],
     ),
     _raise_to_pass(
         "cli.py",

@@ -49,22 +49,6 @@ def test_non_ascii_digit_in_group_is_input_error(capsys, spec, position):
     assert lines[0].endswith(f"(at position {position})")
 
 
-def test_parse_group_spec_error_positions():
-    with pytest.raises(GroupSpecError) as err:
-        parse_group_spec("1/7(1,x)")
-    assert err.value.position == 6
-    with pytest.raises(GroupSpecError) as err:
-        parse_group_spec("1/(1,2)")
-    assert err.value.position == 2
-    with pytest.raises(GroupSpecError) as err:
-        parse_group_spec("2x2:1,0")
-    assert err.value.position == 4
-    with pytest.raises(GroupSpecError):
-        parse_group_spec("")
-    with pytest.raises(GroupSpecError):
-        parse_group_spec("7(1,2)")
-
-
 _PAD = st.sampled_from(["", " ", "  "])
 # Texts that each kind of piece must reject.  "1/1.5(" is read as the order 1 followed
 # by a stray ".", so "1.5" is not a bad cyclic order at the order's own position.
@@ -155,12 +139,6 @@ def test_quiver_trivial_group(capsys):
     assert len(doc["quiver"]["arrows"]) == 1
     arrow = doc["quiver"]["arrows"][0]
     assert arrow["head"] == 0 and arrow["tail"] == 0
-
-
-def test_malformed_spec_exit_code(capsys):
-    rc, _, err = run_cli(capsys, "quiver", "--group", "1/7(1,x)")
-    assert rc == 2
-    assert "x" in err
 
 
 def test_bad_theta_exit_code(capsys):
@@ -516,6 +494,10 @@ MALFORMED = {
     ),
     "EmptySpec": (
         ("quiver", "--group", "   "),
+        "empty group spec (at position 0)",
+    ),
+    "EmptyLiteralSpec": (
+        ("quiver", "--group", ""),
         "empty group spec (at position 0)",
     ),
     "NoCyclicOrder": (

@@ -498,7 +498,8 @@ def _lifted_dd_calls(monkeypatch, r, weights, theta=None):
 def test_pointed_dd_matches_scan_reference_on_lifted_cones(monkeypatch, r, weights, theta):
     for rows, d, rays in _lifted_dd_calls(monkeypatch, r, weights, theta):
         assert rays == pointed_dd_scan(rows, d)
-        # The cone mixes non-degenerate rays (d - 1 tight rows) and degenerate ones.
+        # The input reaches both kinds of ray: simple ones, tight on exactly d - 1 rows,
+        # and degenerate ones, tight on more.
         tight = [sum(1 for row in rows if sum(a * x for a, x in zip(row, ray)) == 0) for ray in rays]
         assert min(tight) == d - 1 < max(tight)
 
