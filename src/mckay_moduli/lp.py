@@ -1,9 +1,9 @@
 """Exact rational linear programming by primal simplex with Bland's rule.
 
-Programs minimize a linear objective over an HPolyhedron.  Every outcome
-carries an exact certificate (optimal dual multipliers, an improving ray, or
-Farkas multipliers) and the certificate is re-verified in exact arithmetic
-before the outcome is returned.
+Programs minimize a linear objective over an HPolyhedron.  The answer is an
+optimum with its dual multipliers, and the duality certificate is re-verified
+in exact arithmetic before it is returned.  A program with no optimum raises
+ModuliError: "program is infeasible" or "program is unbounded".
 """
 
 from __future__ import annotations
@@ -36,25 +36,6 @@ class LpOptimal:
     value: Fraction
     ineq_duals: tuple
     eq_duals: tuple
-
-
-@dataclass(frozen=True)
-class LpUnbounded:
-    """Feasible point plus a feasible direction with negative objective."""
-
-    point: tuple
-    ray: tuple
-
-
-@dataclass(frozen=True)
-class LpInfeasible:
-    """Farkas multipliers proving the feasible set empty.
-
-    ineq_mults >= 0 and eq_mults combine the rows to 0 = (positive number).
-    """
-
-    ineq_mults: tuple
-    eq_mults: tuple
 
 
 def _pivot(rows, obj, basis, i, j):
@@ -106,11 +87,10 @@ def _bland(rows, obj, basis, ncols):
 def simplex_standard(a_rows, rhs, cost):
     """Minimize cost . x subject to a_rows . x = rhs, x >= 0.
 
-    Returns one of LpOptimal, LpUnbounded, LpInfeasible.  Duals and Farkas
-    multipliers are expressed against the rows as given (eq_duals empty, the
-    rows here all being equations is reflected by ineq_duals=()); callers
-    embedding inequalities translate them.  For this standard form the dual
-    vector y satisfies cost - y . a_rows >= 0 componentwise.
+    Returns the LpOptimal with duals y against the rows as given (eq_duals;
+    ineq_duals is empty), so that cost - y . a_rows >= 0 componentwise;
+    callers embedding inequalities translate them.  Raises ModuliError when
+    the program is infeasible or unbounded.
     """
     m = len(a_rows)
     n = len(cost)
@@ -130,17 +110,8 @@ def simplex_standard(a_rows, rhs, cost):
     res = _bland(rows, obj1, basis, n + m)
     assert res is None, "phase one cannot be unbounded"
     if obj1[-1] != 0:
-        y = [Fraction(1) - obj1[n + i] for i in range(m)]
-        mult = tuple(flip[i] * y[i] for i in range(m))
-        out = LpInfeasible(ineq_mults=(), eq_mults=mult)
-        combo = [
-            sum(mult[i] * Fraction(a_rows[i][j]) for i in range(m)) for j in range(n)
-        ]
-        assert all(v <= 0 for v in combo)
-        assert sum(mult[i] * Fraction(rhs[i]) for i in range(m)) > 0
-        return out
+        raise ModuliError("program is infeasible")
 
-    live = list(range(m))
     for i in range(m):
         if basis[i] >= n:
             j = next((t for t in range(n) if rows[i][t] != 0), None)
@@ -152,50 +123,29 @@ def simplex_standard(a_rows, rhs, cost):
             assert rows[i][-1] == 0, "inconsistent redundant row"
     rows = [rows[i] for i in keep]
     basis = [basis[i] for i in keep]
-    live = [live[i] for i in keep]
 
     obj2 = [Fraction(c) for c in cost] + [Fraction(0)] * m + [Fraction(0)]
     for i, bi in enumerate(basis):
         f = obj2[bi]
         if f:
             obj2 = [a - f * b for a, b in zip(obj2, rows[i])]
-    res = _bland(rows, obj2, basis, n)
-
-    def current_point():
-        x = [Fraction(0)] * n
-        for i, bi in enumerate(basis):
-            if bi < n:
-                x[bi] = rows[i][-1]
-        return tuple(x)
-
-    if res is None:
-        x = current_point()
-        y = [Fraction(0)] * m
-        for orig in live:
-            y[orig] = -obj2[n + orig] * flip[orig]
-        value = sum(Fraction(c) * v for c, v in zip(cost, x))
-        out = LpOptimal(point=x, value=value, ineq_duals=(), eq_duals=tuple(y))
-        for j in range(n):
-            red = Fraction(cost[j]) - sum(y[i] * Fraction(a_rows[i][j]) for i in range(m))
-            assert red >= 0, "dual infeasibility"
-            if x[j] > 0:
-                assert red == 0, "complementary slackness violated"
-        assert value == sum(y[i] * Fraction(rhs[i]) for i in range(m))
-        return out
-
-    enter = res
-    x = current_point()
-    ray = [Fraction(0)] * n
-    ray[enter] = Fraction(1)
+    if _bland(rows, obj2, basis, n) is not None:
+        raise ModuliError("program is unbounded")
+    x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            ray[bi] = -rows[i][enter]
-    out = LpUnbounded(point=x, ray=tuple(ray))
-    assert all(v >= 0 for v in ray)
-    for i in range(m):
-        assert sum(Fraction(a_rows[i][j]) * ray[j] for j in range(n)) == 0
-    assert sum(Fraction(c) * v for c, v in zip(cost, ray)) < 0
-    return out
+            x[bi] = rows[i][-1]
+    y = [Fraction(0)] * m
+    for orig in keep:
+        y[orig] = -obj2[n + orig] * flip[orig]
+    value = sum(Fraction(c) * v for c, v in zip(cost, x))
+    for j in range(n):
+        red = Fraction(cost[j]) - sum(y[i] * Fraction(a_rows[i][j]) for i in range(m))
+        assert red >= 0, "dual infeasibility"
+        if x[j] > 0:
+            assert red == 0, "complementary slackness violated"
+    assert value == sum(y[i] * Fraction(rhs[i]) for i in range(m))
+    return LpOptimal(point=tuple(x), value=value, ineq_duals=(), eq_duals=tuple(y))
 
 
 def solve(lp: LinearProgram):
@@ -203,8 +153,9 @@ def solve(lp: LinearProgram):
 
     Free variables are split into positive and negative parts and each
     inequality gets a surplus variable; the standard-form simplex does the
-    rest.  The returned certificates refer to the polyhedron rows as given
-    and are verified exactly before returning.
+    rest.  The returned duals refer to the polyhedron rows as given and are
+    verified exactly before returning; ModuliError propagates from the
+    simplex when there is no optimum.
     """
     h = lp.feasible
     d = h.dim
@@ -212,7 +163,6 @@ def solve(lp: LinearProgram):
     if len(c) != d:
         raise ValueError("objective length does not match dimension")
     m = len(h.inequalities)
-    p = len(h.equations)
     a_rows = []
     rhs = []
     for idx, (coeffs, b) in enumerate(h.inequalities):
@@ -229,26 +179,9 @@ def solve(lp: LinearProgram):
     cost = c + [-x for x in c] + [Fraction(0)] * m
 
     res = simplex_standard(a_rows, rhs, cost)
-    if isinstance(res, LpInfeasible):
-        y = res.eq_mults
-        lam = tuple(y[:m])
-        mu = tuple(y[m:])
-        out = LpInfeasible(ineq_mults=lam, eq_mults=mu)
-        _verify_infeasible(h, out)
-        return out
-
-    def back(xstd):
-        return tuple(xstd[j] - xstd[d + j] for j in range(d))
-
-    if isinstance(res, LpUnbounded):
-        out = LpUnbounded(point=back(res.point), ray=back(res.ray))
-        _verify_unbounded(lp, out)
-        return out
-
     y = res.eq_duals
-    lam = tuple(y[:m])
-    mu = tuple(y[m:])
-    out = LpOptimal(point=back(res.point), value=res.value, ineq_duals=lam, eq_duals=mu)
+    point = tuple(res.point[j] - res.point[d + j] for j in range(d))
+    out = LpOptimal(point=point, value=res.value, ineq_duals=y[:m], eq_duals=y[m:])
     _verify_optimal(lp, out)
     return out
 
@@ -282,31 +215,6 @@ def _verify_optimal(lp: LinearProgram, out: LpOptimal):
     assert _row_value(lp.objective, out.point) == out.value
 
 
-def _verify_unbounded(lp: LinearProgram, out: LpUnbounded):
-    h = lp.feasible
-    _check_feasible(h, out.point)
-    for coeffs, _ in h.inequalities:
-        assert _row_value(coeffs, out.ray) >= 0
-    for coeffs, _ in h.equations:
-        assert _row_value(coeffs, out.ray) == 0
-    assert _row_value(lp.objective, out.ray) < 0
-
-
-def _verify_infeasible(h: HPolyhedron, out: LpInfeasible):
-    assert all(l >= 0 for l in out.ineq_mults)
-    for j in range(h.dim):
-        lhs = sum(
-            l * Fraction(coeffs[j]) for l, (coeffs, _) in zip(out.ineq_mults, h.inequalities)
-        ) + sum(
-            mu * Fraction(coeffs[j]) for mu, (coeffs, _) in zip(out.eq_mults, h.equations)
-        )
-        assert lhs == 0, "multipliers do not cancel"
-    rhs = sum(
-        l * Fraction(b) for l, (_, b) in zip(out.ineq_mults, h.inequalities)
-    ) + sum(mu * Fraction(f) for mu, (_, f) in zip(out.eq_mults, h.equations))
-    assert rhs > 0, "multipliers do not certify infeasibility"
-
-
 def optimal_face_tight_set(lp: LinearProgram):
     """Indices of inequalities tight on the whole optimal face.
 
@@ -314,12 +222,10 @@ def optimal_face_tight_set(lp: LinearProgram):
     (the feasible set cut with objective = optimal value); an inequality is
     reported tight exactly when it is tight at every vertex of that face and
     constant along every ray.  The feasible set must be pointed, as h_to_v
-    requires.  Returns (optimal outcome, frozenset of tight indices); raises
-    ModuliError when the program has no optimum.
+    requires.  Returns (optimal outcome, frozenset of tight indices); the
+    ModuliError of a program with no optimum propagates from solve.
     """
     sol = solve(lp)
-    if not isinstance(sol, LpOptimal):
-        raise ModuliError("program has no finite optimum")
     h = lp.feasible
     face = h_to_v(
         HPolyhedron(

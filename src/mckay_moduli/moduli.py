@@ -134,13 +134,9 @@ def lifted_theta_polyhedron(quiver: McKayQuiver, theta) -> ThetaPolyhedron:
     The closing and its output are theta_polyhedron's.
     """
     n, theta = quiver.n, stability_parameter(quiver, theta)
-    rows = []
-    for a in quiver.arrows:
-        row = [0] * (n + quiver.r)
-        row[a.label - 1] = 1
-        row[n + a.head] += 1
-        row[n + a.tail] -= 1
-        rows.append(tuple(row[:n] + row[n + 1:]))
+    # Arrow k's row is column k of c = (b over d) with d's part first and vertex 0 dropped.
+    r = quiver.r
+    rows = [col[r:] + col[1:r] for col in zip(*incidence_matrices(quiver).c)]
     cuts = []
     for ray in cone_double_description(rows, [], n + quiver.r - 1):
         if any(_dot(row, ray) < 0 for row in rows):

@@ -126,18 +126,14 @@ def _pointed_dd(rows, d):
     if len(sel) < d:
         raise ModuliError("cone is not pointed")
 
-    # Initial rays solve A_sel * r_j = c_j * e_j with c_j > 0.
-    vecs = _initial_rays([work[i] for i in sel])
-    all_sel_bits = 0
-    for i in sel:
-        all_sel_bits |= 1 << i
-    masks = [all_sel_bits & ~(1 << i) for i in sel]
+    # The selected rows come first; the initial rays solve A_sel * r_j = c_j * e_j
+    # with c_j > 0, so ray j is tight on every selected row but row j.
+    work = [work[i] for i in sel] + [a for i, a in enumerate(work) if i not in sel]
+    vecs = _initial_rays(work[:d])
+    masks = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
 
-    selset = set(sel)
-    top = sel[-1] + 1
-    for b, a in enumerate(work):
-        if b in selset:
-            continue
+    for b in range(d, len(work)):
+        a = work[b]
         svals = [0] * len(vecs)
         for i, c in enumerate(a):
             if c:
@@ -149,8 +145,8 @@ def _pointed_dd(rows, d):
             for i in zer:
                 masks[i] |= 1 << b
             continue
-        # Only rows processed so far (sel and the rows before b) carry bits.
-        rays_at = [0] * max(b, top)
+        # Only the rows processed so far, the rows before b, carry bits.
+        rays_at = [0] * b
         for i, mask in enumerate(masks):
             bit = 1 << i
             while mask:
@@ -210,21 +206,6 @@ def cone_double_description(ineq_rows, eq_rows, dim):
     return sorted(_primitive([sum(map(mul, y, col)) for col in cols]) for y in rays)
 
 
-def _dehomogenize(gens):
-    """Sorted points z[:-1] / t and rays z[:-1] of primitive generators z = (..., t) of a cone."""
-    verts, vrays = [], []
-    for z in gens:
-        t = z[-1]
-        if t < 0:
-            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
-        if t > 0:
-            # z is primitive, so the vertex z[:-1] / t is integral exactly when t == 1.
-            verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
-        else:
-            vrays.append(z[:-1])
-    return sorted(verts), sorted(vrays)
-
-
 def h_to_v(h: HPolyhedron) -> VPolyhedron:
     """Vertices and rays of an H-description.
 
@@ -237,8 +218,17 @@ def h_to_v(h: HPolyhedron) -> VPolyhedron:
     ineq_rows = [(0,) * h.dim + (1,)]
     ineq_rows += [_clear_denominators(tuple(a) + (-b,)) for a, b in h.inequalities]
     eq_rows = [_clear_denominators(tuple(a) + (-b,)) for a, b in h.equations]
-    verts, vrays = _dehomogenize(cone_double_description(ineq_rows, eq_rows, h.dim + 1))
-    return VPolyhedron(dim=h.dim, vertices=tuple(verts), rays=tuple(vrays) if verts else ())
+    verts, vrays = [], []
+    for z in cone_double_description(ineq_rows, eq_rows, h.dim + 1):
+        t = z[-1]
+        if t < 0:
+            raise CertificateError(f"homogenizing coordinate of ray {z} is negative")
+        if t > 0:
+            # z is primitive, so the vertex z[:-1] / t is integral exactly when t == 1.
+            verts.append(z[:-1] if t == 1 else tuple(Fraction(x, t) for x in z[:-1]))
+        else:
+            vrays.append(z[:-1])
+    return VPolyhedron(h.dim, tuple(sorted(verts)), tuple(sorted(vrays)) if verts else ())
 
 
 def v_to_h(v: VPolyhedron) -> HPolyhedron:
@@ -275,12 +265,9 @@ def project(v: VPolyhedron, rows) -> VPolyhedron:
     m = len(rows)
     if v.is_empty:
         return VPolyhedron(dim=m, vertices=(), rays=())
-    # Each generator (..., t) of the cone over v goes through [rows | 0; 0 | 1].
-    lift = [tuple(row) + (0,) for row in rows] + [(0,) * v.dim + (1,)]
-    gens = [_homogeneous(vert) for vert in v.vertices] + [tuple(ray) + (0,) for ray in v.rays]
-    images = {_primitive([sum(map(mul, row, z)) for row in lift]) for z in gens}
-    pts, rys = _dehomogenize({img for img in images if any(img)})
-    return h_to_v(v_to_h(VPolyhedron(dim=m, vertices=tuple(pts), rays=tuple(rys))))
+    pts = {tuple(_dot(row, vert) for row in rows) for vert in v.vertices}
+    rys = {tuple(_dot(row, ray) for row in rows) for ray in v.rays}
+    return h_to_v(v_to_h(VPolyhedron(m, tuple(pts), tuple(r for r in rys if any(r)))))
 
 
 class Fan(namedtuple("Fan", "rays cones vertices rec_rays")):

@@ -237,6 +237,11 @@ MUTANTS = [
     ("polyhedra.py", "new_masks.append(common | (1 << b))", "new_masks.append(common)",
      [_POLY + "test_h_to_v_square",
       _POLY + "test_cone_double_description_lifted_cone_matches_dense_reference"]),
+    # each initial ray is tight on every selected row but its own
+    ("polyhedra.py", "masks = [((1 << d) - 1) ^ (1 << j) for j in range(d)]",
+     "masks = [((1 << d) - 1) for j in range(d)]",
+     [_POLY + "test_pointed_dd_matches_scan_reference_on_lifted_cones",
+      _POLY + "test_cone_double_description_lifted_cone_matches_dense_reference"]),
     # every raise of the group spec parser in cli.py
     _raise_to_pass(
         "cli.py",

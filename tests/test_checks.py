@@ -540,7 +540,7 @@ def test_each_fail_path_reports_its_message_under_optimize_flag(tamper, row, mes
 
 def test_every_module_is_reachable_from_the_cli():
     # Relative imports at any depth, function bodies included, from cli.py.
-    # lp.py is the test-only LP reference, which ROADMAP item 7 moves into tests/.
+    # lp.py is the test-only LP reference, which ROADMAP item 1 moves into tests/.
     test_only = {"lp"}
     reached, todo = set(), ["cli"]
     while todo:
@@ -589,14 +589,14 @@ def test_no_unused_imports():
 
 def test_every_definition_is_named_in_the_package():
     # A top-level function or class that only __init__.py and tests name is test-only code.
-    exempt = {"project"}  # polyhedra.project, which ROADMAP item 7 moves into tests/
+    exempt = {"project"}  # polyhedra.project, which ROADMAP item 1 moves into tests/
     defined, named = {}, set()
     for path in sorted(_SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             own = getattr(node, "name", None)
-            # lp.py is the test-only LP reference, which ROADMAP item 7 moves into tests/.
+            # lp.py is the test-only LP reference, which ROADMAP item 1 moves into tests/.
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.name != "lp.py":
                 defined[own] = f"{path.name}:{node.lineno} {own}"
             for sub in ast.walk(node):

@@ -7,9 +7,7 @@ from dd_oracle import cone_double_description_dense
 from mckay_moduli import HPolyhedron, h_to_v
 from mckay_moduli.lp import (
     LinearProgram,
-    LpInfeasible,
     LpOptimal,
-    LpUnbounded,
     optimal_face_tight_set,
     simplex_standard,
     solve,
@@ -35,22 +33,14 @@ def test_minimize_over_ray():
 
 def test_unbounded_objective():
     lp = LinearProgram(objective=(-1,), feasible=HPolyhedron(dim=1, inequalities=(((1,), 0),)))
-    res = solve(lp)
-    assert isinstance(res, LpUnbounded)
-    assert dot(res.ray, (-1,)) < 0
-    assert res.ray[0] > 0
+    with internal_error("^program is unbounded$"):
+        solve(lp)
 
 
 def test_infeasible_certificate():
     h = HPolyhedron(dim=1, inequalities=(((1,), 1), ((-1,), 0)))
-    res = solve(LinearProgram(objective=(0,), feasible=h))
-    assert isinstance(res, LpInfeasible)
-    lam = res.ineq_mults
-    assert all(l >= 0 for l in lam)
-    combo = sum(l * Fraction(c[0]) for l, (c, _) in zip(lam, h.inequalities))
-    money = sum(l * Fraction(b) for l, (_, b) in zip(lam, h.inequalities))
-    assert combo == 0
-    assert money > 0
+    with internal_error("^program is infeasible$"):
+        solve(LinearProgram(objective=(0,), feasible=h))
 
 
 def test_equality_program():
@@ -114,7 +104,7 @@ def test_solve_against_vertex_enumeration():
             continue
         h = HPolyhedron(dim=dim, inequalities=ineqs)
         obj = tuple(rng.randrange(-3, 4) for _ in range(dim))
-        res = solve(LinearProgram(objective=obj, feasible=h))
+        lp = LinearProgram(objective=obj, feasible=h)
         homogenized = [(0,) * dim + (1,)] + [tuple(c) + (-b,) for c, b in ineqs]
         lineality = [l[:-1] for l in cone_double_description_dense(homogenized, [], dim + 1)[1]]
         if lineality:
@@ -125,13 +115,16 @@ def test_solve_against_vertex_enumeration():
             h = HPolyhedron(dim=dim, inequalities=ineqs, equations=tuple((l, 0) for l in lineality))
         v = h_to_v(h)
         if v.is_empty:
-            assert isinstance(res, LpInfeasible)
+            with internal_error("^program is infeasible$"):
+                solve(lp)
             continue
         drops = [r for r in v.rays if dot(obj, r) < 0]
         drops += [l for l in lineality if dot(obj, l) != 0]
         if drops:
-            assert isinstance(res, LpUnbounded)
+            with internal_error("^program is unbounded$"):
+                solve(lp)
         else:
+            res = solve(lp)
             assert isinstance(res, LpOptimal)
             assert res.value == min(dot(obj, p) for p in v.vertices)
         checked += 1
@@ -196,7 +189,7 @@ def test_optimal_face_tight_set_with_unbounded_face():
 
 def test_optimal_face_tight_set_rejects_unbounded():
     lp = LinearProgram(objective=(-1,), feasible=HPolyhedron(dim=1, inequalities=(((1,), 0),)))
-    with internal_error("^program has no finite optimum$"):
+    with internal_error("^program is unbounded$"):
         optimal_face_tight_set(lp)
 
 
